@@ -1,19 +1,17 @@
-// Micro-benchmarks of the campaign fast-reset engine (google-benchmark).
+// Micro-benchmarks of campaign attempts (google-benchmark).
 //
-// BM_CampaignThroughput is the headline number for the snapshot/memo
-// subsystem: attempts/s of a repeated CR-Spectre scenario, with Arg(1)
-// running through a ScenarioSession (snapshot restore + memoized builds)
-// and Arg(0) through the legacy rebuild-everything run_scenario path. The
-// scenario is sized so per-attempt setup (ROP recon/plan, binary builds,
-// machine construction) is the dominant legacy cost — exactly the regime
-// campaign drivers live in, where thousands of short attempts share one
-// configuration.
+// BM_CampaignThroughput is the headline number for session reuse:
+// attempts/s of a repeated CR-Spectre scenario through one ScenarioSession
+// (rollback to the machine baseline + memoized builds). The scenario is
+// sized so per-attempt setup (ROP recon/plan, binary builds, machine
+// replication) would dominate if it were paid per attempt — exactly the
+// regime campaign drivers live in, where thousands of short attempts share
+// one configuration.
 #include <benchmark/benchmark.h>
 
 #include "bench_json_reporter.hpp"
 #include "core/scenario.hpp"
 #include "sim/snapshot.hpp"
-#include "support/memo.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -32,32 +30,16 @@ core::ScenarioConfig campaign_config() {
 }
 
 void BM_CampaignThroughput(benchmark::State& state) {
-  const bool snapshot = state.range(0) != 0;
-  const bool prev = fast_reset_enabled();
-  set_fast_reset_enabled(snapshot);
   const core::ScenarioConfig config = campaign_config();
   std::uint64_t seed = config.seed;
-  if (snapshot) {
-    core::ScenarioSession session(config);
-    for (auto _ : state) {
-      const auto run = session.run_attempt(seed++);
-      benchmark::DoNotOptimize(run.attack_launched);
-    }
-  } else {
-    for (auto _ : state) {
-      core::ScenarioConfig attempt = config;
-      attempt.seed = seed++;
-      const auto run = core::run_scenario(attempt);
-      benchmark::DoNotOptimize(run.attack_launched);
-    }
+  core::ScenarioSession session(config);
+  for (auto _ : state) {
+    const auto run = session.run_attempt(seed++);
+    benchmark::DoNotOptimize(run.attack_launched);
   }
-  set_fast_reset_enabled(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CampaignThroughput)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignThroughput)->Unit(benchmark::kMillisecond);
 
 // Pages restored per second by Machine::restore on a machine dirtied by a
 // real (short) workload run — the raw cost of one rollback, isolated from

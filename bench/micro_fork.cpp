@@ -9,8 +9,8 @@
 // pinned to 1 s/iteration, so items_per_s IS mean resident bytes — exact
 // and machine-independent); the perf-smoke gate bounds fork residency to
 // well under half the private-mode machine. BM_SessionFanout measures the
-// end-to-end unit campaign drivers replicate — ScenarioSession build plus
-// one attempt — with the cow engine on and off.
+// end-to-end unit campaign drivers replicate — ScenarioSession build (a
+// fork of the shared baseline) plus one attempt.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,7 +18,6 @@
 #include "bench_json_reporter.hpp"
 #include "core/scenario.hpp"
 #include "sim/snapshot.hpp"
-#include "support/memo.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -84,9 +83,6 @@ core::ScenarioConfig fanout_config() {
 /// The unit campaign drivers replicate per worker: build a ScenarioSession
 /// (machine + kernel + memoized binaries) and run one attempt.
 void BM_SessionFanout(benchmark::State& state) {
-  const bool cow = state.range(0) != 0;
-  const bool prev = cow_enabled();
-  set_cow_enabled(cow);
   const core::ScenarioConfig config = fanout_config();
   core::warm_scenario_memo(config);  // isolate replication from first-build
   std::uint64_t seed = config.seed;
@@ -95,10 +91,9 @@ void BM_SessionFanout(benchmark::State& state) {
     const auto run = session.run_attempt(seed++);
     benchmark::DoNotOptimize(run.attack_launched);
   }
-  set_cow_enabled(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SessionFanout)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SessionFanout)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 
 namespace crs::core {
@@ -104,12 +103,10 @@ CampaignResult run_campaign(const CampaignConfig& config,
   // All attempts of this campaign run through one session config: the
   // session pins the host-scale draw to the campaign seed; per-attempt
   // jitter (window phase, noise, kernel RNG) still varies with the attempt
-  // seed. The fast-reset switch only changes the cost model — with it on,
-  // worker threads share cached sessions (setup paid once, machine rolled
-  // back per attempt); with it off (--snapshot=off) every attempt rebuilds
-  // the world from scratch. Results are byte-identical either way
-  // (tests/test_snapshot.cpp holds the proof).
-  const bool fast = fast_reset_enabled();
+  // seed. Worker threads share cached sessions (setup paid once, machine
+  // rolled back per attempt); because an attempt is a pure function of its
+  // session config and seed, results are byte-identical for any thread
+  // count (tests/test_snapshot.cpp holds the proof).
   ScenarioConfig session_cfg = config.scenario;
   session_cfg.seed = config.seed;
 
@@ -123,13 +120,8 @@ CampaignResult run_campaign(const CampaignConfig& config,
         config.seed * 7919 + static_cast<std::uint64_t>(attempt);
 
     const auto wall_start = std::chrono::steady_clock::now();
-    ScenarioRun run;
-    if (fast) {
-      run = thread_session(session_cfg).run_attempt(attempt_seed, params);
-    } else {
-      ScenarioSession session(session_cfg);
-      run = session.run_attempt(attempt_seed, params);
-    }
+    ScenarioRun run =
+        thread_session(session_cfg).run_attempt(attempt_seed, params);
     const auto wall_end = std::chrono::steady_clock::now();
 
     AttemptRecord record;
@@ -167,7 +159,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
     // Warm the build-artifact memo caches on the main thread first, so the
     // workload/plan/attack builds — and any trace events they emit — happen
     // deterministically before workers race, and no worker duplicates them.
-    if (fast) warm_scenario_memo(session_cfg);
+    warm_scenario_memo(session_cfg);
     ThreadPool pool;
     result.attempts = parallel_map<AttemptRecord>(
         pool, static_cast<std::size_t>(config.attempts), [&](std::size_t i) {

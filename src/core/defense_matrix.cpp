@@ -5,7 +5,6 @@
 #include "core/corpus.hpp"
 #include "core/overhead.hpp"
 #include "support/error.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 
 namespace crs::core {
@@ -135,12 +134,9 @@ DefenseMatrixResult run_defense_matrix(
   // Every cell owns one session. The session seed is derived per ATTACK —
   // not per cell — so every preset of an attack shares the same host scale,
   // and therefore the same memoized workload build and ROP plan (the
-  // mitigations only change the machine/kernel, never the binaries). The
-  // fast-reset switch only decides whether attempts roll the machine back
-  // from a snapshot or rebuild it — the drawn randomness is identical, so
-  // --snapshot=off produces the same matrix. Warming the memos on the main
-  // thread keeps the builds off the workers entirely (a no-op when fast
-  // reset is disabled).
+  // mitigations only change the machine/kernel, never the binaries).
+  // Warming the memos on the main thread keeps the builds off the workers
+  // entirely.
   for (std::size_t attack_i = 0; attack_i < attacks.size(); ++attack_i) {
     ScenarioConfig warm = attacks[attack_i].scenario;
     warm.seed = derive_seed(config.seed ^ 0xCE11, attack_i);
@@ -150,7 +146,7 @@ DefenseMatrixResult run_defense_matrix(
   ThreadPool pool;
   // Fan out over cells; each cell runs its attempts serially against its
   // own session (pool items scatter across threads, so per-attempt fan-out
-  // would rebuild a session per attempt — the opposite of a fast reset).
+  // would build a session per attempt instead of rolling one back).
   // Every attempt still derives its seed from its flat (attack × preset ×
   // attempt) item index alone, and the fold below walks items in index
   // order, so the matrix is identical for any thread count.

@@ -4,7 +4,6 @@
 
 #include "core/overhead.hpp"
 #include "support/error.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 
 namespace crs::core {
@@ -114,7 +113,7 @@ HardenMatrixResult run_harden_matrix(const HardenMatrixConfig& config) {
   // the ASLR presets add a probe build, so the memos are warmed per CELL.
   // Seeds still derive per attack, so the host-scale jitter matches across
   // a row. Warming on the main thread keeps builds (and any trace events
-  // they emit) off the workers; it is a no-op when fast reset is off.
+  // they emit) off the workers.
   const auto cell_config = [&](std::size_t cell) {
     const std::size_t attack_i = cell / result.presets.size();
     const std::size_t preset_i = cell % result.presets.size();
@@ -131,8 +130,7 @@ HardenMatrixResult run_harden_matrix(const HardenMatrixConfig& config) {
   // Fan out over cells; each cell runs its attempts serially against its
   // own session. Attempt seeds derive from the flat item index alone and
   // the fold walks items in index order, so the matrix is identical for
-  // any thread count (and snapshot mode, which only changes how attempts
-  // reset the machine).
+  // any thread count.
   const std::vector<std::vector<AttemptOutcome>> cell_outcomes =
       parallel_map<std::vector<AttemptOutcome>>(
           pool, n_cells, [&](std::size_t cell) {

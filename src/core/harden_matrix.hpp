@@ -14,7 +14,7 @@
 // Determinism: identical discipline to run_defense_matrix — per-attack
 // session seeds, per-attempt seeds derived from the flat (attack × preset ×
 // attempt) item index, index-ordered fold — so the CSV is byte-identical
-// for any CRS_THREADS, snapshot on/off, and either exec engine.
+// for any CRS_THREADS and either exec engine.
 #pragma once
 
 #include <cstdint>

@@ -458,22 +458,14 @@ JobOutcome run_scenario_job(const ScenarioJob& job,
   const int attempts = std::max(1, job.attempts);
   out.progress.total = static_cast<std::uint64_t>(attempts);
 
-  // Mirror run_campaign's cost-model switch: warm per-thread session when
-  // the fast-reset engine is on, full per-job construction when it is off.
-  // Either way attempt i is bit-identical to run_scenario with seed+i.
-  std::optional<ScenarioSession> local;
-  ScenarioSession* session;
-  if (fast_reset_enabled()) {
-    session = &thread_session(job.config);
-  } else {
-    local.emplace(job.config);
-    session = &*local;
-  }
+  // Like run_campaign: a warm per-thread session, so attempt i is a
+  // rollback plus a run — bit-identical to run_scenario with seed+i.
+  ScenarioSession& session = thread_session(job.config);
 
   std::string payload = kScenarioHeader;
   for (int i = 0; i < attempts; ++i) {
     const ScenarioRun run =
-        session->run_attempt(job.config.seed + static_cast<std::uint64_t>(i));
+        session.run_attempt(job.config.seed + static_cast<std::uint64_t>(i));
     payload += std::to_string(i + 1) + ',';
     payload += std::to_string(run.attack_launched ? 1 : 0) + ',';
     payload += std::to_string(run.secret_recovered ? 1 : 0) + ',';
@@ -566,20 +558,12 @@ JobOutcome run_program_job(const ProgramJob& job,
       casm::assemble(job.source + casm::runtime_library(),
                      {.name = kPath, .link_base = 0x10000});
 
-  // Same fast-reset discipline as the fuzz differ: a per-thread machine
-  // pool hands back a pristine machine instead of constructing 16 MB of
-  // zeroed memory per program.
-  const sim::MachineConfig mcfg;
-  std::optional<sim::Machine> local;
-  sim::Machine* machine;
-  if (fast_reset_enabled()) {
-    thread_local sim::MachinePool pool;
-    machine = &pool.acquire(mcfg);
-  } else {
-    local.emplace(mcfg);
-    machine = &*local;
-  }
-  sim::Kernel kernel(*machine, {});
+  // Same discipline as the fuzz differ: a per-thread machine pool hands
+  // back a pristine fork instead of constructing 16 MB of zeroed memory per
+  // program.
+  thread_local sim::MachinePool pool;
+  sim::Machine& machine = pool.acquire(sim::MachineConfig{});
+  sim::Kernel kernel(machine, {});
   kernel.register_binary(kPath, program);
   kernel.start_with_strings(kPath, {kPath});
 
@@ -588,14 +572,14 @@ JobOutcome run_program_job(const ProgramJob& job,
     const auto page = sim::Memory::kPageSize;
     const auto lo = img.lo / page * page;
     const auto hi = (img.hi + page - 1) / page * page;
-    machine->memory().set_permissions(
+    machine.memory().set_permissions(
         lo, hi - lo,
         static_cast<sim::Perm>(sim::kPermRead | sim::kPermWrite |
                                sim::kPermExec));
   }
 
   JobOutcome out;
-  auto& cpu = machine->cpu();
+  auto& cpu = machine.cpu();
   auto stop = sim::StopReason::kInstructionLimit;
   while (true) {
     const std::uint64_t done = cpu.retired();
@@ -641,7 +625,7 @@ JobOutcome run_program_job(const ProgramJob& job,
   for (std::size_t i = 0; i < sim::kEventCount; ++i) {
     const auto e = static_cast<sim::Event>(i);
     payload += "pmu." + std::string(sim::event_name(e)) + "=" +
-               std::to_string(machine->pmu().count(e)) + "\n";
+               std::to_string(machine.pmu().count(e)) + "\n";
   }
   payload += "output_hex=" + hex_encode(kernel.output_string()) + "\n";
   out.payload = std::move(payload);

@@ -106,9 +106,9 @@ struct JobOutcome {
 };
 
 /// Executes the spec on the calling thread. Uses the per-thread session
-/// cache (thread_session) when the fast-reset engine is on, so repeated
-/// same-config jobs on one shard hit warm snapshots; results are identical
-/// either way and for any CRS_THREADS (the batch determinism contract).
+/// cache (thread_session), so repeated same-config jobs on one shard hit
+/// warm sessions; results are identical for any CRS_THREADS and shard
+/// placement (the batch determinism contract).
 JobOutcome run_job(const JobSpec& spec, const JobProgressFn& on_progress = {});
 
 /// Shard-routing hash: mixes hash_machine_config of the machine the job

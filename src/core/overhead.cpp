@@ -1,11 +1,8 @@
 #include "core/overhead.hpp"
 
-#include <optional>
-
 #include "hid/profiler.hpp"
 #include "sim/snapshot.hpp"
 #include "support/error.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -32,20 +29,11 @@ double benign_ipc(const std::string& host, std::uint64_t scale,
   kcfg.seed = rng.next_u64();
   mitigations.apply(mcfg, kcfg);
   harden.apply(kcfg);
-  // Fast-reset path: machines come from a per-thread snapshot pool (keyed by
-  // the post-mitigation machine config), rolled back to pristine on acquire.
-  // The kernel is rebuilt per run — it is cheap, and holds all per-run state.
-  std::optional<sim::Machine> local;
-  sim::Machine* mp = nullptr;
-  if (fast_reset_enabled()) {
-    thread_local sim::MachinePool pool;
-    mp = &pool.acquire(mcfg);
-  } else {
-    local.emplace(mcfg);
-    mp = &*local;
-  }
-  sim::Machine& machine = *mp;
-  sim::Kernel kernel(machine, kcfg);
+  // Machines come from a per-thread pool (keyed by the post-mitigation
+  // machine config), rolled back to pristine on acquire. The kernel is
+  // rebuilt per run — it is cheap, and holds all per-run state.
+  thread_local sim::MachinePool pool;
+  sim::Kernel kernel(pool.acquire(mcfg), kcfg);
   const mitigate::Armed armed = mitigate::arm(kernel, mitigations);
   kernel.register_binary("/bin/app", workloads::build_workload(host, wopt));
   const auto profile = hid::profile_run_strings(

@@ -5,7 +5,6 @@
 #include "hid/features.hpp"
 #include "sim/cpu.hpp"
 #include "support/error.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 
@@ -51,11 +50,7 @@ std::string campaign_to_csv(const CampaignResult& result) {
 std::string bench_config_json(const std::string& mitigations) {
   std::string out = "{\"threads\":";
   out += std::to_string(resolve_thread_count());
-  out += ",\"snapshot\":\"";
-  out += fast_reset_enabled() ? "on" : "off";
-  out += "\",\"cow\":\"";
-  out += cow_enabled() ? "on" : "off";
-  out += "\",\"exec\":\"";
+  out += ",\"exec\":\"";
   out += sim::exec_engine_name(sim::default_exec_engine());
   out += "\",\"mitigations\":\"";
   out += mitigations.empty() ? "none" : mitigations;

@@ -22,13 +22,11 @@ std::string campaign_to_csv(const CampaignResult& result);
 void write_text_file(const std::string& path, const std::string& content);
 
 /// The run-configuration object every --bench-json reporter embeds as
-/// `"config":{...}`: worker-thread count, snapshot fast-reset engine,
-/// copy-on-write fork engine, execution engine, and mitigation preset, all
-/// sampled from the
-/// process-wide state at emit time so perf records from crsim, crs_matrix
-/// and the micro benches stay comparable without each tool re-deriving the
-/// context. Pass the serialized mitigation set when one is armed; empty
-/// means "none".
+/// `"config":{...}`: worker-thread count, execution engine, and mitigation
+/// preset, all sampled from the process-wide state at emit time so perf
+/// records from crsim, crs_matrix and the micro benches stay comparable
+/// without each tool re-deriving the context. Pass the serialized
+/// mitigation set when one is armed; empty means "none".
 std::string bench_config_json(const std::string& mitigations = "");
 
 }  // namespace crs::core

@@ -203,7 +203,7 @@ attack::AttackConfig make_attack_config(const ScenarioConfig& config,
 }
 
 ScenarioSession::ScenarioSession(const ScenarioConfig& config)
-    : config_(config), snapshot_mode_(fast_reset_enabled()) {
+    : config_(config) {
   CRS_ENSURE(!config_.secret.empty(), "scenario needs a secret");
   CRS_ENSURE(!config_.leak_stage || config_.rop_injected,
              "leak_stage requires a ROP-injected scenario");
@@ -236,28 +236,21 @@ ScenarioSession::ScenarioSession(const ScenarioConfig& config)
   if (config_.leak_stage) {
     probe_ = memo_probe(*host_, kcfg_, wopt_.canary);
   }
-  build_machine();
-  ensure_attack_binary(config_.perturb_params, secret_address_);
-}
 
-void ScenarioSession::build_machine() {
-  // With cow on, every session (and every legacy --snapshot=off rebuild)
-  // replicates from the process-wide frozen baseline for this machine
-  // config in O(metadata) instead of paying a 16 MB private build — the
-  // fan-out path campaign/matrix/serve workers share one warm baseline
-  // through. A fork is bit-identical to Machine(mcfg_), so this is a cost
-  // switch only.
-  if (cow_enabled()) {
-    machine_ = std::make_unique<sim::Machine>(*sim::shared_baseline(mcfg_));
-  } else {
-    machine_ = std::make_unique<sim::Machine>(mcfg_);
-  }
+  // Every session replicates from the process-wide frozen baseline for its
+  // machine config in O(metadata) instead of paying a 16 MB private build —
+  // the fan-out path campaign/matrix/serve workers share one warm baseline
+  // through — and rolls back to that same baseline before every attempt.
+  // Kernel construction, arming and binary registration leave the machine
+  // untouched, so the fork is the pre-start state.
+  auto base = sim::shared_baseline(mcfg_);
+  machine_ = std::make_unique<sim::Machine>(*base);
+  baseline_.emplace(std::move(base));
   kernel_ = std::make_unique<sim::Kernel>(*machine_, kcfg_);
   armed_ = mitigate::arm(*kernel_, config_.mitigations);
   if (host_) kernel_->register_binary(kHostPath, *host_);
-  if (attack_) kernel_->register_binary(kAttackPath, *attack_);
   if (probe_) kernel_->register_binary(kProbePath, *probe_);
-  fresh_ = true;
+  ensure_attack_binary(config_.perturb_params, secret_address_);
 }
 
 void ScenarioSession::ensure_attack_binary(
@@ -301,16 +294,7 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
       rng.next_below(std::max<std::uint64_t>(prof.window_cycles / 10, 1));
   prof.noise_seed = rng.next_u64();
 
-  if (!fresh_) {
-    if (snapshot_mode_) {
-      machine_->restore(*snap_);
-    } else {
-      build_machine();  // legacy rebuild path (--snapshot=off)
-    }
-  } else if (snapshot_mode_) {
-    snap_ = std::make_unique<sim::MachineSnapshot>(machine_->snapshot());
-  }
-  fresh_ = false;
+  machine_->restore(*baseline_);
 
   ScenarioRun out;
   const std::uint64_t kernel_seed =
@@ -343,11 +327,7 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
       attack_target = secret_address_ + adj.image_delta;
     }
     // Roll the dirtied machine back for the exploit pass.
-    if (snapshot_mode_) {
-      machine_->restore(*snap_);
-    } else {
-      build_machine();
-    }
+    machine_->restore(*baseline_);
   }
 
   ensure_attack_binary(params, attack_target);
@@ -443,8 +423,9 @@ std::uint64_t hash_scenario_config(const ScenarioConfig& c) {
 
 namespace {
 // Per-thread override for the session-cache size (0 = default). Each live
-// session holds a 16 MB machine, so the default stays small; serve shards
-// raise it to their routed-config count.
+// session holds its setup artifacts and a fork that privately owns only the
+// pages its attempts dirty, so the default stays small for campaign
+// drivers; serve shards raise it to their routed-config count.
 thread_local std::size_t session_cache_capacity = 0;
 }  // namespace
 
@@ -475,19 +456,12 @@ ScenarioSession& thread_session(const ScenarioConfig& config) {
       return *e.session;
     }
   }
-  while (cache.size() > capacity) {  // capacity was lowered mid-thread
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < cache.size(); ++i) {
-      if (cache[i].last_use < cache[victim].last_use) victim = i;
-    }
-    cache.erase(cache.begin() + static_cast<std::ptrdiff_t>(victim));
-  }
-  if (cache.size() >= capacity) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < cache.size(); ++i) {
-      if (cache[i].last_use < cache[victim].last_use) victim = i;
-    }
-    cache.erase(cache.begin() + static_cast<std::ptrdiff_t>(victim));
+  // Evict down to capacity - 1 (more than one when capacity was lowered
+  // mid-thread) to make room for the new session.
+  while (cache.size() >= capacity) {
+    cache.erase(std::min_element(
+        cache.begin(), cache.end(),
+        [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; }));
   }
   cache.push_back(
       Entry{key, tick, std::make_unique<ScenarioSession>(config)});
@@ -495,7 +469,6 @@ ScenarioSession& thread_session(const ScenarioConfig& config) {
 }
 
 void warm_scenario_memo(const ScenarioConfig& config) {
-  if (!fast_reset_enabled()) return;
   // Constructing a session builds the host/plan/attack artifacts through
   // the memo caches as a side effect; the throwaway machine is the price of
   // keeping exactly one build path.

@@ -12,17 +12,19 @@
 // windowed profiler, split windows by ground truth, and verify whether the
 // secret was actually exfiltrated.
 //
-// ScenarioSession is the campaign-scale fast path (DESIGN.md §10): it pays
-// the pipeline's setup — workload build, ROP recon + gadget planning,
-// attack-binary assembly, machine construction — once, snapshots the
-// pre-start machine state, and then serves run_attempt() by restoring the
-// snapshot instead of rebuilding the world. The attempt-level RNG stream is
-// reproduced exactly, so `run_scenario(config)` and
-// `ScenarioSession(config).run_attempt(config.seed)` are bit-identical.
+// ScenarioSession is how every attempt runs (DESIGN.md §10): it pays the
+// pipeline's setup — memoized workload build, ROP recon + gadget planning
+// and attack-binary assembly, plus an O(metadata) fork of the shared
+// pre-start machine baseline — once, and then serves each run_attempt() by
+// rolling the machine back to that baseline instead of rebuilding the
+// world. The attempt-level RNG stream is reproduced exactly, so
+// `run_scenario(config)` and `ScenarioSession(config).run_attempt(config.seed)`
+// are bit-identical — for the session's first attempt or any later one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,18 +117,14 @@ struct ScenarioRun {
   harden::ProbeLeak leak;
 };
 
-/// Reusable fast-reset execution context for repeated attempts of one
-/// scenario. Construction runs the full setup pipeline (host workload,
-/// ROP recon/plan, attack binary — all through the content-addressed memo
-/// caches — plus machine/kernel construction and mitigation arming); each
-/// run_attempt then rolls the machine back via Machine::restore and re-seeds
-/// the kernel, making attempt N bit-identical to a fresh run_scenario with
-/// the same attempt seed and session scale.
-///
-/// When fast reset is disabled (set_fast_reset_enabled(false) or
-/// CRS_SNAPSHOT=off), run_attempt falls back to reconstructing the
-/// machine/kernel per attempt — same results, legacy speed — which is what
-/// `--snapshot=off` exercises.
+/// Reusable execution context for repeated attempts of one scenario.
+/// Construction runs the full setup pipeline (host workload, ROP
+/// recon/plan, attack binary — all through the content-addressed memo
+/// caches — plus a fork of sim::shared_baseline for the machine config,
+/// kernel construction and mitigation arming); each run_attempt then rolls
+/// the machine back to that baseline via Machine::restore and re-seeds the
+/// kernel, making attempt N bit-identical to a fresh run_scenario with the
+/// same attempt seed and session scale.
 ///
 /// Not thread-safe: one session belongs to one thread (see thread_session).
 class ScenarioSession {
@@ -143,22 +141,19 @@ class ScenarioSession {
 
   /// One attempt under mutated perturbation parameters (the dynamic
   /// campaign's moving target). Only the attack binary differs, and its
-  /// rebuild goes through the memo cache; host, plan and snapshot are
-  /// reused as-is (the ROP plan does not depend on the attack binary).
+  /// rebuild goes through the memo cache; host, plan and machine baseline
+  /// are reused as-is (the ROP plan does not depend on the attack binary).
   ScenarioRun run_attempt(std::uint64_t seed,
                           const perturb::PerturbParams& params);
 
   const ScenarioConfig& config() const { return config_; }
-  bool snapshot_mode() const { return snapshot_mode_; }
   std::uint64_t attempts() const { return attempts_; }
 
  private:
-  void build_machine();
   void ensure_attack_binary(const perturb::PerturbParams& params,
                             std::uint64_t target_address);
 
   ScenarioConfig config_;
-  bool snapshot_mode_;
   workloads::WorkloadOptions wopt_;
   std::shared_ptr<const sim::Program> host_;        // null when standalone
   std::shared_ptr<const rop::InjectionPlan> plan_;  // null when standalone
@@ -172,8 +167,7 @@ class ScenarioSession {
   std::unique_ptr<sim::Machine> machine_;
   std::unique_ptr<sim::Kernel> kernel_;
   mitigate::Armed armed_;
-  std::unique_ptr<sim::MachineSnapshot> snap_;
-  bool fresh_ = true;
+  std::optional<sim::MachineSnapshot> baseline_;  // the pre-start machine
   std::uint64_t attempts_ = 0;
 };
 
@@ -201,10 +195,9 @@ ScenarioSession& thread_session(const ScenarioConfig& config);
 void set_session_cache_capacity(std::size_t capacity);
 
 /// Populates the workload/plan/attack memo caches for `config` on the
-/// calling thread (no-op when fast reset is off). Campaign drivers warm the
-/// caches once on the main thread before fanning out, so build work — and
-/// any trace events the builds emit — happens deterministically regardless
-/// of worker scheduling.
+/// calling thread. Campaign drivers warm the caches once on the main thread
+/// before fanning out, so build work — and any trace events the builds
+/// emit — happens deterministically regardless of worker scheduling.
 void warm_scenario_memo(const ScenarioConfig& config);
 
 /// Hit/miss counters of the scenario-level memo caches (process-wide).

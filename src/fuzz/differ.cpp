@@ -11,7 +11,6 @@
 #include "harden/config.hpp"
 #include "obs/obs.hpp"
 #include "sim/snapshot.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 
 namespace crs::fuzz {
@@ -215,23 +214,14 @@ bool arch_comparable_event(sim::Event e) {
 
 ExecResult run_under_config(const sim::Program& program,
                             const ExecConfig& config, const RunLimits& limits,
-                            bool writable_text) {
-  // Fast-reset path: a per-thread snapshot pool hands back a machine rolled
-  // to pristine state for this config instead of constructing 16 MB of
-  // zeroed memory per candidate — the differ runs every program under up to
-  // five configs, so the pool stays warm across the whole corpus. With fast
-  // reset off, construct fresh (the legacy behaviour the differential tests
-  // compare against).
-  std::optional<sim::Machine> local;
-  sim::Machine* mp = nullptr;
-  if (crs::fast_reset_enabled()) {
-    thread_local sim::MachinePool pool;
-    mp = &pool.acquire(config.machine);
-  } else {
-    local.emplace(config.machine);
-    mp = &*local;
-  }
-  sim::Machine& machine = *mp;
+                            bool writable_text, sim::Machine* fresh_machine) {
+  // A per-thread pool hands back a fork rolled back to pristine state for
+  // this config instead of constructing 16 MB of zeroed memory per
+  // candidate — the differ runs every program under up to five configs, so
+  // the pool stays warm across the whole corpus.
+  thread_local sim::MachinePool pool;
+  sim::Machine& machine =
+      fresh_machine != nullptr ? *fresh_machine : pool.acquire(config.machine);
   sim::Kernel kernel(machine, config.kernel);
   if (config.prepare) config.prepare(kernel);
   kernel.register_binary("/bin/fuzz", program);

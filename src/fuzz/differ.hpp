@@ -83,10 +83,14 @@ struct ExecResult {
 /// Runs `program` to completion (or the instruction cap) under `config`,
 /// sampling the stream every `limits.stream_chunk` retired instructions.
 /// `writable_text` maps the whole image RWX after load (required for
-/// self-modifying programs; applied identically across configs).
+/// self-modifying programs; applied identically across configs). The run
+/// uses a per-thread pooled machine, or `fresh_machine` when given — a
+/// `Machine(config.machine)` the caller built, the reference a pooled run
+/// must match.
 ExecResult run_under_config(const sim::Program& program,
                             const ExecConfig& config, const RunLimits& limits,
-                            bool writable_text);
+                            bool writable_text,
+                            sim::Machine* fresh_machine = nullptr);
 
 /// "" when `a` and `b` are equivalent under the comparison discipline;
 /// otherwise a human-readable first-difference description.

@@ -29,8 +29,9 @@
 // Determinism contract: every randomized quantity is drawn from the kernel
 // RNG in a FIXED order per run — [stack delta][image delta][canary value] —
 // so the same scenario seed rebuilds the same layout on any thread count,
-// snapshot on/off, and either exec engine; and the leak-stage probe pass
-// (src/harden/probe.*) replays the identical stream before the exploit pass.
+// on a fresh machine or a restored one, and for either exec engine; and the
+// leak-stage probe pass (src/harden/probe.*) replays the identical stream
+// before the exploit pass.
 #pragma once
 
 #include <cstdint>

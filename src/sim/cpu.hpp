@@ -53,7 +53,7 @@ enum class ExecEngine : std::uint8_t {
 /// Process-wide default for `CpuConfig::exec_engine`, the value every
 /// default-constructed config picks up. Wired to the tools' `--exec` flag
 /// (beats the `CRS_EXEC=interp|blocks` env var); set it before building
-/// machines. Mirrors `crs::set_fast_reset_enabled`.
+/// machines.
 ExecEngine default_exec_engine();
 void set_default_exec_engine(ExecEngine engine);
 

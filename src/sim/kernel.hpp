@@ -60,10 +60,10 @@ class Machine {
   explicit Machine(const MachineConfig& config = {});
 
   /// Copy-on-write fork: replicates `base` (a frozen machine from
-  /// Machine::freeze()) in O(touched pages) — memory pages alias the
-  /// baseline's shared image until first write, micro-architectural state
-  /// is copied. By the freeze/fork contract the fork is indistinguishable
-  /// from the machine `base` was frozen from. Defined in sim/snapshot.cpp.
+  /// Machine::freeze()) in O(metadata) — memory pages alias the baseline's
+  /// shared image until first write, micro-architectural state is copied.
+  /// By the freeze/fork contract the fork is indistinguishable from the
+  /// machine `base` was frozen from. Defined in sim/snapshot.cpp.
   explicit Machine(const MachineBaseline& base);
 
   /// Freezes this machine's full state into an immutable, refcounted
@@ -72,19 +72,17 @@ class Machine {
   /// MachineBaseline definition.
   std::shared_ptr<const MachineBaseline> freeze() const;
 
-  /// Captures the full architectural + micro-architectural state (memory
-  /// pages with permissions and content versions, caches incl. partition
-  /// state and stats, PHT/BTB/RSB, PMU, CPU registers and counters) for
-  /// later rollback via restore(). Defined in sim/snapshot.cpp; include
-  /// sim/snapshot.hpp for the MachineSnapshot definition.
+  /// Freezes this machine (see freeze()) as a rollback point for restore().
+  /// Defined in sim/snapshot.cpp; include sim/snapshot.hpp for the
+  /// MachineSnapshot definition.
   MachineSnapshot snapshot() const;
 
-  /// Rolls this machine back to `snap` (which must have been captured from
-  /// this machine) using dirty-page tracking: only pages whose content
-  /// version moved since the snapshot are rewritten, and their versions are
-  /// bumped — never rolled back — so stale decode-cache slots cannot
-  /// survive. After a restore the machine is indistinguishable from one
-  /// freshly constructed and driven to the snapshot point.
+  /// Rolls this machine back to `snap` (taken from this machine, or made
+  /// from the baseline it was forked from) using dirty-page tracking: only
+  /// pages whose content version moved since are copied back from the
+  /// baseline image, and their versions are bumped — never rolled back — so
+  /// stale decode-cache slots cannot survive. After a restore the machine
+  /// is indistinguishable from one freshly forked from the baseline.
   void restore(MachineSnapshot& snap);
 
   Memory& memory() { return memory_; }
@@ -240,7 +238,7 @@ class Kernel {
   /// zero, and stale ward locks are forgotten (the restore already
   /// reinstated the permissions they recorded). The binary registry and
   /// the load hook survive — registering and arming once per session is
-  /// the point of the fast-reset path. Follow with start().
+  /// what makes a session's later attempts cheap. Follow with start().
   void reset_for_attempt(std::uint64_t seed);
 
   /// Byte stream written via SYS_WRITE since start().

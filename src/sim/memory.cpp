@@ -75,6 +75,25 @@ std::uint8_t* Memory::promote(std::uint64_t page) {
   return frame;
 }
 
+std::size_t Memory::restore_dirty(const MemoryImage& image,
+                                  std::vector<std::uint32_t>& versions) {
+  CRS_ENSURE(image.page_count() == page_count() &&
+                 versions.size() == page_count(),
+             "restore from a differently-sized machine");
+  std::size_t restored = 0;
+  for (std::uint64_t p = 0; p < page_count(); ++p) {
+    if (versions_[p] == versions[p]) continue;  // clean page
+    // A restore is a write: frame_for_write promotes shared COW pages.
+    std::memcpy(frame_for_write(p), image.frames_[p], kPageSize);
+    perms_[p] = image.perms_[p];
+    // Bump — never roll back (see sim/snapshot.hpp): no decode-cache slot
+    // or translated block from the overwritten bytes can match the page.
+    versions[p] = ++versions_[p];
+    ++restored;
+  }
+  return restored;
+}
+
 void Memory::set_permissions(std::uint64_t addr, std::uint64_t len,
                              Perm perm) {
   CRS_ENSURE(addr <= size() && len <= size() - addr,

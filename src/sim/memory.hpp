@@ -6,7 +6,7 @@
 // pages; the CPU faults on any fetch from a non-executable page, so a naive
 // "write shellcode to the stack" attack fails while the ROP chain succeeds.
 //
-// Backing modes (DESIGN.md §15). A Memory owns either
+// Backing modes (DESIGN.md §10). A Memory owns either
 //  - a private flat store (the classic mode: one contiguous allocation,
 //    zero-filled at construction), or
 //  - a copy-on-write view of a refcounted frozen MemoryImage: every page
@@ -131,11 +131,16 @@ class Memory {
     return bytes_.size() + promoted_pages_ * kPageSize;
   }
 
- private:
-  // Checkpoint/restore (sim/snapshot.cpp) reads and rewrites the page store
-  // directly: restores bump versions rather than rolling them back.
-  friend class SnapshotAccess;
+  /// Rollback (Machine::restore): every page whose version differs from
+  /// `versions` gets `image`'s bytes and permissions back, then its version
+  /// is bumped — never rolled back — and recorded in `versions`. Pages
+  /// whose versions match must already hold the image's contents, i.e.
+  /// `versions` is what this Memory's versions were when it last matched
+  /// `image`. Returns the number of pages rewritten.
+  std::size_t restore_dirty(const MemoryImage& image,
+                            std::vector<std::uint32_t>& versions);
 
+ private:
   void bump_versions(std::uint64_t addr, std::uint64_t len) {
     if (len == 0) return;  // addr + len - 1 would underflow at addr == 0
     const std::uint64_t first = addr / kPageSize;
@@ -185,6 +190,8 @@ class MemoryImage {
   std::uint64_t page_count() const { return frames_.size(); }
   /// Pages that own storage (were non-pristine at freeze time).
   std::uint64_t stored_page_count() const { return storage_.size(); }
+  /// Per-page content versions at freeze time (a fork starts from these).
+  const std::vector<std::uint32_t>& versions() const { return versions_; }
 
  private:
   friend class Memory;

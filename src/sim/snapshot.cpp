@@ -1,113 +1,21 @@
 #include "sim/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
 
-#include "support/error.hpp"
 #include "support/memo.hpp"
 
 namespace crs::sim {
 
-/// Sole holder of friend access into the sim privates the checkpoint needs:
-/// Memory's page store, CacheLevel's MRU memo, and the Cpu counters that
-/// survive Cpu::reset. Everything else restores through public copy
-/// assignment of the (value-semantic) sub-objects.
+/// Sole holder of friend access into the sim privates replication needs:
+/// CacheLevel's MRU memo and the Cpu counters that survive Cpu::reset.
+/// Everything else copies through the (value-semantic) sub-objects.
 class SnapshotAccess {
  public:
-  static MachineSnapshot capture(const Machine& machine) {
-    MachineSnapshot snap;
-    capture_memory(machine.memory(), snap);
-    snap.hierarchy_.emplace(machine.hierarchy());
-    scrub_mru(*snap.hierarchy_);
-    snap.predictor_.emplace(machine.predictor());
-    snap.pmu_ = machine.pmu();
-    capture_cpu(machine.cpu(), snap.cpu_);
-    return snap;
-  }
-
   static std::shared_ptr<const MachineBaseline> freeze(const Machine& m) {
-    auto base = std::make_shared<MachineBaseline>();
-    base->config_ = m.config();
-    base->image_ = m.memory().freeze();
-    base->state_ = capture(m);
-    return base;
-  }
-
-  /// Second half of the fork constructor: the members are already
-  /// constructed (memory from the shared image, the rest fresh from the
-  /// config); copy the frozen micro-architectural and CPU state over them,
-  /// exactly as restore() does minus the memory diff (the image IS the
-  /// memory state).
-  static void fork_init(Machine& machine, const MachineBaseline& base) {
-    machine.hierarchy() = *base.state_.hierarchy_;
-    scrub_mru(machine.hierarchy());
-    machine.predictor() = *base.state_.predictor_;
-    machine.pmu() = base.state_.pmu_;
-    restore_cpu(machine.cpu(), base.state_.cpu_);
-  }
-
-  static void restore(Machine& machine, MachineSnapshot& snap) {
-    CRS_ENSURE(snap.hierarchy_.has_value(),
-               "restore from a default-constructed MachineSnapshot");
-    restore_memory(machine.memory(), snap);
-    // Whole-object copy-back: cache contents + LRU stamps + partition state
-    // + per-level stats, then the predictor tables and PMU counters. The
-    // copied MRU memo would point into the snapshot's dead storage, so it
-    // is scrubbed (the next access repopulates it through the search path).
-    machine.hierarchy() = *snap.hierarchy_;
-    scrub_mru(machine.hierarchy());
-    machine.predictor() = *snap.predictor_;
-    machine.pmu() = snap.pmu_;
-    restore_cpu(machine.cpu(), snap.cpu_);
-    ++snap.restore_count_;
-  }
-
- private:
-  static void capture_memory(const Memory& mem, MachineSnapshot& snap) {
-    // Versions start at 1 and every write/permission change bumps them, so
-    // version 1 means byte-for-byte pristine (zeroed, kPermNone): only
-    // touched pages need storing. The usual pre-start capture of a fresh
-    // machine stores nothing at all.
-    snap.baseline_ = mem.versions_;
-    for (std::uint64_t p = 0; p < mem.versions_.size(); ++p) {
-      if (mem.versions_[p] == 1) continue;
-      MachineSnapshot::PageImage img;
-      img.index = p;
-      img.perm = mem.perms_[p];
-      std::memcpy(img.bytes.data(), mem.read_frames_[p], Memory::kPageSize);
-      snap.pages_.push_back(std::move(img));
-    }
-  }
-
-  static void restore_memory(Memory& mem, MachineSnapshot& snap) {
-    CRS_ENSURE(snap.baseline_.size() == mem.versions_.size(),
-               "snapshot taken from a differently-sized machine");
-    std::size_t restored = 0;
-    std::size_t cursor = 0;  // pages_ is sorted by index; walk it once
-    for (std::uint64_t p = 0; p < mem.versions_.size(); ++p) {
-      if (mem.versions_[p] == snap.baseline_[p]) continue;  // clean page
-      while (cursor < snap.pages_.size() && snap.pages_[cursor].index < p) {
-        ++cursor;
-      }
-      // frame_for_write promotes shared COW pages — a restore is a write.
-      std::uint8_t* page = mem.frame_for_write(p);
-      if (cursor < snap.pages_.size() && snap.pages_[cursor].index == p) {
-        std::memcpy(page, snap.pages_[cursor].bytes.data(), Memory::kPageSize);
-        mem.perms_[p] = snap.pages_[cursor].perm;
-      } else {
-        std::memset(page, 0, Memory::kPageSize);
-        mem.perms_[p] = static_cast<std::uint8_t>(kPermNone);
-      }
-      // Bump — never roll back. The decode cache validates slots with a
-      // version equality compare; advancing monotonically guarantees no
-      // slot decoded from the overwritten bytes can match the restored
-      // page (see the header invariant).
-      ++mem.versions_[p];
-      snap.baseline_[p] = mem.versions_[p];
-      ++restored;
-    }
-    snap.last_restored_pages_ = restored;
+    return std::shared_ptr<const MachineBaseline>(new MachineBaseline(m));
   }
 
   static void scrub_mru(MemoryHierarchy& hierarchy) {
@@ -118,7 +26,7 @@ class SnapshotAccess {
     }
   }
 
-  static void capture_cpu(const Cpu& cpu, MachineSnapshot::CpuImage& img) {
+  static void capture_cpu(const Cpu& cpu, MachineBaseline::CpuImage& img) {
     std::memcpy(img.regs, cpu.regs_, sizeof(img.regs));
     std::memcpy(img.reg_ready, cpu.reg_ready_, sizeof(img.reg_ready));
     img.pc = cpu.pc_;
@@ -130,10 +38,21 @@ class SnapshotAccess {
     img.fault = cpu.fault_;
   }
 
-  static void restore_cpu(Cpu& cpu, const MachineSnapshot::CpuImage& img) {
-    // The decode cache is deliberately NOT touched: page-version bumps
-    // already invalidate slots for every restored page, and slots for
-    // clean pages stay warm across attempts (pure speed, never visible).
+  /// Everything but memory: the fork constructor's second half (its memory
+  /// already aliases the image) and the tail of every restore. Whole-object
+  /// copy-back of caches (contents, LRU stamps, partition state, per-level
+  /// stats), predictor tables, PMU counters and CPU state. The baseline's
+  /// MRU memo was scrubbed at freeze, so the copies start scrubbed too (the
+  /// next access repopulates it through the search path). The decode and
+  /// block caches are deliberately NOT touched: page-version bumps already
+  /// invalidate entries for every restored page, and entries for clean
+  /// pages stay warm across attempts (pure speed, never visible).
+  static void load_state(Machine& machine, const MachineBaseline& base) {
+    machine.hierarchy() = base.hierarchy_;
+    machine.predictor() = base.predictor_;
+    machine.pmu() = base.pmu_;
+    Cpu& cpu = machine.cpu();
+    const MachineBaseline::CpuImage& img = base.cpu_;
     std::memcpy(cpu.regs_, img.regs, sizeof(img.regs));
     std::memcpy(cpu.reg_ready_, img.reg_ready, sizeof(img.reg_ready));
     cpu.pc_ = img.pc;
@@ -144,11 +63,31 @@ class SnapshotAccess {
     cpu.halted_ = img.halted;
     cpu.fault_ = img.fault;
   }
+
+  static void restore(Machine& machine, MachineSnapshot& snap) {
+    const MachineBaseline& base = *snap.base_;
+    snap.last_restored_pages_ =
+        machine.memory().restore_dirty(*base.image_, snap.versions_);
+    load_state(machine, base);
+    ++snap.restore_count_;
+  }
 };
 
-MachineSnapshot Machine::snapshot() const {
-  return SnapshotAccess::capture(*this);
+MachineBaseline::MachineBaseline(const Machine& machine)
+    : config_(machine.config()),
+      image_(machine.memory().freeze()),
+      hierarchy_(machine.hierarchy()),
+      predictor_(machine.predictor()),
+      pmu_(machine.pmu()) {
+  // The copied MRU memo points into the source machine's cache storage.
+  SnapshotAccess::scrub_mru(hierarchy_);
+  SnapshotAccess::capture_cpu(machine.cpu(), cpu_);
 }
+
+MachineSnapshot::MachineSnapshot(std::shared_ptr<const MachineBaseline> base)
+    : base_(std::move(base)), versions_(base_->image()->versions()) {}
+
+MachineSnapshot Machine::snapshot() const { return MachineSnapshot(freeze()); }
 
 void Machine::restore(MachineSnapshot& snap) {
   SnapshotAccess::restore(*this, snap);
@@ -161,7 +100,7 @@ Machine::Machine(const MachineBaseline& base)
       predictor_(config_.predictor),
       pmu_(),
       cpu_(memory_, hierarchy_, predictor_, pmu_, config_.cpu) {
-  SnapshotAccess::fork_init(*this, base);
+  SnapshotAccess::load_state(*this, base);
 }
 
 std::shared_ptr<const MachineBaseline> Machine::freeze() const {
@@ -203,50 +142,27 @@ void Kernel::reset_for_attempt(std::uint64_t seed) {
 }
 
 Machine& MachinePool::acquire(const MachineConfig& config) {
-  if (cow_enabled()) {
-    return fork_from(shared_baseline(config));
-  }
-  return acquire_impl(config, nullptr);
-}
-
-Machine& MachinePool::fork_from(
-    const std::shared_ptr<const MachineBaseline>& base) {
-  return acquire_impl(base->config(), &base);
-}
-
-Machine& MachinePool::acquire_impl(
-    const MachineConfig& config,
-    const std::shared_ptr<const MachineBaseline>* base) {
   const std::uint64_t key = hash_machine_config(config);
   ++tick_;
   for (Entry& e : entries_) {
     if (e.key == key) {
       e.last_use = tick_;
       ++hits_;
-      e.machine->restore(*e.snapshot);
+      e.machine->restore(e.snapshot);
       return *e.machine;
     }
   }
   ++misses_;
   if (entries_.size() >= capacity_ && !entries_.empty()) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_use < entries_[victim].last_use) victim = i;
-    }
-    entries_.erase(entries_.begin() +
-                   static_cast<std::ptrdiff_t>(victim));
+    const auto victim = std::min_element(
+        entries_.begin(), entries_.end(),
+        [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; });
+    entries_.erase(victim);
   }
-  Entry e;
-  e.key = key;
-  e.last_use = tick_;
-  if (base != nullptr) {
-    ++forks_;
-    e.machine = std::make_unique<Machine>(**base);
-  } else {
-    e.machine = std::make_unique<Machine>(config);
-  }
-  e.snapshot = std::make_unique<MachineSnapshot>(e.machine->snapshot());
-  entries_.push_back(std::move(e));
+  auto base = shared_baseline(config);
+  auto machine = std::make_unique<Machine>(*base);
+  entries_.push_back(
+      Entry{key, tick_, std::move(machine), MachineSnapshot(std::move(base))});
   return *entries_.back().machine;
 }
 

@@ -1,92 +1,44 @@
-// Machine checkpoint/restore: the execution-side half of the fast-reset
-// engine (DESIGN.md §10).
+// Machine replication (DESIGN.md §10): one frozen baseline, any number of
+// copy-on-write forks of it, and O(dirty pages) rollback to it.
 //
-// `Machine::snapshot()` captures the full architectural and
-// micro-architectural state — memory pages with their permissions and
-// content versions (including ward-locked pages), cache contents, partition
-// state and per-level stats, PHT/BTB/RSB, PMU counters, and every CPU
-// register/counter — and `Machine::restore()` rolls the machine back using
-// dirty-page tracking: the per-page monotonic content versions that already
-// keep the decode cache coherent double as a dirty bitmap, so a restore
-// touches only the pages mutated since the snapshot instead of memcpy'ing
-// the whole 16 MB address space.
+// `Machine::freeze()` captures a machine's full state into an immutable,
+// refcounted MachineBaseline — the memory as a sparse MemoryImage (pristine
+// pages alias one shared zero page), plus caches, partition state and
+// per-level stats, PHT/BTB/RSB, PMU counters and every CPU register/counter.
+// `Machine(const MachineBaseline&)` forks it in O(metadata): memory pages
+// alias the image until their first write. A MachineSnapshot is a rollback
+// point: a reference to a baseline plus the page versions the machine had
+// when it matched that baseline. `Machine::restore()` copies back, from the
+// baseline image, only the pages whose content version moved since — the
+// per-page versions that keep the decode cache coherent double as a dirty
+// bitmap — and reinstates the micro-architectural and CPU state.
 //
 // Invariant: restore BUMPS the version of every page it rewrites (and
 // re-baselines the snapshot to the new value); it never rolls a version
-// back. The decode cache validates pre-decoded slots with a version
-// equality compare, so reusing an old version number could let slots
+// back. The decode and block caches validate their entries with a version
+// equality compare, so reusing an old version number could let entries
 // decoded from a later run's bytes appear fresh for the restored bytes.
-// Monotonically advancing versions make every restored page decode-miss
-// once and re-decode from the restored contents — self-modifying code and
-// fence-hint rewrites can never leak across a restore.
+// Monotonically advancing versions make every restored page miss once and
+// re-decode from the restored contents — self-modifying code and fence-hint
+// rewrites can never leak across a restore — while entries for untouched
+// pages stay warm.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/kernel.hpp"
 
 namespace crs::sim {
 
-/// Opaque checkpoint of one Machine. Created by `Machine::snapshot()`,
-/// consumed (repeatedly) by `Machine::restore()` on the SAME machine. The
-/// snapshot is mutable: each restore re-baselines its dirty-page tracking,
-/// so back-to-back attempt loops stay O(pages touched per attempt).
-class MachineSnapshot {
- public:
-  MachineSnapshot() = default;
-
-  /// Pages whose contents/permissions were already non-pristine at capture
-  /// time (zero for the usual pre-start capture of a fresh machine).
-  std::size_t stored_page_count() const { return pages_.size(); }
-  /// Pages rewritten by the most recent restore.
-  std::size_t last_restored_pages() const { return last_restored_pages_; }
-  std::uint64_t restore_count() const { return restore_count_; }
-
- private:
-  friend class SnapshotAccess;
-
-  struct PageImage {
-    std::uint64_t index = 0;
-    std::uint8_t perm = 0;
-    std::array<std::uint8_t, Memory::kPageSize> bytes{};
-  };
-
-  std::vector<PageImage> pages_;         // sorted by page index
-  std::vector<std::uint32_t> baseline_;  // per-page version at last (re)base
-  std::optional<MemoryHierarchy> hierarchy_;
-  std::optional<BranchPredictor> predictor_;
-  Pmu pmu_;
-
-  struct CpuImage {
-    std::uint64_t regs[isa::kNumRegisters] = {};
-    std::uint64_t reg_ready[isa::kNumRegisters] = {};
-    std::uint64_t pc = 0;
-    std::uint64_t cycle = 0;
-    std::uint64_t retired = 0;
-    std::uint64_t spec_episodes = 0;
-    CpuMitigationStats mstats;
-    bool halted = true;
-    Fault fault;
-  } cpu_;
-
-  std::size_t last_restored_pages_ = 0;
-  std::uint64_t restore_count_ = 0;
-};
-
-/// Frozen, shareable machine-replication baseline (DESIGN.md §15): one
-/// machine's full state — the memory contents as a refcounted sparse
-/// MemoryImage, plus caches, predictor, PMU and CPU — captured by
+/// Frozen, shareable copy of one machine's full state, captured by
 /// Machine::freeze(). Immutable after creation, so any number of forks on
 /// any threads can replicate from it concurrently; a fork costs the
 /// metadata tables and the micro-architectural copy, never the 16 MB
 /// address space.
 class MachineBaseline {
  public:
-  MachineBaseline() = default;
   MachineBaseline(const MachineBaseline&) = delete;
   MachineBaseline& operator=(const MachineBaseline&) = delete;
 
@@ -99,59 +51,93 @@ class MachineBaseline {
  private:
   friend class SnapshotAccess;
 
+  explicit MachineBaseline(const Machine& machine);
+
+  struct CpuImage {
+    std::uint64_t regs[isa::kNumRegisters] = {};
+    std::uint64_t reg_ready[isa::kNumRegisters] = {};
+    std::uint64_t pc = 0;
+    std::uint64_t cycle = 0;
+    std::uint64_t retired = 0;
+    std::uint64_t spec_episodes = 0;
+    CpuMitigationStats mstats;
+    bool halted = true;
+    Fault fault;
+  };
+
   MachineConfig config_;
   std::shared_ptr<const MemoryImage> image_;
-  MachineSnapshot state_;  // micro-architectural + CPU state at freeze time
+  MemoryHierarchy hierarchy_;
+  BranchPredictor predictor_;
+  Pmu pmu_;
+  CpuImage cpu_;
+};
+
+/// Rollback point for one machine: a baseline plus the per-page versions
+/// the machine had when it matched that baseline. Created by
+/// `Machine::snapshot()` (which freezes the machine) or directly from the
+/// baseline a machine was forked from; consumed (repeatedly) by
+/// `Machine::restore()` on that machine. The snapshot holds no page bytes,
+/// and each restore re-baselines its versions, so back-to-back attempt
+/// loops stay O(pages touched per attempt).
+class MachineSnapshot {
+ public:
+  /// The state of a machine forked from `base`, as it was at the fork.
+  explicit MachineSnapshot(std::shared_ptr<const MachineBaseline> base);
+
+  const std::shared_ptr<const MachineBaseline>& baseline() const {
+    return base_;
+  }
+  /// Pages rewritten by the most recent restore.
+  std::size_t last_restored_pages() const { return last_restored_pages_; }
+  std::uint64_t restore_count() const { return restore_count_; }
+
+ private:
+  friend class SnapshotAccess;
+
+  std::shared_ptr<const MachineBaseline> base_;
+  std::vector<std::uint32_t> versions_;  // per-page version at last (re)base
+  std::size_t last_restored_pages_ = 0;
+  std::uint64_t restore_count_ = 0;
 };
 
 /// Process-wide fork baseline for `config`: freezes one fresh machine per
 /// distinct config (thread-safe, built at most once) and hands out the
 /// shared baseline. Because machine construction is deterministic, a fork
 /// of this baseline is bit-identical to Machine(config) — the property the
-/// cow-equivalence tests pin.
+/// replication tests pin.
 std::shared_ptr<const MachineBaseline> shared_baseline(
     const MachineConfig& config);
 
 /// Per-thread pool of reusable machines keyed by config hash. `acquire`
-/// returns a machine restored to its freshly-constructed state — by the
-/// snapshot contract, indistinguishable from `Machine(config)` — paying the
-/// construction only on first use per config: a full build (16 MB
-/// zero-fill, cache/predictor allocation) with cow off, an O(metadata) fork
-/// of the shared baseline with cow on. Bounded LRU: least-recently-used
-/// entries are dropped when `capacity` distinct configs are live. The
-/// returned reference stays valid until the next acquire() evicts it, so
-/// use one machine at a time.
+/// returns a fork of `shared_baseline(config)` rolled back to that baseline
+/// — indistinguishable from `Machine(config)` — paying the O(metadata) fork
+/// only on first use per config. Bounded LRU: least-recently-used entries
+/// are dropped when `capacity` distinct configs are live. The returned
+/// reference stays valid until the next acquire() evicts it, so use one
+/// machine at a time.
 class MachinePool {
  public:
   explicit MachinePool(std::size_t capacity = 6) : capacity_(capacity) {}
 
   Machine& acquire(const MachineConfig& config);
 
-  /// Like acquire(config), but misses replicate by forking `base` instead
-  /// of consulting the cow switch. The caller keeps the baseline alive.
-  Machine& fork_from(const std::shared_ptr<const MachineBaseline>& base);
-
   std::size_t size() const { return entries_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  std::uint64_t forks() const { return forks_; }
 
  private:
   struct Entry {
     std::uint64_t key = 0;
     std::uint64_t last_use = 0;
     std::unique_ptr<Machine> machine;
-    std::unique_ptr<MachineSnapshot> snapshot;
+    MachineSnapshot snapshot;
   };
-
-  Machine& acquire_impl(const MachineConfig& config,
-                        const std::shared_ptr<const MachineBaseline>* base);
 
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t forks_ = 0;
   std::vector<Entry> entries_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "support/memo.hpp"
-
 namespace crs {
 
 bool FlagCursor::take_u64(const std::string& flag, std::uint64_t& out) {
@@ -33,14 +31,6 @@ bool parse_on_off(const std::string& flag, const std::string& value) {
   if (value == "on" || value == "1") return true;
   if (value == "off" || value == "0") return false;
   throw Error(flag + " wants 'on' or 'off', got '" + value + "'");
-}
-
-void apply_snapshot_flag(const std::string& value) {
-  set_fast_reset_enabled(parse_on_off("--snapshot", value));
-}
-
-void apply_cow_flag(const std::string& value) {
-  set_cow_enabled(parse_on_off("--cow", value));
 }
 
 }  // namespace crs

@@ -96,12 +96,4 @@ class FlagCursor {
 /// crs::Error naming the flag otherwise.
 bool parse_on_off(const std::string& flag, const std::string& value);
 
-/// Applies the repo-wide `--snapshot on|off` flag (the fast-reset engine
-/// switch shared by crsim, crs_matrix and crs_serve).
-void apply_snapshot_flag(const std::string& value);
-
-/// Applies the repo-wide `--cow on|off` flag (the copy-on-write machine
-/// forking switch shared by crsim, crs_matrix and crs_serve).
-void apply_cow_flag(const std::string& value);
-
 }  // namespace crs

@@ -6,8 +6,8 @@
 // the attack binary from scratch. Those builds are pure functions of their
 // configs, so a process-wide cache keyed on a config hash computes each
 // artifact once and hands out shared immutable copies — the build-side half
-// of the snapshot/restore fast-reset engine (see sim/snapshot.hpp and
-// DESIGN.md §10).
+// of a session's setup, paired with machine replication on the execution
+// side (see sim/snapshot.hpp and DESIGN.md §10).
 #pragma once
 
 #include <atomic>
@@ -19,24 +19,6 @@
 #include <unordered_map>
 
 namespace crs {
-
-/// Process-wide fast-reset switch. When off, MemoCache::get_or_build always
-/// rebuilds (nothing is cached) and the scenario/campaign drivers fall back
-/// to the legacy construct-everything-per-attempt path — the `--snapshot=off`
-/// debugging aid. Defaults to on unless the CRS_SNAPSHOT environment
-/// variable is "off" or "0".
-bool fast_reset_enabled();
-void set_fast_reset_enabled(bool enabled);
-
-/// Process-wide copy-on-write fork switch. When on (the default), machine
-/// replication forks from a refcounted frozen baseline image — construction
-/// cost and resident footprint scale with the pages a run actually dirties
-/// instead of the full address space. When off, every machine is built
-/// privately (`--cow=off`, the debugging aid). Like the snapshot switch this
-/// is a cost switch, not a results switch: outputs are byte-identical either
-/// way. Defaults to on unless the CRS_COW environment variable is "off"/"0".
-bool cow_enabled();
-void set_cow_enabled(bool enabled);
 
 /// Incremental FNV-1a hasher for building content-addressed cache keys out
 /// of config structs. Every field feed is length-prefixed by its type width
@@ -75,10 +57,6 @@ class MemoCache {
  public:
   std::shared_ptr<const T> get_or_build(std::uint64_t key,
                                         const std::function<T()>& build) {
-    if (!fast_reset_enabled()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::make_shared<const T>(build());
-    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto it = map_.find(key);

@@ -217,7 +217,7 @@ TEST(DecodeCache, SnapshotRestoreBumpsVersionsSoStaleSlotsDie) {
   // Checkpoint with program A in place, then execute it (populating the
   // decode cache with A's slots at the current page version).
   sim::MachineSnapshot snap = machine.snapshot();
-  EXPECT_EQ(snap.stored_page_count(), 1u);
+  EXPECT_EQ(snap.baseline()->image()->stored_page_count(), 1u);
   machine.cpu().reset(base, 0x8000);
   EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
   EXPECT_EQ(machine.cpu().reg(1), 11u);

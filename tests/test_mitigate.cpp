@@ -16,7 +16,6 @@
 #include "mitigate/config.hpp"
 #include "mitigate/fence_pass.hpp"
 #include "support/error.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -327,8 +326,6 @@ TEST(DefenseE2E, WardSplitStopsCrSpectreCrossImageLeak) {
 // versions strictly advanced), so a session's second attempt is
 // byte-identical to a fresh machine's first.
 TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
-  const bool prev = fast_reset_enabled();
-  set_fast_reset_enabled(true);
   core::ScenarioConfig cfg;
   cfg.variant = attack::SpectreVariant::kPht;
   cfg.rop_injected = true;
@@ -350,7 +347,6 @@ TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
 
   core::ScenarioSession session(cfg);
   const core::ScenarioRun first = session.run_attempt(cfg.seed);
-  ASSERT_TRUE(session.snapshot_mode());
   EXPECT_GT(first.mitigation.ward_lockouts, 0u)
       << "scenario never engaged the ward split — restore not exercised";
   // Attempt 2 restores over ward-locked pages and fence-rewritten text.
@@ -361,7 +357,6 @@ TEST(DefenseE2E, SnapshotRestoreReproducesWardSplitAndFenceRuns) {
   const core::ScenarioRun third = session.run_attempt(cfg.seed + 13);
   core::ScenarioSession fresh(cfg);
   EXPECT_EQ(fingerprint(third), fingerprint(fresh.run_attempt(cfg.seed + 13)));
-  set_fast_reset_enabled(prev);
 }
 
 // --- defense matrix -------------------------------------------------------

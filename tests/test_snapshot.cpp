@@ -1,21 +1,26 @@
-// Snapshot/restore fast-reset engine: the differential contract.
+// Snapshot/restore: the rollback contract behind every repeated attempt.
 //
-// The whole subsystem hangs on one promise — a restored machine is
-// indistinguishable from a freshly constructed one, and a ScenarioSession
-// attempt is bit-identical to the legacy rebuild-everything run_scenario.
-// These tests pin that promise from every angle: scenario traces, campaign
-// results across thread counts, fuzz-corpus differential runs against the
-// pooled-machine path, memo-cache semantics and MachinePool reuse.
+// A ScenarioSession rolls its forked machine back to the frozen baseline
+// before every attempt, so the subsystem hangs on one promise — a restored
+// machine is indistinguishable from a fresh fork, and a session's later
+// attempts are bit-identical to run_scenario at the same seed. These tests
+// pin that promise from every angle: restore page mechanics, MachinePool
+// reuse and LRU, scenario sessions over every default grid row, campaign
+// results across thread counts, fuzz-corpus differential runs of pooled
+// machines against a fresh Machine(config), and memo-cache semantics.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
+#include "core/defense_matrix.hpp"
+#include "core/harden_matrix.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "fuzz/differ.hpp"
@@ -27,18 +32,6 @@
 
 namespace crs {
 namespace {
-
-/// Scoped fast-reset mode override (restores the previous mode on exit).
-class FastResetMode {
- public:
-  explicit FastResetMode(bool enabled) : prev_(fast_reset_enabled()) {
-    set_fast_reset_enabled(enabled);
-  }
-  ~FastResetMode() { set_fast_reset_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 core::ScenarioConfig small_scenario() {
   core::ScenarioConfig config;
@@ -61,28 +54,92 @@ std::string run_fingerprint(const core::ScenarioRun& run) {
      << " recovered:" << run.secret_recovered << " secret:" << run.recovered
      << " host_ipc:" << run.host_ipc << " cycles:" << run.profile.cycles
      << " instructions:" << run.profile.instructions
-     << " mitigation_events:" << run.mitigation.total_events();
+     << " mitigation_events:" << run.mitigation.total_events()
+     << " harden_events:" << run.harden.total_events()
+     << " leak_ran:" << run.leak_stage_ran
+     << " leak_base:" << run.leak.found_base << '/' << run.leak.base_delta
+     << " leak_canary:" << run.leak.canary
+     << " leak_sp:" << run.leak.stack_pointer;
   return os.str();
 }
 
-TEST(ScenarioSession, FirstAttemptMatchesLegacyRunScenario) {
-  const core::ScenarioConfig config = small_scenario();
+// --- restore mechanics and MachinePool reuse ------------------------------
 
-  std::string legacy;
-  {
-    FastResetMode off(false);
-    legacy = run_fingerprint(core::run_scenario(config));
-  }
-  std::string fast;
-  {
-    FastResetMode on(true);
-    fast = run_fingerprint(core::run_scenario(config));
-  }
-  EXPECT_EQ(legacy, fast);
+TEST(SnapshotTest, RestoreBumpsVersionsAndRewritesBytes) {
+  sim::Machine machine;
+  sim::MachineSnapshot snap = machine.snapshot();
+  // Fresh machine: all pristine, so the frozen image stores no pages.
+  EXPECT_EQ(snap.baseline()->image()->stored_page_count(), 0u);
+
+  auto& mem = machine.memory();
+  mem.set_permissions(0, 2 * sim::Memory::kPageSize, sim::kPermRW);
+  mem.write_u64(8, 0x1111);
+  mem.write_u64(sim::Memory::kPageSize + 8, 0x2222);
+  const std::uint32_t dirty_version = mem.page_version(0);
+
+  machine.restore(snap);
+  EXPECT_EQ(snap.last_restored_pages(), 2u);
+  EXPECT_EQ(mem.read_u64(8), 0u);
+  EXPECT_EQ(mem.permissions_at(0), sim::kPermNone);
+  // The invariant the decode cache depends on: versions only ever advance.
+  EXPECT_GT(mem.page_version(0), dirty_version);
+
+  // Untouched attempt: nothing to restore (dirty tracking re-baselined).
+  machine.restore(snap);
+  EXPECT_EQ(snap.last_restored_pages(), 0u);
+  EXPECT_EQ(snap.restore_count(), 2u);
+}
+
+TEST(MachinePoolTest, RestoresToPristineAndEvictsLru) {
+  sim::MachinePool pool(2);
+
+  sim::MachineConfig a;
+  sim::MachineConfig b;
+  b.cpu.decode_cache = false;
+  sim::MachineConfig c;
+  c.memory_size = 8 * 1024 * 1024;
+
+  sim::Machine& ma = pool.acquire(a);
+  EXPECT_TRUE(ma.memory().is_cow());  // a fork of the shared baseline
+  // Dirty it the way a run would: map a page, write, advance counters.
+  ma.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
+  ma.memory().write_u64(64, 0xDEADBEEF);
+  EXPECT_EQ(pool.misses(), 1u);
+
+  sim::Machine& ma2 = pool.acquire(a);
+  EXPECT_EQ(&ma2, &ma);  // same pooled machine...
+  EXPECT_EQ(pool.hits(), 1u);
+  // ...restored: bytes zeroed, permissions dropped, but version advanced.
+  EXPECT_EQ(ma2.memory().read_u64(64), 0u);
+  EXPECT_EQ(ma2.memory().permissions_at(0), sim::kPermNone);
+  EXPECT_GT(ma2.memory().page_version(0), 1u);
+  EXPECT_EQ(ma2.cpu().retired(), 0u);
+
+  (void)pool.acquire(b);
+  EXPECT_EQ(pool.size(), 2u);
+  (void)pool.acquire(c);  // evicts the LRU entry (a)
+  EXPECT_EQ(pool.size(), 2u);
+  (void)pool.acquire(a);  // forked again, not restored
+  EXPECT_EQ(pool.misses(), 4u);
+}
+
+// --- scenario sessions ----------------------------------------------------
+
+/// A session's first attempt runs on memo-served artifacts; built cold or
+/// served from the memo, the run is the same.
+TEST(ScenarioSession, FirstAttemptMatchesColdBuiltRunScenario) {
+  core::ScenarioConfig config = small_scenario();
+  config.secret = "COLD-MEMO-SECRET";  // a workload key no other test builds
+  const auto before = core::scenario_memo_stats();
+  const std::string cold = run_fingerprint(core::run_scenario(config));
+  const auto built = core::scenario_memo_stats();
+  EXPECT_GT(built.workload_misses, before.workload_misses);
+  const std::string served = run_fingerprint(core::run_scenario(config));
+  EXPECT_GT(core::scenario_memo_stats().workload_hits, built.workload_hits);
+  EXPECT_EQ(cold, served);
 }
 
 TEST(ScenarioSession, RestoredAttemptMatchesFreshSession) {
-  FastResetMode on(true);
   const core::ScenarioConfig config = small_scenario();
 
   core::ScenarioSession session(config);
@@ -100,7 +157,6 @@ TEST(ScenarioSession, RestoredAttemptMatchesFreshSession) {
 }
 
 TEST(ScenarioSession, RestoredStandaloneAttackMatchesFresh) {
-  FastResetMode on(true);
   core::ScenarioConfig config = small_scenario();
   config.rop_injected = false;
   config.perturb = false;
@@ -117,7 +173,6 @@ TEST(ScenarioSession, RestoredStandaloneAttackMatchesFresh) {
 }
 
 TEST(ScenarioSession, DynamicPerturbParamsRebuildOnlyAttackBinary) {
-  FastResetMode on(true);
   const core::ScenarioConfig config = small_scenario();
 
   perturb::PerturbParams mutated = config.perturb_params;
@@ -142,21 +197,47 @@ TEST(ScenarioSession, DynamicPerturbParamsRebuildOnlyAttackBinary) {
   EXPECT_EQ(back, run_fingerprint(fresh_back.run_attempt(config.seed + 6)));
 }
 
-TEST(ScenarioSession, SnapshotOffFallsBackToRebuild) {
-  FastResetMode off(false);
-  const core::ScenarioConfig config = small_scenario();
-  core::ScenarioSession session(config);
-  EXPECT_FALSE(session.snapshot_mode());
-  const std::string a = run_fingerprint(session.run_attempt(config.seed));
-  // Second attempt reconstructs machine/kernel (legacy semantics) — still
-  // identical to a fresh run with the same seed.
-  const std::string b = run_fingerprint(session.run_attempt(config.seed));
-  EXPECT_EQ(a, b);
+/// Every default row of both grids, under each grid's `none` and `full`
+/// preset: two attempts dirty the session's machine (ward locks, fence
+/// rewrites, randomized layouts, leak-stage probe passes), and the third
+/// must still equal run_scenario at the session seed.
+TEST(ScenarioSession, ThirdAttemptMatchesRunScenarioOnEveryGridRow) {
+  std::vector<std::pair<std::string, core::ScenarioConfig>> cells;
+  core::DefenseMatrixConfig dcfg;
+  dcfg.host_scale = 600;
+  for (const auto& attack : core::default_attacks(dcfg)) {
+    for (const char* preset : {"none", "full"}) {
+      core::ScenarioConfig c = attack.scenario;
+      c.mitigations = mitigate::preset(preset);
+      cells.emplace_back(attack.name + "/" + preset, c);
+    }
+  }
+  core::HardenMatrixConfig hcfg;
+  hcfg.host_scale = 600;
+  for (const auto& attack : core::default_harden_attacks(hcfg)) {
+    for (const char* preset : {"none", "full"}) {
+      core::ScenarioConfig c = attack.scenario;
+      c.harden = harden::preset(preset);
+      cells.emplace_back(attack.name + "/" + preset, c);
+    }
+  }
+  ASSERT_EQ(cells.size(), 12u);  // 6 rows x {none, full}
+
+  for (auto& [name, config] : cells) {
+    config.seed = 0x5EED;
+    core::ScenarioSession session(config);
+    (void)session.run_attempt(config.seed + 1);
+    (void)session.run_attempt(config.seed + 2);
+    const std::string third = run_fingerprint(session.run_attempt(config.seed));
+    EXPECT_EQ(third, run_fingerprint(core::run_scenario(config))) << name;
+  }
 }
 
+// --- campaigns and the fuzz differ ----------------------------------------
+
 /// Campaign results (records + published metrics) must be identical for any
-/// worker count, in both snapshot and legacy modes.
-TEST(CampaignDeterminism, ThreadCountInvariantWithFastReset) {
+/// worker count.
+TEST(CampaignDeterminism, ThreadCountInvariant) {
   core::CorpusConfig cc;
   cc.windows_per_class = 24;
   cc.seed = 5;
@@ -184,21 +265,14 @@ TEST(CampaignDeterminism, ThreadCountInvariantWithFastReset) {
     return os.str();
   };
 
-  FastResetMode on(true);
   const std::string one = fingerprint(1);
   EXPECT_EQ(one, fingerprint(2));
   EXPECT_EQ(one, fingerprint(8));
-
-  // --snapshot=off is a cost switch, not a results switch: the legacy
-  // rebuild-everything path draws the same randomness and must reproduce
-  // the campaign byte-for-byte.
-  FastResetMode off(false);
-  EXPECT_EQ(one, fingerprint(1));
 }
 
 /// The fuzz differ's pooled-machine path: a machine acquired from the pool
 /// (and previously dirtied by another program) must behave exactly like a
-/// freshly constructed one, for every corpus program.
+/// freshly constructed Machine(config), for every corpus program.
 TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
   fuzz::GeneratorOptions options;
   options.allow_rdcycle = false;
@@ -212,14 +286,10 @@ TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
         casm::assemble(prog.source() + casm::runtime_library(),
                        {.name = "fuzz", .link_base = 0x10000});
 
-    fuzz::ExecResult fresh;
-    {
-      FastResetMode off(false);
-      fresh = fuzz::run_under_config(binary, base_config, limits,
-                                     prog.uses_smc);
-    }
-    FastResetMode on(true);
-    // Twice: the first acquire constructs, the second restores a machine the
+    sim::Machine fresh_machine(base_config.machine);
+    const fuzz::ExecResult fresh = fuzz::run_under_config(
+        binary, base_config, limits, prog.uses_smc, &fresh_machine);
+    // Twice: the first acquire forks, the second restores a machine the
     // first run dirtied — both must match the fresh build byte-for-byte.
     for (int round = 0; round < 2; ++round) {
       const fuzz::ExecResult pooled = fuzz::run_under_config(
@@ -231,8 +301,9 @@ TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
   }
 }
 
-TEST(MemoCacheTest, HitsMissesAndDisableBypass) {
-  FastResetMode on(true);
+// --- build memoization ----------------------------------------------------
+
+TEST(MemoCacheTest, HitsAndMisses) {
   MemoCache<int> cache;
   int builds = 0;
   const auto build = [&] { return ++builds; };
@@ -242,73 +313,9 @@ TEST(MemoCacheTest, HitsMissesAndDisableBypass) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
-
-  set_fast_reset_enabled(false);
-  EXPECT_EQ(*cache.get_or_build(1, build), 3);  // bypass: rebuilt
-  EXPECT_EQ(cache.size(), 2u);                  // nothing new cached
-  set_fast_reset_enabled(true);
-  EXPECT_EQ(*cache.get_or_build(1, build), 1);  // cache intact
-}
-
-TEST(MachinePoolTest, RestoresToPristineAndEvictsLru) {
-  FastResetMode on(true);
-  sim::MachinePool pool(2);
-
-  sim::MachineConfig a;
-  sim::MachineConfig b;
-  b.cpu.decode_cache = false;
-  sim::MachineConfig c;
-  c.memory_size = 8 * 1024 * 1024;
-
-  sim::Machine& ma = pool.acquire(a);
-  // Dirty it the way a run would: map a page, write, advance counters.
-  ma.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
-  ma.memory().write_u64(64, 0xDEADBEEF);
-  EXPECT_EQ(pool.misses(), 1u);
-
-  sim::Machine& ma2 = pool.acquire(a);
-  EXPECT_EQ(&ma2, &ma);  // same pooled machine...
-  EXPECT_EQ(pool.hits(), 1u);
-  // ...restored: bytes zeroed, permissions dropped, but version advanced.
-  EXPECT_EQ(ma2.memory().read_u64(64), 0u);
-  EXPECT_EQ(ma2.memory().permissions_at(0), sim::kPermNone);
-  EXPECT_GT(ma2.memory().page_version(0), 1u);
-  EXPECT_EQ(ma2.cpu().retired(), 0u);
-
-  (void)pool.acquire(b);
-  EXPECT_EQ(pool.size(), 2u);
-  (void)pool.acquire(c);  // evicts the LRU entry (a)
-  EXPECT_EQ(pool.size(), 2u);
-  (void)pool.acquire(a);  // reconstructed, not restored
-  EXPECT_EQ(pool.misses(), 4u);
-}
-
-TEST(SnapshotTest, RestoreBumpsVersionsAndRewritesBytes) {
-  sim::Machine machine;
-  sim::MachineSnapshot snap = machine.snapshot();
-  EXPECT_EQ(snap.stored_page_count(), 0u);  // fresh machine: all pristine
-
-  auto& mem = machine.memory();
-  mem.set_permissions(0, 2 * sim::Memory::kPageSize, sim::kPermRW);
-  mem.write_u64(8, 0x1111);
-  mem.write_u64(sim::Memory::kPageSize + 8, 0x2222);
-  const std::uint32_t dirty_version = mem.page_version(0);
-
-  machine.restore(snap);
-  EXPECT_EQ(snap.last_restored_pages(), 2u);
-  EXPECT_EQ(mem.read_u64(8), 0u);
-  EXPECT_EQ(mem.permissions_at(0), sim::kPermNone);
-  // The invariant the decode cache depends on: versions only ever advance.
-  EXPECT_GT(mem.page_version(0), dirty_version);
-
-  // Untouched attempt: nothing to restore (dirty tracking re-baselined).
-  machine.restore(snap);
-  EXPECT_EQ(snap.last_restored_pages(), 0u);
-  EXPECT_EQ(snap.restore_count(), 2u);
 }
 
 TEST(SnapshotTest, MemoStatsExposeScenarioCaches) {
-  FastResetMode on(true);
   const auto before = core::scenario_memo_stats();
   core::ScenarioConfig config = small_scenario();
   config.seed = 0xBEEF;  // unique per-test key so misses are guaranteed

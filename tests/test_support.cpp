@@ -318,15 +318,15 @@ TEST(FlagCursor, PrefixDoesNotMatchValueFlag) {
 }
 
 TEST(ParseOnOff, AcceptsCanonicalSpellingsRejectsRest) {
-  EXPECT_TRUE(parse_on_off("--snapshot", "on"));
-  EXPECT_TRUE(parse_on_off("--snapshot", "1"));
-  EXPECT_FALSE(parse_on_off("--snapshot", "off"));
-  EXPECT_FALSE(parse_on_off("--snapshot", "0"));
+  EXPECT_TRUE(parse_on_off("--affinity", "on"));
+  EXPECT_TRUE(parse_on_off("--affinity", "1"));
+  EXPECT_FALSE(parse_on_off("--affinity", "off"));
+  EXPECT_FALSE(parse_on_off("--affinity", "0"));
   try {
-    parse_on_off("--snapshot", "yes");
+    parse_on_off("--affinity", "yes");
     FAIL() << "should have thrown";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("--snapshot"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("--affinity"), std::string::npos);
   }
 }
 

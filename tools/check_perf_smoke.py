@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate the perf-smoke CI job on the campaign fast-reset benchmarks.
+"""Gate the perf-smoke CI job on the checked-in micro-benchmark baseline.
 
 Reads the newline-delimited records that the --bench-json reporter appends
 (`{"name":...,"wall_ms":...,"items_per_s":...}` per run) and compares them
@@ -8,13 +8,10 @@ against the checked-in baseline (bench/baselines/perf_smoke.json):
   * every baselined benchmark must be present in the measured file;
   * measured items_per_s must not fall more than max_regression_fraction
     below the baseline value;
-  * BM_CampaignThroughput/1 (snapshot fast path) must stay at least
-    min_ratio_snapshot_over_legacy times BM_CampaignThroughput/0 (legacy
-    rebuild path) -- the machine-independent guard;
   * every entry of min_ratios ({"name", "numerator", "denominator",
     "floor"}) must hold: measured items_per_s of numerator over denominator
-    at least floor. The blocks-vs-interp gate (BM_CpuThroughput/2 over
-    BM_CpuThroughput/1 >= 2.5x) lives here.
+    at least floor -- the machine-independent guards. The blocks-vs-interp
+    gate (BM_CpuThroughput/2 over BM_CpuThroughput/1 >= 2.5x) lives here.
 
 Ratio gates are skipped (not failed) when either side is absent from the
 measured file, so partial bench runs can still be checked against the
@@ -72,18 +69,7 @@ def main():
                 f"{floor:.1f} ({max_drop:.0%} under baseline "
                 f"{expect['items_per_s']:.1f})")
 
-    ratio_gates = []
-    min_ratio = float(baseline.get("min_ratio_snapshot_over_legacy", 0.0))
-    if min_ratio > 0.0:
-        ratio_gates.append({
-            "name": "snapshot/legacy",
-            "numerator": "BM_CampaignThroughput/1",
-            "denominator": "BM_CampaignThroughput/0",
-            "floor": min_ratio,
-        })
-    ratio_gates.extend(baseline.get("min_ratios", []))
-
-    for gate in ratio_gates:
+    for gate in baseline.get("min_ratios", []):
         num = measured.get(gate["numerator"])
         den = measured.get(gate["denominator"])
         floor = float(gate["floor"])

@@ -14,14 +14,6 @@
 //                                     preset shows mitigation activity
 //   crs_matrix --threads N            worker-pool width (results identical
 //                                     for any value)
-//   crs_matrix --snapshot on|off      snapshot/memo fast-reset engine
-//                                     (default on; off = legacy rebuild of
-//                                     every machine and binary per attempt)
-//   crs_matrix --cow on|off           copy-on-write machine forking
-//                                     (default on: sessions replicate from
-//                                     a shared frozen baseline in O(dirty
-//                                     pages); off = private builds). Cost
-//                                     switch only — bytes identical
 //   crs_matrix --exec interp|blocks   execution engine for every simulated
 //                                     machine in the sweep (default blocks;
 //                                     results identical for either — the
@@ -32,6 +24,7 @@
 //                                     seeded generated corpus) after the
 //                                     built-in attacks
 //   crs_matrix --mined-seed S         corpus seed for --mined (default 2026)
+//   crs_matrix --help                 print usage to stdout, exit 0
 //   crs_matrix --harden-sweep         sweep the HARDENING presets (none,
 //                                     aslr, canary, heap-guard, full)
 //                                     against {stack-overflow,
@@ -60,7 +53,6 @@
 #include "sim/cpu.hpp"
 #include "support/error.hpp"
 #include "support/flags.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 
@@ -68,16 +60,15 @@ using namespace crs;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--quick] [--check] [--presets a,b,c] "
-               "[--attempts N] [--seed S] [--csv <path>] [--json <path>] "
-               "[--metrics <path>] [--threads N] [--snapshot on|off] "
-               "[--cow on|off] "
-               "[--exec interp|blocks] [--bench-json <path>] "
-               "[--mined N] [--mined-seed S] [--harden-sweep]\n",
-               argv0);
-  return 2;
+/// `--help` is a success, not a usage error: print to stdout, exit 0.
+int help(const char* argv0) {
+  std::printf("usage: %s [--quick] [--check] [--presets a,b,c] "
+              "[--attempts N] [--seed S] [--csv <path>] [--json <path>] "
+              "[--metrics <path>] [--threads N] "
+              "[--exec interp|blocks] [--bench-json <path>] "
+              "[--mined N] [--mined-seed S] [--harden-sweep]\n",
+              argv0);
+  return 0;
 }
 
 /// Up to `count` extra attack rows from the gadget miner: a small seeded
@@ -320,14 +311,10 @@ int main(int argc, char** argv) {
       } else if (args.take_u64("--mined-seed", mined_seed)) {
       } else if (args.take_u64("--threads", u)) {
         set_thread_override(static_cast<unsigned>(u));
-      } else if (args.take_value("--snapshot", value)) {
-        apply_snapshot_flag(value);
-      } else if (args.take_value("--cow", value)) {
-        apply_cow_flag(value);
       } else if (args.take_value("--exec", value)) {
         apply_exec_flag(value);
       } else if (args.take("--help")) {
-        return usage(argv[0]);
+        return help(argv[0]);
       } else {
         args.unknown();
       }

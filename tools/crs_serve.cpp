@@ -1,8 +1,7 @@
 // crs_serve — the long-lived campaign service.
 //
 //   crs_serve [--port N | --unix <path>] [--shards N] [--queue N]
-//             [--affinity on|off] [--session-cache N]
-//             [--snapshot on|off] [--cow on|off] [--threads N]
+//             [--affinity on|off] [--session-cache N] [--threads N]
 //             [--metrics <out.csv>]
 //
 //     Listens for length-prefixed job frames (see src/serve/protocol.hpp),
@@ -24,6 +23,10 @@
 //
 //     Prints a default job spec of that kind (a template for hand-written
 //     submissions and the docs).
+//
+//   crs_serve --help
+//
+//     Prints usage to stdout and exits 0.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -58,16 +61,17 @@ std::string read_file_or_stdin(const std::string& path) {
   return ss.str();
 }
 
-int usage() {
-  std::fprintf(
-      stderr,
+/// `--help` is a success, not a usage error: print to stdout, exit 0.
+int help() {
+  std::fputs(
       "usage: crs_serve [--port N | --unix <path>] [--shards N] [--queue N]\n"
-      "                 [--affinity on|off] [--session-cache N]\n"
-      "                 [--snapshot on|off] [--cow on|off] [--threads N] "
-      "[--metrics <out.csv>]\n"
+      "                 [--affinity on|off] [--session-cache N] [--threads N]\n"
+      "                 [--metrics <out.csv>]\n"
       "       crs_serve --oneshot <jobspec-file|->\n"
-      "       crs_serve --example scenario|campaign|matrix\n");
-  return 2;
+      "       crs_serve --example scenario|campaign|matrix\n"
+      "       crs_serve --help\n",
+      stdout);
+  return 0;
 }
 
 }  // namespace
@@ -98,15 +102,11 @@ int main(int argc, char** argv) {
         config.affinity = parse_on_off("--affinity", value);
       } else if (args.take_u64("--session-cache", u)) {
         config.session_cache_capacity = u;
-      } else if (args.take_value("--snapshot", value)) {
-        apply_snapshot_flag(value);
-      } else if (args.take_value("--cow", value)) {
-        apply_cow_flag(value);
       } else if (args.take_u64("--threads", u)) {
         set_thread_override(static_cast<unsigned>(u));
       } else if (args.take_value("--metrics", metrics_path)) {
       } else if (args.take("--help")) {
-        return usage();
+        return help();
       } else {
         args.unknown();
       }

@@ -23,16 +23,6 @@
 //                                    The canary flag only takes effect for
 //                                    programs that declare a `__canary`
 //                                    slot (the workload scaffold does)
-//   crsim --snapshot on|off ...      force the snapshot/memo fast-reset
-//                                    engine on or off for library code that
-//                                    runs repeated attempts (off = legacy
-//                                    rebuild-everything path); recorded in
-//                                    the --bench-json line
-//   crsim --cow on|off ...           copy-on-write machine forking: on
-//                                    (default) replicates machines from a
-//                                    shared frozen baseline in O(dirty
-//                                    pages); off builds each privately.
-//                                    Cost switch only — results identical
 //   crsim --exec interp|blocks ...   pick the execution engine: the
 //                                    per-instruction interpreter or the
 //                                    threaded-code block engine (default;
@@ -61,7 +51,6 @@
 #include "sim/kernel.hpp"
 #include "support/error.hpp"
 #include "support/flags.hpp"
-#include "support/memo.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 
@@ -94,7 +83,6 @@ int main(int argc, char** argv) {
                  "usage: crsim [--disasm] [--threads N] [--bench-json <path>] "
                  "[--trace <out.json>] [--metrics <out.csv>] "
                  "[--mitigations <preset|flags>] [--harden <preset|flags>] "
-                 "[--snapshot on|off] [--cow on|off] "
                  "[--exec interp|blocks] <prog.s> [args...]\n"
                  "       assembles with the runtime library and runs the "
                  "program on the simulator\n");
@@ -118,10 +106,6 @@ int main(int argc, char** argv) {
         mitigations = mitigate::MitigationConfig::parse(value);
       } else if (args.take_value("--harden", value)) {
         harden = harden::HardenConfig::parse(value);
-      } else if (args.take_value("--snapshot", value)) {
-        apply_snapshot_flag(value);
-      } else if (args.take_value("--cow", value)) {
-        apply_cow_flag(value);
       } else if (args.take_value("--exec", value)) {
         apply_exec_flag(value);
       } else if (args.take_u64("--threads", u)) {
