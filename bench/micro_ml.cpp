@@ -2,6 +2,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_json_reporter.hpp"
+#include "hid/detector.hpp"
+#include "hid/features.hpp"
 #include "ml/dataset.hpp"
 #include "ml/linear.hpp"
 #include "ml/mlp.hpp"
@@ -105,6 +107,30 @@ void BM_FisherSelection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FisherSelection)->Unit(benchmark::kMicrosecond);
+
+// Deploying a trained HID on a paper-sized corpus (2000 windows/class, full
+// universe width): /0 is a fresh HidDetector::fit, /1 a trained_detector()
+// memo hit on the same config and rows, i.e. the digest, the exact-match
+// check and the deep copy that every campaign after the first pays.
+void BM_DetectorFit(benchmark::State& state) {
+  const auto train = blobs(4000, hid::feature_universe_size(), 8);
+  hid::DetectorConfig config;
+  config.features = hid::paper_feature_indices();
+  const bool memo = state.range(0) == 1;
+  if (memo) hid::trained_detector(config, train);  // fill the memo
+  for (auto _ : state) {
+    if (memo) {
+      const hid::HidDetector d = hid::trained_detector(config, train);
+      benchmark::DoNotOptimize(d.training_size());
+    } else {
+      hid::HidDetector d(config);
+      d.fit(train);
+      benchmark::DoNotOptimize(d.training_size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DetectorFit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

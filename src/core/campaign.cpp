@@ -92,10 +92,9 @@ CampaignResult run_campaign(const CampaignConfig& config,
                             const ml::Dataset* benign_holdout) {
   CRS_ENSURE(config.attempts > 0, "campaign needs at least one attempt");
 
-  hid::HidDetector detector(config.detector);
   ml::Dataset initial = benign_train;
   initial.append_all(attack_train);
-  detector.fit(initial);
+  hid::HidDetector detector = hid::trained_detector(config.detector, initial);
 
   perturb::VariantMutator mutator(config.scenario.perturb_params,
                                   config.seed ^ 0x77);

@@ -121,10 +121,9 @@ DefenseMatrixResult run_defense_matrix(
   const ml::Dataset attack_set = build_attack_corpus(ccfg);
   hid::DetectorConfig dcfg;
   dcfg.seed = config.seed ^ 0xD1;
-  hid::HidDetector detector(dcfg);
   ml::Dataset train = benign;
   train.append_all(attack_set);
-  detector.fit(train);
+  const hid::HidDetector detector = hid::trained_detector(dcfg, train);
 
   const int attempts = config.effective_attempts();
   CRS_ENSURE(attempts > 0, "defense matrix needs at least one attempt");

@@ -53,6 +53,17 @@ std::uint64_t parse_u64(const std::string& key, const std::string& v) {
   return out;
 }
 
+std::size_t parse_corpus_windows(const std::string& key,
+                                 const std::string& v) {
+  const std::uint64_t out = parse_u64(key, v);
+  if (out == 0 || out > kMaxJobCorpusWindows) {
+    throw Error("job spec: " + key + " wants 1.." +
+                std::to_string(kMaxJobCorpusWindows) + " windows, got '" + v +
+                "'");
+  }
+  return out;
+}
+
 int parse_int_field(const std::string& key, const std::string& v) {
   char* end = nullptr;
   const long out = std::strtol(v.c_str(), &end, 0);
@@ -376,7 +387,7 @@ JobSpec parse_job(const std::string& text) {
       } else if (key == "det.seed") {
         c.detector.seed = parse_u64(key, value);
       } else if (key == "camp.corpus_windows") {
-        spec.campaign.corpus_windows = parse_u64(key, value);
+        spec.campaign.corpus_windows = parse_corpus_windows(key, value);
       } else if (key == "camp.corpus_seed") {
         spec.campaign.corpus_seed = parse_u64(key, value);
       } else {
@@ -398,7 +409,7 @@ JobSpec parse_job(const std::string& text) {
         m.presets = value.empty() ? std::vector<std::string>{}
                                   : split(value, ',');
       } else if (key == "mx.corpus_windows") {
-        m.corpus_windows = parse_u64(key, value);
+        m.corpus_windows = parse_corpus_windows(key, value);
       } else if (key == "mx.overhead_repeats") {
         m.overhead_repeats = parse_int_field(key, value);
       } else if (key == "mx.quick") {

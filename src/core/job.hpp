@@ -46,6 +46,12 @@ struct ScenarioJob {
   int attempts = 1;
 };
 
+/// Largest training corpus a job spec may request, in windows per class:
+/// 10x the paper's 2000-window corpus (§III-A). Corpus construction has no
+/// cancellation point, so parse_job rejects anything larger (and 0) rather
+/// than let one spec pin a shard and grow its memory without bound.
+inline constexpr std::size_t kMaxJobCorpusWindows = 20000;
+
 /// Campaign job: run_campaign over corpora built deterministically from the
 /// spec (the same construction the figure benches use).
 struct CampaignJob {

@@ -1,17 +1,76 @@
 #include "hid/detector.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "ml/mlp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/memo.hpp"
 
 namespace crs::hid {
+
+namespace {
+
+MemoCache<HidDetector>& detector_cache() {
+  static MemoCache<HidDetector> cache(kDetectorMemoCapacity);
+  return cache;
+}
+
+std::uint64_t detector_key(const DetectorConfig& config,
+                           const ml::Dataset& rows) {
+  HashBuilder h;
+  h.str(config.classifier);
+  h.u64(config.features.size());
+  for (const std::size_t f : config.features) h.u64(f);
+  h.u64(config.feature_count);
+  h.u64(config.candidate_features.size());
+  for (const std::size_t f : config.candidate_features) h.u64(f);
+  h.u32(static_cast<std::uint32_t>(config.online_mode));
+  h.u64(config.seed);
+  const auto x = rows.x.data();
+  h.u64(rows.x.rows()).u64(rows.x.cols());
+  h.bytes(x.data(), x.size_bytes());
+  h.u64(rows.y.size());
+  h.bytes(rows.y.data(), rows.y.size() * sizeof(int));
+  return h.digest();
+}
+
+/// Bitwise equality: the same bytes train the same model (-0.0 and 0.0,
+/// which compare equal as doubles, do not count as the same row).
+bool same_rows(const ml::Dataset& a, const ml::Dataset& b) {
+  const auto ax = a.x.data();
+  const auto bx = b.x.data();
+  return a.x.rows() == b.x.rows() && a.x.cols() == b.x.cols() &&
+         std::equal(ax.begin(), ax.end(), bx.begin(),
+                    [](double p, double q) {
+                      return std::bit_cast<std::uint64_t>(p) ==
+                             std::bit_cast<std::uint64_t>(q);
+                    }) &&
+         a.y == b.y;
+}
+
+}  // namespace
 
 HidDetector::HidDetector(const DetectorConfig& config) : config_(config) {
   CRS_ENSURE(config_.feature_count > 0 || !config_.features.empty(),
              "detector needs at least one feature");
+}
+
+HidDetector::HidDetector(const HidDetector& other)
+    : config_(other.config_),
+      training_(other.training_),
+      selected_(other.selected_),
+      scaler_(other.scaler_),
+      model_(other.model_ ? other.model_->clone() : nullptr),
+      replay_rng_(other.replay_rng_),
+      fitted_(other.fitted_),
+      stats_(other.stats_) {}
+
+HidDetector& HidDetector::operator=(const HidDetector& other) {
+  if (this != &other) *this = HidDetector(other);
+  return *this;
 }
 
 std::vector<double> HidDetector::project(
@@ -28,7 +87,8 @@ std::vector<double> HidDetector::project(
 void HidDetector::fit(const ml::Dataset& universe) {
   CRS_ENSURE(universe.size() > 0, "cannot fit on an empty dataset");
   training_ = universe;
-  refit();
+  train();
+  record_full_refit();
 }
 
 void HidDetector::augment_and_refit(const ml::Dataset& new_universe_rows) {
@@ -42,7 +102,8 @@ void HidDetector::augment_and_refit(const ml::Dataset& new_universe_rows) {
         .add(new_universe_rows.size());
   }
   if (config_.online_mode == OnlineMode::kFullRetrain) {
-    refit();
+    train();
+    record_full_refit();
     return;
   }
   // Incremental: keep the feature selection and scaler frozen (boundary
@@ -70,7 +131,7 @@ void HidDetector::augment_and_refit(const ml::Dataset& new_universe_rows) {
   }
 }
 
-void HidDetector::refit() {
+void HidDetector::train() {
   if (!config_.features.empty()) {
     selected_ = config_.features;
   } else {
@@ -96,6 +157,9 @@ void HidDetector::refit() {
   model_ = ml::make_classifier(config_.classifier, config_.seed);
   model_->fit(scaled, projected.y);
   fitted_ = true;
+}
+
+void HidDetector::record_full_refit() {
   ++stats_.full_refits;
   if constexpr (obs::kEnabled) {
     obs::MetricsRegistry::instance().counter("hid.detector.full_refits").add(1);
@@ -131,6 +195,30 @@ ml::ConfusionMatrix HidDetector::evaluate(
     predicted[i] = model_->predict(scaled);
   }
   return ml::confusion(universe_test.y, predicted);
+}
+
+HidDetector trained_detector(const DetectorConfig& config,
+                             const ml::Dataset& universe) {
+  CRS_ENSURE(universe.size() > 0, "cannot fit on an empty dataset");
+  const auto cached = detector_cache().get_or_build(
+      detector_key(config, universe),
+      [&] {
+        HidDetector d(config);
+        d.training_ = universe;
+        d.train();
+        return d;
+      },
+      [&](const HidDetector& d) {
+        return d.config_ == config && same_rows(d.training_, universe);
+      });
+  HidDetector out(*cached);
+  out.record_full_refit();
+  return out;
+}
+
+DetectorMemoStats detector_memo_stats() {
+  const auto& cache = detector_cache();
+  return {cache.hits(), cache.misses(), cache.size()};
 }
 
 }  // namespace crs::hid

@@ -47,6 +47,8 @@ struct DetectorConfig {
   std::vector<std::size_t> candidate_features;
   OnlineMode online_mode = OnlineMode::kIncremental;
   std::uint64_t seed = 1;
+
+  bool operator==(const DetectorConfig&) const = default;
 };
 
 /// Retraining activity, observable directly instead of only through
@@ -69,7 +71,15 @@ class HidDetector {
  public:
   explicit HidDetector(const DetectorConfig& config);
 
+  /// Deep copies: the copy owns a clone of the model, so training either
+  /// detector leaves the other unchanged.
+  HidDetector(const HidDetector& other);
+  HidDetector& operator=(const HidDetector& other);
+  HidDetector(HidDetector&&) noexcept = default;
+  HidDetector& operator=(HidDetector&&) noexcept = default;
+
   /// Initial training. `universe` rows are full feature_vector() outputs.
+  /// Always trains; trained_detector() is the memoized equivalent.
   void fit(const ml::Dataset& universe);
 
   /// Online learning: incorporate newly labelled windows per the
@@ -96,8 +106,16 @@ class HidDetector {
   const DetectorStats& stats() const { return stats_; }
 
  private:
+  friend HidDetector trained_detector(const DetectorConfig& config,
+                                      const ml::Dataset& universe);
+
   std::vector<double> project(std::span<const double> universe_row) const;
-  void refit();
+  /// Full training on training_: feature selection, scaler and model.
+  void train();
+  /// Counts a full (re)train in stats_ and emits its metric and trace
+  /// instant. Kept apart from train() so a memoized detector records its
+  /// fit exactly as a fresh one does.
+  void record_full_refit();
 
   DetectorConfig config_;
   ml::Dataset training_;  // universe-width rows, accumulated
@@ -110,5 +128,26 @@ class HidDetector {
   // stay const and race-free for the parallel offline campaign.
   DetectorStats stats_;
 };
+
+/// Entries the trained_detector() memo holds: the four-classifier zoo on two
+/// training corpora. A constant, so fresh-seed traffic cannot grow the cache.
+inline constexpr std::size_t kDetectorMemoCapacity = 8;
+
+/// Equivalent to `HidDetector d(config); d.fit(universe);` in every
+/// observable — predictions, selected features, stats(), the
+/// `hid.detector.*` metrics and the retrain trace instant — but the training
+/// is memoized process-wide: a request whose config and rows equal a cached
+/// one's (compared in full, not just by digest) gets a deep copy of the
+/// cached detector instead of a refit. The copy is the caller's own, so
+/// augment_and_refit never reaches the cache.
+HidDetector trained_detector(const DetectorConfig& config,
+                             const ml::Dataset& universe);
+
+struct DetectorMemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t size = 0;  ///< live entries, at most kDetectorMemoCapacity
+};
+DetectorMemoStats detector_memo_stats();
 
 }  // namespace crs::hid

@@ -30,6 +30,10 @@ class Classifier {
 
   virtual std::string name() const = 0;
 
+  /// Deep copy: the clone predicts identically and trains independently
+  /// (weights, optimiser state and step counters are copied, not shared).
+  virtual std::unique_ptr<Classifier> clone() const = 0;
+
   /// Label with a 0.5 threshold.
   int predict(std::span<const double> x) const {
     return predict_proba(x) >= 0.5 ? 1 : 0;

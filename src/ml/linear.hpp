@@ -26,6 +26,9 @@ class LogisticRegression final : public Classifier {
   void partial_fit(const Matrix& x, const std::vector<int>& y) override;
   double predict_proba(std::span<const double> x) const override;
   std::string name() const override { return "LR"; }
+  std::unique_ptr<Classifier> clone() const override {
+    return std::make_unique<LogisticRegression>(*this);
+  }
 
   std::span<const double> weights() const { return weights_; }
   double bias() const { return bias_; }
@@ -48,6 +51,9 @@ class LinearSvm final : public Classifier {
   /// classification is sign(margin).
   double predict_proba(std::span<const double> x) const override;
   std::string name() const override { return "SVM"; }
+  std::unique_ptr<Classifier> clone() const override {
+    return std::make_unique<LinearSvm>(*this);
+  }
 
   double margin(std::span<const double> x) const;
 

@@ -31,6 +31,9 @@ class Mlp final : public Classifier {
   void partial_fit(const Matrix& x, const std::vector<int>& y) override;
   double predict_proba(std::span<const double> x) const override;
   std::string name() const override { return config_.display_name; }
+  std::unique_ptr<Classifier> clone() const override {
+    return std::make_unique<Mlp>(*this);
+  }
 
   /// Total trainable parameters (after fit).
   std::size_t parameter_count() const;

@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <sstream>
+
 #include "attack/spectre.hpp"
+#include "core/campaign.hpp"
+#include "core/corpus.hpp"
 #include "harness.hpp"
 #include "hid/detector.hpp"
 #include "hid/features.hpp"
 #include "hid/profiler.hpp"
+#include "ml/mlp.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "workloads/workloads.hpp"
 
 namespace crs::hid {
@@ -348,6 +358,240 @@ TEST(Detector, UsageErrors) {
   EXPECT_THROW(det.predict(s), Error);
   EXPECT_THROW(det.augment_and_refit(ml::Dataset{}), Error);
   EXPECT_THROW(det.fit(ml::Dataset{}), Error);
+}
+
+// --- memoized training (trained_detector) ----------------------------------
+
+ml::Dataset memo_training_set() {
+  ml::Dataset train = labelled_windows("bitcount", 0, 2000);
+  train.append_all(labelled_windows("pointer_chase", 1, 60));
+  return train;
+}
+
+void expect_same_detector(const HidDetector& a, const HidDetector& b,
+                          const ml::Dataset& test,
+                          const std::vector<WindowSample>& windows,
+                          const std::string& what) {
+  EXPECT_EQ(a.selected_features(), b.selected_features()) << what;
+  const auto ca = a.evaluate(test);
+  const auto cb = b.evaluate(test);
+  EXPECT_EQ(ca.tp, cb.tp) << what;
+  EXPECT_EQ(ca.tn, cb.tn) << what;
+  EXPECT_EQ(ca.fp, cb.fp) << what;
+  EXPECT_EQ(ca.fn, cb.fn) << what;
+  EXPECT_EQ(a.detection_rate(windows), b.detection_rate(windows)) << what;
+  EXPECT_EQ(a.stats().full_refits, b.stats().full_refits) << what;
+  EXPECT_EQ(a.stats().incremental_updates, b.stats().incremental_updates)
+      << what;
+  EXPECT_EQ(a.stats().augmented_rows, b.stats().augmented_rows) << what;
+  EXPECT_EQ(a.training_size(), b.training_size()) << what;
+}
+
+TEST(DetectorMemo, HitEqualsFreshFitForEveryZooKind) {
+  const ml::Dataset train = memo_training_set();
+  const auto novel = profile_workload("sha", 200);
+  const auto benign = profile_workload("bitcount", 2000);
+  ml::Dataset batch = windows_to_dataset(novel.windows, 1);
+  batch.append_all(windows_to_dataset(benign.windows, 0));
+
+  for (const std::string& kind : ml::classifier_zoo()) {
+    DetectorConfig cfg;
+    cfg.classifier = kind;
+    cfg.features = paper_feature_indices();
+    cfg.seed = 0xC0FFEE;  // a key no other test uses: the first call misses
+    HidDetector fresh(cfg);
+    fresh.fit(train);
+
+    const auto before = detector_memo_stats();
+    const HidDetector cold = trained_detector(cfg, train);
+    HidDetector hit = trained_detector(cfg, train);
+    const auto after = detector_memo_stats();
+    EXPECT_EQ(after.misses, before.misses + 1) << kind;
+    EXPECT_EQ(after.hits, before.hits + 1) << kind;
+    expect_same_detector(hit, fresh, train, novel.windows, kind + " hit");
+    expect_same_detector(cold, fresh, train, novel.windows, kind + " cold");
+
+    // The hit is the caller's own detector: online updates track a fresh
+    // fit's step for step and never reach the cached entry.
+    for (int step = 1; step <= 3; ++step) {
+      fresh.augment_and_refit(batch);
+      hit.augment_and_refit(batch);
+      expect_same_detector(hit, fresh, train, novel.windows,
+                           kind + " step " + std::to_string(step));
+    }
+    expect_same_detector(trained_detector(cfg, train), cold, train,
+                         novel.windows, kind + " after updates");
+  }
+}
+
+TEST(DetectorMemo, ChangedRowOrConfigFieldMisses) {
+  const ml::Dataset train = memo_training_set();
+  DetectorConfig base;
+  base.classifier = "LR";
+  base.seed = 0xBADC0DE;
+  trained_detector(base, train);
+  const auto warm = detector_memo_stats();
+  trained_detector(base, train);
+  EXPECT_EQ(detector_memo_stats().hits, warm.hits + 1) << "unchanged hits";
+
+  const auto expect_miss = [&](const DetectorConfig& cfg,
+                               const ml::Dataset& rows,
+                               const std::string& what) {
+    const auto before = detector_memo_stats();
+    const HidDetector got = trained_detector(cfg, rows);
+    EXPECT_EQ(detector_memo_stats().misses, before.misses + 1) << what;
+    HidDetector fresh(cfg);
+    fresh.fit(rows);
+    expect_same_detector(got, fresh, rows, {}, what);
+  };
+
+  ml::Dataset nudged = train;
+  nudged.x.at(0, 0) = std::nextafter(nudged.x.at(0, 0), 1e300);
+  expect_miss(base, nudged, "one value one ulp off");
+  ml::Dataset relabelled = train;
+  relabelled.y[0] = 1 - relabelled.y[0];
+  expect_miss(base, relabelled, "one label flipped");
+
+  using Change = std::function<void(DetectorConfig&)>;
+  const std::vector<std::pair<std::string, Change>> fields = {
+      {"classifier", [](DetectorConfig& c) { c.classifier = "SVM"; }},
+      {"features", [](DetectorConfig& c) { c.features = {0, 1}; }},
+      {"feature_count", [](DetectorConfig& c) { c.feature_count = 3; }},
+      {"candidate_features",
+       [](DetectorConfig& c) {
+         c.candidate_features = detector_visible_features();
+         c.candidate_features.pop_back();
+       }},
+      {"online_mode",
+       [](DetectorConfig& c) { c.online_mode = OnlineMode::kFullRetrain; }},
+      {"seed", [](DetectorConfig& c) { c.seed += 1; }},
+  };
+  for (const auto& [name, change] : fields) {
+    DetectorConfig cfg = base;
+    change(cfg);
+    expect_miss(cfg, train, name);
+  }
+}
+
+TEST(DetectorMemo, BoundedAndHandedOutDetectorsSurviveEviction) {
+  const ml::Dataset train = memo_training_set();
+  const auto windows = profile_workload("pointer_chase", 60).windows;
+  DetectorConfig cfg;
+  cfg.classifier = "LR";
+  cfg.seed = 0x5EED0000;
+  const HidDetector first = trained_detector(cfg, train);
+  HidDetector reference(cfg);
+  reference.fit(train);
+
+  for (std::uint64_t i = 1; i <= kDetectorMemoCapacity + 2; ++i) {
+    DetectorConfig other = cfg;
+    other.seed = cfg.seed + i;
+    trained_detector(other, train);
+    EXPECT_LE(detector_memo_stats().size, kDetectorMemoCapacity);
+  }
+  EXPECT_EQ(detector_memo_stats().size, kDetectorMemoCapacity);
+  // `first`'s entry was the least recently used, so it is gone ...
+  const auto before = detector_memo_stats();
+  trained_detector(cfg, train);
+  EXPECT_EQ(detector_memo_stats().misses, before.misses + 1);
+  // ... while the detector handed out before the eviction still works.
+  expect_same_detector(first, reference, train, windows, "evicted");
+}
+
+TEST(DetectorMemo, ConcurrentRequestsMatchFreshFits) {
+  // Threads racing on cold and warm keys (crs_serve shards and the online
+  // campaign workers do) must each get a detector equal to a fresh fit.
+  const ml::Dataset train = memo_training_set();
+  const auto windows = profile_workload("pointer_chase", 60).windows;
+  const auto config_for = [](std::size_t i) {
+    DetectorConfig cfg;
+    cfg.classifier = i % 2 == 0 ? "LR" : "SVM";
+    cfg.seed = 0xD00D + i % 3;
+    return cfg;
+  };
+  std::vector<HidDetector> fresh;
+  for (std::size_t i = 0; i < 6; ++i) {
+    fresh.emplace_back(config_for(i));
+    fresh.back().fit(train);
+  }
+  ThreadPool pool(4);
+  const auto rates = parallel_map<double>(pool, 24, [&](std::size_t i) {
+    return trained_detector(config_for(i % 6), train).detection_rate(windows);
+  });
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    EXPECT_EQ(rates[i], fresh[i % 6].detection_rate(windows)) << i;
+  }
+  EXPECT_LE(detector_memo_stats().size, kDetectorMemoCapacity);
+}
+
+// Every field of every record except wall_ms, doubles at full precision.
+std::string exact_records(const core::CampaignResult& result) {
+  std::ostringstream os;
+  os.precision(17);
+  for (const auto& a : result.attempts) {
+    os << a.attempt << ',' << a.detection_rate << ',' << a.benign_fpr << ','
+       << a.detected << a.evaded << a.mutated_after << a.secret_recovered
+       << ',' << a.host_ipc << ',' << a.attack_window_count << ','
+       << a.sim_cycles << ',' << a.params.describe() << '\n';
+  }
+  return os.str();
+}
+
+TEST(DetectorMemo, CampaignsColdAndWarmAreByteIdentical) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
+  core::CorpusConfig cc;
+  cc.windows_per_class = 24;
+  cc.host_scale = 300;
+  cc.seed = 0xFACADE;  // fresh corpus: the first campaign's fit is cold
+  const auto benign = core::build_benign_corpus(cc);
+  const auto attack = core::build_attack_corpus(cc);
+
+  for (const bool online : {false, true}) {
+    core::CampaignConfig cfg;
+    cfg.scenario.rop_injected = true;
+    cfg.scenario.perturb = true;
+    cfg.scenario.perturb_params.loop_count = 10;
+    // Distinct classifiers keep the two campaigns' detectors apart, so each
+    // campaign's first run is a cold fit.
+    cfg.detector.classifier = online ? "LR" : "MLP";
+    cfg.detector.features = paper_feature_indices();
+    cfg.online_hid = online;
+    cfg.dynamic_perturbation = online;
+    cfg.attempts = 3;
+    cfg.seed = 77;
+
+    std::string ref[3];
+    for (const bool warm : {false, true}) {
+      obs::TraceSink::instance().clear();
+      obs::reset_lane_allocator();
+      obs::MetricsRegistry::instance().reset_values();
+      obs::set_tracing_enabled(true);
+      const auto before = detector_memo_stats();
+      const auto result = core::run_campaign(cfg, benign, attack, &benign);
+      const auto after = detector_memo_stats();
+      obs::set_tracing_enabled(false);
+
+      EXPECT_EQ(after.hits - before.hits, warm ? 1u : 0u);
+      EXPECT_EQ(after.misses - before.misses, warm ? 0u : 1u);
+      const std::string got[3] = {exact_records(result),
+                                  obs::TraceSink::instance().csv(),
+                                  obs::MetricsRegistry::instance().csv()};
+      EXPECT_NE(got[1].find("hid.detector.retrain"), std::string::npos);
+      EXPECT_NE(got[2].find("hid.detector.full_refits"), std::string::npos);
+      for (int k = 0; k < 3; ++k) {
+        if (!warm) {
+          ref[k] = got[k];
+        } else {
+          // Not EXPECT_EQ: gtest's line diff of two large CSVs is quadratic
+          // in memory.
+          EXPECT_TRUE(got[k] == ref[k])
+              << (online ? "online" : "offline") << " output " << k
+              << " differs warm (" << got[k].size() << " bytes) vs cold ("
+              << ref[k].size() << " bytes)";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

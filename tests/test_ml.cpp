@@ -180,6 +180,65 @@ TEST_P(LinearlySeparable, PartialFitAdaptsToNewRegion) {
   EXPECT_EQ(c->predict(probe), 1) << GetParam();
 }
 
+// Every P(attack) over a dataset, for exact (bitwise) model comparison.
+std::vector<double> probabilities(const Classifier& c, const Dataset& d) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    out.push_back(c.predict_proba(d.x.row(i)));
+  }
+  return out;
+}
+
+// An online batch the fitted blobs model has not seen: attack windows far
+// from both classes, so a partial_fit visibly moves the model.
+Dataset novel_attack_batch() {
+  Dataset cluster;
+  Rng rng(43);
+  for (int i = 0; i < 60; ++i) {
+    std::vector<double> row(4);
+    for (auto& v : row) v = rng.next_gaussian(-6.0, 0.5);
+    cluster.append(row, 1);
+  }
+  return cluster;
+}
+
+TEST_P(LinearlySeparable, ClonePredictsIdentically) {
+  const Dataset train = make_blobs(150, 3.0, 51);
+  auto c = make_classifier(GetParam(), 5);
+  c->fit(train.x, train.y);
+  const auto copy = c->clone();
+  EXPECT_EQ(copy->name(), c->name());
+  EXPECT_EQ(probabilities(*copy, train), probabilities(*c, train));
+}
+
+TEST_P(LinearlySeparable, PartialFitOnCloneLeavesOriginalUnchanged) {
+  const Dataset train = make_blobs(150, 3.0, 52);
+  auto c = make_classifier(GetParam(), 5);
+  c->fit(train.x, train.y);
+  const auto before = probabilities(*c, train);
+  const auto copy = c->clone();
+  const Dataset batch = novel_attack_batch();
+  copy->partial_fit(batch.x, batch.y);
+  EXPECT_NE(probabilities(*copy, train), before) << "the update must move it";
+  EXPECT_EQ(probabilities(*c, train), before);
+}
+
+TEST_P(LinearlySeparable, CloneAndOriginalStayInLockstep) {
+  // The clone carries the optimiser state (Adam moments, step counters,
+  // the Pegasos step), so the same online batches keep the two identical.
+  const Dataset train = make_blobs(150, 3.0, 53);
+  auto c = make_classifier(GetParam(), 5);
+  c->fit(train.x, train.y);
+  const auto copy = c->clone();
+  const Dataset batch = novel_attack_batch();
+  for (int round = 0; round < 3; ++round) {
+    c->partial_fit(batch.x, batch.y);
+    copy->partial_fit(batch.x, batch.y);
+    EXPECT_EQ(probabilities(*copy, train), probabilities(*c, train))
+        << "round " << round;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Zoo, LinearlySeparable,
                          ::testing::Values("LR", "SVM", "MLP", "NN"),
                          [](const auto& info) { return info.param; });

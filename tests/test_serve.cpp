@@ -214,6 +214,44 @@ TEST(ServeJobSpec, ParseRejectsGarbage) {
       Error);
 }
 
+TEST(ServeJobSpec, CorpusWindowsBoundedAtParse) {
+  // Corpus construction cannot be cancelled, so a spec asking for a huge
+  // corpus must be refused before it reaches a shard.
+  const std::string cap = std::to_string(core::kMaxJobCorpusWindows);
+  const std::string over = std::to_string(core::kMaxJobCorpusWindows + 1);
+  for (const std::string head :
+       {"crs-job v1\nkind=campaign\ncamp.corpus_windows=",
+        "crs-job v1\nkind=matrix\nmx.corpus_windows="}) {
+    for (const std::string& bad : {std::string("0"), over,
+                                   std::string("1000000000"),
+                                   std::string("-1")}) {
+      try {
+        core::parse_job(head + bad + "\n");
+        ADD_FAILURE() << head << bad << " accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(core::parse_job(head + cap + "\n"));
+  }
+
+  core::JobSpec campaign = campaign_spec(8);
+  campaign.campaign.corpus_windows = core::kMaxJobCorpusWindows;
+  const std::string campaign_text = core::serialize_job(campaign);
+  const core::JobSpec campaign_back = core::parse_job(campaign_text);
+  EXPECT_EQ(campaign_back.campaign.corpus_windows, core::kMaxJobCorpusWindows);
+  EXPECT_EQ(core::serialize_job(campaign_back), campaign_text);
+
+  core::JobSpec matrix = matrix_spec(9);
+  matrix.matrix.config.corpus_windows = core::kMaxJobCorpusWindows;
+  const std::string matrix_text = core::serialize_job(matrix);
+  const core::JobSpec matrix_back = core::parse_job(matrix_text);
+  EXPECT_EQ(matrix_back.matrix.config.corpus_windows,
+            core::kMaxJobCorpusWindows);
+  EXPECT_EQ(core::serialize_job(matrix_back), matrix_text);
+}
+
 TEST(ServeJobSpec, AffinityKeyGroupsByConfig) {
   const core::JobSpec a = scenario_spec(1);
   core::JobSpec b = scenario_spec(2);  // same config, different id

@@ -315,6 +315,40 @@ TEST(MemoCacheTest, HitsAndMisses) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
+TEST(MemoCacheTest, CapacityEvictsLeastRecentlyUsed) {
+  MemoCache<int> cache(2);
+  int builds = 0;
+  const auto build = [&] { return ++builds; };
+  const auto one = cache.get_or_build(1, build);
+  cache.get_or_build(2, build);
+  cache.get_or_build(1, build);  // 1 is now the most recently used
+  cache.get_or_build(3, build);  // evicts 2
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(*cache.get_or_build(1, build), 1);
+  EXPECT_EQ(*cache.get_or_build(3, build), 3);
+  EXPECT_EQ(builds, 3);
+  EXPECT_EQ(*cache.get_or_build(2, build), 4);  // rebuilt, evicting 1
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(*one, 1) << "a handed-out artifact outlives its eviction";
+  EXPECT_EQ(*cache.get_or_build(1, build), 5);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 5u);
+}
+
+TEST(MemoCacheTest, FailedMatchRebuildsAndReplaces) {
+  // Two requests whose keys collide: the check tells them apart.
+  MemoCache<int> cache;
+  const auto is = [](int want) {
+    return [want](const int& v) { return v == want; };
+  };
+  EXPECT_EQ(*cache.get_or_build(7, [] { return 10; }, is(10)), 10);
+  EXPECT_EQ(*cache.get_or_build(7, [] { return 20; }, is(20)), 20);
+  EXPECT_EQ(*cache.get_or_build(7, [] { return 99; }, is(20)), 20);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
 TEST(SnapshotTest, MemoStatsExposeScenarioCaches) {
   const auto before = core::scenario_memo_stats();
   core::ScenarioConfig config = small_scenario();
