@@ -6,23 +6,147 @@
 #include "core/overhead.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/strings.hpp"
 
 namespace crs::core {
 
 namespace {
 
-/// One attempt's contribution to a cell, collected by flat index so the
-/// fold is thread-count-invariant.
-struct AttemptOutcome {
-  bool leaked = false;
-  double detection = 0.0;
-  mitigate::MitigationSummary mitigation;
+/// One defense column: both layers are armed on every cell of the column.
+struct DefenseColumn {
+  std::string name;
+  mitigate::MitigationConfig mitigation;
+  harden::HardenConfig harden;
 };
 
-std::string format_double(double v) {
+/// The grid's up-front preset check, shared by both grids: resolves the
+/// requested names (empty = `all`) through `arm`, which throws with the
+/// preset listing on a typo, and rejects a name listed twice — a repeated
+/// column would run twice and be double-counted by preset_summary.
+template <typename Arm>
+std::vector<DefenseColumn> preset_columns(
+    const std::vector<std::string>& requested,
+    const std::vector<std::string>& all, Arm arm) {
+  std::vector<DefenseColumn> columns;
+  for (const std::string& name : requested.empty() ? all : requested) {
+    for (const DefenseColumn& c : columns) {
+      if (c.name == name) {
+        throw Error("preset '" + name + "' is listed more than once");
+      }
+    }
+    DefenseColumn column{name, {}, {}};
+    arm(column, name);
+    columns.push_back(column);
+  }
+  return columns;
+}
+
+/// The one grid driver: `rows` × `columns`, each cell's attempts scored by
+/// `detector` when one is given.
+DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
+                             const std::vector<AttackSpec>& rows,
+                             const std::vector<DefenseColumn>& columns,
+                             const hid::HidDetector* detector) {
+  DefenseMatrixResult result;
+  for (const auto& c : columns) result.presets.push_back(c.name);
+  for (const auto& a : rows) result.attacks.push_back(a.name);
+
+  const int attempts = config.effective_attempts();
+  CRS_ENSURE(attempts > 0, "defense grid needs at least one attempt");
+  const std::size_t n_cells = rows.size() * columns.size();
+
+  // Every cell owns one session. The session seed is derived per ATTACK —
+  // not per cell — so every column of a row shares the same host-scale
+  // jitter. Columns can still change the binaries (the canary presets
+  // change the host scaffold, the ASLR presets add a probe build), so the
+  // memos are warmed per cell, on the main thread: builds, and any trace
+  // events they emit, stay off the workers.
+  const auto cell_config = [&](std::size_t cell) {
+    const std::size_t attack_i = cell / columns.size();
+    const DefenseColumn& column = columns[cell % columns.size()];
+    ScenarioConfig scenario = rows[attack_i].scenario;
+    scenario.mitigations = column.mitigation;
+    scenario.harden = column.harden;
+    scenario.seed = derive_seed(config.seed ^ 0xCE11, attack_i);
+    return scenario;
+  };
+  for (std::size_t cell = 0; cell < n_cells; ++cell) {
+    warm_scenario_memo(cell_config(cell));
+  }
+
+  ThreadPool pool;
+  // Fan out over cells; each cell runs its attempts serially against its
+  // own session (pool items scatter across threads, so per-attempt fan-out
+  // would build a session per attempt instead of rolling one back) and
+  // folds them in attempt order. Every attempt derives its seed from its
+  // flat (attack × column × attempt) item index alone, and cells are
+  // collected by index, so the grid is identical for any thread count.
+  result.cells = parallel_map<MatrixCell>(
+      pool, n_cells, [&](std::size_t cell) {
+        MatrixCell c;
+        c.attack = result.attacks[cell / columns.size()];
+        c.preset = result.presets[cell % columns.size()];
+        ScenarioSession session(cell_config(cell));
+        for (int a = 0; a < attempts; ++a) {
+          const std::size_t item = cell * static_cast<std::size_t>(attempts) +
+                                   static_cast<std::size_t>(a);
+          const ScenarioRun run =
+              session.run_attempt(derive_seed(config.seed, item));
+          ++c.attempts;
+          if (run.secret_recovered) ++c.leaks;
+          if (run.attack_launched) ++c.launches;
+          if (run.leak_stage_ran && run.leak.found_base) ++c.base_leaks;
+          if (detector) {
+            c.hid_detection += detector->detection_rate(run.attack_windows);
+          }
+          mitigate::accumulate(c.summary.mitigation, run.mitigation);
+          harden::accumulate(c.summary.harden, run.harden);
+          c.mitigation_events += run.mitigation.total_events();
+          c.harden_events += run.harden.total_events();
+        }
+        c.leak_rate = static_cast<double>(c.leaks) / c.attempts;
+        c.hid_detection /= c.attempts;
+        return c;
+      });
+
+  // Cost column: what each column's defenses do to a clean, non-attacked
+  // host.
+  OverheadConfig ocfg;
+  ocfg.repeats = config.effective_overhead_repeats();
+  ocfg.secret = config.secret;
+  result.ipc_overhead_pct = parallel_map<double>(
+      pool, columns.size(), [&](std::size_t i) {
+        // Per-worker copy: writing the shared ocfg's seed from every worker
+        // would race, and could hand column i another column's seed.
+        OverheadConfig local = ocfg;
+        local.seed = derive_seed(config.seed ^ 0x0E4, i);
+        return defense_overhead_pct("basicmath", config.host_scale,
+                                    columns[i].mitigation, columns[i].harden,
+                                    local);
+      });
+
+  return result;
+}
+
+/// The IPC overhead of the column that row-major cell `i` belongs to.
+double cell_overhead(const DefenseMatrixResult& result, std::size_t i) {
+  return result.ipc_overhead_pct[i % result.presets.size()];
+}
+
+/// `preset,metric,value` rows of one layer's summary, plus its total.
+template <typename Summary, typename Field>
+std::string metrics_csv(const DefenseMatrixResult& result,
+                        Summary DefenseSummary::*layer,
+                        const std::vector<Field>& fields) {
   std::ostringstream os;
-  os.precision(4);
-  os << std::fixed << v;
+  os << "preset,metric,value\n";
+  for (const auto& preset : result.presets) {
+    const Summary sum = result.preset_summary(preset).*layer;
+    for (const Field& f : fields) {
+      os << preset << ',' << f.name << ',' << sum.*(f.member) << '\n';
+    }
+    os << preset << ",total," << sum.total_events() << '\n';
+  }
   return os.str();
 }
 
@@ -37,13 +161,14 @@ const MatrixCell& DefenseMatrixResult::cell(const std::string& attack,
               "'");
 }
 
-mitigate::MitigationSummary DefenseMatrixResult::preset_summary(
+DefenseSummary DefenseMatrixResult::preset_summary(
     const std::string& preset) const {
-  mitigate::MitigationSummary out;
+  DefenseSummary out;
   bool found = false;
   for (const auto& c : cells) {
     if (c.preset != preset) continue;
-    mitigate::accumulate(out, c.summary);
+    mitigate::accumulate(out.mitigation, c.summary.mitigation);
+    harden::accumulate(out.harden, c.summary.harden);
     found = true;
   }
   if (!found) throw Error("no matrix column for preset '" + preset + "'");
@@ -89,6 +214,46 @@ std::vector<AttackSpec> default_attacks(const DefenseMatrixConfig& config) {
   return attacks;
 }
 
+std::vector<AttackSpec> default_harden_attacks(
+    const DefenseMatrixConfig& config) {
+  std::vector<AttackSpec> attacks;
+
+  // The paper's injection as-is: a canary-unaware, link-time-addressed
+  // stack overflow. The hardened columns are built to kill exactly this.
+  {
+    AttackSpec a;
+    a.name = "stack-overflow";
+    a.scenario.variant = attack::SpectreVariant::kPht;
+    a.scenario.rop_injected = true;
+    a.scenario.host_scale = config.host_scale;
+    a.scenario.secret = config.secret;
+    attacks.push_back(a);
+  }
+  // Defense-aware CR-Spectre: the speculative probe leaks base delta,
+  // canary and stack pointer first, then the payload is patched with them.
+  {
+    AttackSpec a;
+    a.name = "spec-probe-rop";
+    a.scenario.variant = attack::SpectreVariant::kPht;
+    a.scenario.rop_injected = true;
+    a.scenario.leak_stage = true;
+    a.scenario.host_scale = config.host_scale;
+    a.scenario.secret = config.secret;
+    attacks.push_back(a);
+  }
+  // Spectre 1.1: the speculative store overflow never commits a write, so
+  // it is invisible to every architectural hardening layer.
+  {
+    AttackSpec a;
+    a.name = "spectre-1.1";
+    a.scenario.rop_injected = false;
+    a.scenario.spectre11 = true;
+    a.scenario.secret = config.secret;
+    attacks.push_back(a);
+  }
+  return attacks;
+}
+
 DefenseMatrixResult run_defense_matrix(const DefenseMatrixConfig& config) {
   return run_defense_matrix(config, {});
 }
@@ -96,19 +261,13 @@ DefenseMatrixResult run_defense_matrix(const DefenseMatrixConfig& config) {
 DefenseMatrixResult run_defense_matrix(
     const DefenseMatrixConfig& config,
     const std::vector<AttackSpec>& extra_attacks) {
-  DefenseMatrixResult result;
-  result.presets =
-      config.presets.empty() ? mitigate::preset_names() : config.presets;
-  // Validate up front (throws with the preset listing on a typo).
-  std::vector<mitigate::MitigationConfig> preset_configs;
-  preset_configs.reserve(result.presets.size());
-  for (const auto& name : result.presets) {
-    preset_configs.push_back(mitigate::preset(name));
-  }
-
+  const std::vector<DefenseColumn> columns = preset_columns(
+      config.presets, mitigate::preset_names(),
+      [](DefenseColumn& c, const std::string& name) {
+        c.mitigation = mitigate::preset(name);
+      });
   std::vector<AttackSpec> attacks = default_attacks(config);
   attacks.insert(attacks.end(), extra_attacks.begin(), extra_attacks.end());
-  for (const auto& a : attacks) result.attacks.push_back(a.name);
 
   // The defender trains ONCE, on unmitigated traces: the matrix asks how a
   // fixed deployed detector fares as the hardware/kernel defenses vary, so
@@ -125,110 +284,28 @@ DefenseMatrixResult run_defense_matrix(
   train.append_all(attack_set);
   const hid::HidDetector detector = hid::trained_detector(dcfg, train);
 
-  const int attempts = config.effective_attempts();
-  CRS_ENSURE(attempts > 0, "defense matrix needs at least one attempt");
-  const std::size_t n_cells = attacks.size() * result.presets.size();
-  const std::size_t n_items = n_cells * static_cast<std::size_t>(attempts);
+  return run_grid(config, attacks, columns, &detector);
+}
 
-  // Every cell owns one session. The session seed is derived per ATTACK —
-  // not per cell — so every preset of an attack shares the same host scale,
-  // and therefore the same memoized workload build and ROP plan (the
-  // mitigations only change the machine/kernel, never the binaries).
-  // Warming the memos on the main thread keeps the builds off the workers
-  // entirely.
-  for (std::size_t attack_i = 0; attack_i < attacks.size(); ++attack_i) {
-    ScenarioConfig warm = attacks[attack_i].scenario;
-    warm.seed = derive_seed(config.seed ^ 0xCE11, attack_i);
-    warm_scenario_memo(warm);
-  }
-
-  ThreadPool pool;
-  // Fan out over cells; each cell runs its attempts serially against its
-  // own session (pool items scatter across threads, so per-attempt fan-out
-  // would build a session per attempt instead of rolling one back).
-  // Every attempt still derives its seed from its flat (attack × preset ×
-  // attempt) item index alone, and the fold below walks items in index
-  // order, so the matrix is identical for any thread count.
-  const std::vector<std::vector<AttemptOutcome>> cell_outcomes =
-      parallel_map<std::vector<AttemptOutcome>>(
-          pool, n_cells, [&](std::size_t cell) {
-            const std::size_t attack_i = cell / result.presets.size();
-            const std::size_t preset_i = cell % result.presets.size();
-
-            ScenarioConfig scenario = attacks[attack_i].scenario;
-            scenario.mitigations = preset_configs[preset_i];
-            scenario.seed = derive_seed(config.seed ^ 0xCE11, attack_i);
-            ScenarioSession session(scenario);
-
-            std::vector<AttemptOutcome> outs;
-            outs.reserve(static_cast<std::size_t>(attempts));
-            for (int a = 0; a < attempts; ++a) {
-              const std::size_t item =
-                  cell * static_cast<std::size_t>(attempts) +
-                  static_cast<std::size_t>(a);
-              const ScenarioRun run =
-                  session.run_attempt(derive_seed(config.seed, item));
-              AttemptOutcome out;
-              out.leaked = run.secret_recovered;
-              out.detection = detector.detection_rate(run.attack_windows);
-              out.mitigation = run.mitigation;
-              outs.push_back(out);
-            }
-            return outs;
-          });
-  std::vector<AttemptOutcome> outcomes;
-  outcomes.reserve(n_items);
-  for (const auto& cell : cell_outcomes) {
-    outcomes.insert(outcomes.end(), cell.begin(), cell.end());
-  }
-
-  result.cells.resize(n_cells);
-  for (std::size_t item = 0; item < outcomes.size(); ++item) {
-    const std::size_t cell = item / static_cast<std::size_t>(attempts);
-    MatrixCell& c = result.cells[cell];
-    if (c.attempts == 0) {
-      c.attack = result.attacks[cell / result.presets.size()];
-      c.preset = result.presets[cell % result.presets.size()];
-    }
-    ++c.attempts;
-    if (outcomes[item].leaked) ++c.leaks;
-    c.hid_detection += outcomes[item].detection;
-    mitigate::accumulate(c.summary, outcomes[item].mitigation);
-    c.mitigation_events += outcomes[item].mitigation.total_events();
-  }
-  for (MatrixCell& c : result.cells) {
-    c.leak_rate = static_cast<double>(c.leaks) / c.attempts;
-    c.hid_detection /= c.attempts;
-  }
-
-  // Cost column: what each preset does to a clean, non-attacked host.
-  OverheadConfig ocfg;
-  ocfg.repeats = config.effective_overhead_repeats();
-  ocfg.secret = config.secret;
-  result.ipc_overhead_pct = parallel_map<double>(
-      pool, result.presets.size(), [&](std::size_t i) {
-        // Per-worker copy: writing the shared ocfg's seed from every worker
-        // would race, and could hand preset i another preset's seed.
-        OverheadConfig local = ocfg;
-        local.seed = derive_seed(config.seed ^ 0x0E4, i);
-        return mitigation_overhead_pct("basicmath", config.host_scale,
-                                       preset_configs[i], local);
+DefenseMatrixResult run_harden_matrix(const DefenseMatrixConfig& config) {
+  const std::vector<DefenseColumn> columns = preset_columns(
+      config.presets, harden::preset_names(),
+      [](DefenseColumn& c, const std::string& name) {
+        c.harden = harden::preset(name);
       });
-
-  return result;
+  return run_grid(config, default_harden_attacks(config), columns, nullptr);
 }
 
 std::string matrix_csv(const DefenseMatrixResult& result) {
   std::ostringstream os;
   os << "attack,preset,attempts,leaks,leak_rate,hid_detection,"
         "mitigation_events,ipc_overhead_pct\n";
-  for (const auto& c : result.cells) {
-    std::size_t preset_i = 0;
-    while (result.presets[preset_i] != c.preset) ++preset_i;
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    const MatrixCell& c = result.cells[i];
     os << c.attack << ',' << c.preset << ',' << c.attempts << ',' << c.leaks
-       << ',' << format_double(c.leak_rate) << ','
-       << format_double(c.hid_detection) << ',' << c.mitigation_events << ','
-       << format_double(result.ipc_overhead_pct[preset_i]) << '\n';
+       << ',' << fixed(c.leak_rate, 4) << ',' << fixed(c.hid_detection, 4)
+       << ',' << c.mitigation_events << ','
+       << fixed(cell_overhead(result, i), 4) << '\n';
   }
   return os.str();
 }
@@ -245,15 +322,15 @@ std::string matrix_json(const DefenseMatrixResult& result) {
   }
   os << "],\n  \"ipc_overhead_pct\": [";
   for (std::size_t i = 0; i < result.ipc_overhead_pct.size(); ++i) {
-    os << (i ? ", " : "") << format_double(result.ipc_overhead_pct[i]);
+    os << (i ? ", " : "") << fixed(result.ipc_overhead_pct[i], 4);
   }
   os << "],\n  \"cells\": [\n";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const auto& c = result.cells[i];
     os << "    {\"attack\": \"" << c.attack << "\", \"preset\": \"" << c.preset
        << "\", \"attempts\": " << c.attempts << ", \"leaks\": " << c.leaks
-       << ", \"leak_rate\": " << format_double(c.leak_rate)
-       << ", \"hid_detection\": " << format_double(c.hid_detection)
+       << ", \"leak_rate\": " << fixed(c.leak_rate, 4)
+       << ", \"hid_detection\": " << fixed(c.hid_detection, 4)
        << ", \"mitigation_events\": " << c.mitigation_events << '}'
        << (i + 1 < result.cells.size() ? "," : "") << '\n';
   }
@@ -262,16 +339,27 @@ std::string matrix_json(const DefenseMatrixResult& result) {
 }
 
 std::string matrix_metrics_csv(const DefenseMatrixResult& result) {
+  return metrics_csv(result, &DefenseSummary::mitigation,
+                     mitigate::summary_fields());
+}
+
+std::string harden_matrix_csv(const DefenseMatrixResult& result) {
   std::ostringstream os;
-  os << "preset,metric,value\n";
-  for (const auto& preset : result.presets) {
-    const mitigate::MitigationSummary sum = result.preset_summary(preset);
-    for (const mitigate::SummaryField& f : mitigate::summary_fields()) {
-      os << preset << ',' << f.name << ',' << sum.*(f.member) << '\n';
-    }
-    os << preset << ",total," << sum.total_events() << '\n';
+  os << "attack,preset,attempts,launches,leaks,leak_rate,base_leaks,"
+        "harden_events,ipc_overhead_pct\n";
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    const MatrixCell& c = result.cells[i];
+    os << c.attack << ',' << c.preset << ',' << c.attempts << ','
+       << c.launches << ',' << c.leaks << ',' << fixed(c.leak_rate, 4) << ','
+       << c.base_leaks << ',' << c.harden_events << ','
+       << fixed(cell_overhead(result, i), 4) << '\n';
   }
   return os.str();
+}
+
+std::string harden_matrix_metrics_csv(const DefenseMatrixResult& result) {
+  return metrics_csv(result, &DefenseSummary::harden,
+                     harden::summary_fields());
 }
 
 }  // namespace crs::core

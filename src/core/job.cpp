@@ -1,7 +1,9 @@
 #include "core/job.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -66,11 +68,27 @@ std::size_t parse_corpus_windows(const std::string& key,
 
 int parse_int_field(const std::string& key, const std::string& v) {
   char* end = nullptr;
+  errno = 0;
   const long out = std::strtol(v.c_str(), &end, 0);
   if (end == v.c_str() || *end != '\0') {
     throw Error("job spec: " + key + " wants an integer, got '" + v + "'");
   }
+  // A silent narrowing would run a different job from the one sent.
+  if (errno == ERANGE || out < INT_MIN || out > INT_MAX) {
+    throw Error("job spec: " + key + " is outside the int range, got '" + v +
+                "'");
+  }
   return static_cast<int>(out);
+}
+
+/// parse_int_field restricted to 1..`max`.
+int parse_count_field(const std::string& key, const std::string& v, int max) {
+  const int out = parse_int_field(key, v);
+  if (out < 1 || out > max) {
+    throw Error("job spec: " + key + " wants 1.." + std::to_string(max) +
+                ", got '" + v + "'");
+  }
+  return out;
 }
 
 bool parse_bool_field(const std::string& key, const std::string& v) {
@@ -398,7 +416,7 @@ JobSpec parse_job(const std::string& text) {
     if (spec.kind == JobKind::kMatrix) {
       DefenseMatrixConfig& m = spec.matrix.config;
       if (key == "mx.attempts") {
-        m.attempts = parse_int_field(key, value);
+        m.attempts = parse_count_field(key, value, kMaxJobMatrixAttempts);
       } else if (key == "mx.seed") {
         m.seed = parse_u64(key, value);
       } else if (key == "mx.host_scale") {
@@ -411,7 +429,8 @@ JobSpec parse_job(const std::string& text) {
       } else if (key == "mx.corpus_windows") {
         m.corpus_windows = parse_corpus_windows(key, value);
       } else if (key == "mx.overhead_repeats") {
-        m.overhead_repeats = parse_int_field(key, value);
+        m.overhead_repeats =
+            parse_count_field(key, value, kMaxJobOverheadRepeats);
       } else if (key == "mx.quick") {
         m.quick = parse_bool_field(key, value);
       } else {

@@ -52,6 +52,15 @@ struct ScenarioJob {
 /// than let one spec pin a shard and grow its memory without bound.
 inline constexpr std::size_t kMaxJobCorpusWindows = 20000;
 
+/// Largest per-cell attempt count and overhead-probe repeat count a matrix
+/// job spec may request (parse_job rejects anything larger, and 0). A
+/// matrix job can only be cancelled before or after the whole sweep, so an
+/// unbounded count would pin a shard for as long as the sender likes. 1000
+/// attempts is 250x the default; 100 repeats is the paper's Table I
+/// averaging.
+inline constexpr int kMaxJobMatrixAttempts = 1000;
+inline constexpr int kMaxJobOverheadRepeats = 100;
+
 /// Campaign job: run_campaign over corpora built deterministically from the
 /// spec (the same construction the figure benches use).
 struct CampaignJob {

@@ -12,8 +12,8 @@ namespace crs::core {
 
 namespace {
 
-/// IPC of a clean benign run of `host` at `scale`, optionally under a set
-/// of armed mitigations (the defense-cost measurement).
+/// IPC of a clean benign run of `host` at `scale`, optionally under armed
+/// mitigations and hardening (the defense-cost measurement).
 double benign_ipc(const std::string& host, std::uint64_t scale,
                   const std::string& secret,
                   const hid::ProfilerConfig& prof, std::uint64_t seed,
@@ -138,9 +138,10 @@ std::vector<OverheadRow> table_one(const OverheadConfig& config) {
       });
 }
 
-double mitigation_overhead_pct(const std::string& host, std::uint64_t scale,
-                               const mitigate::MitigationConfig& mitigations,
-                               const OverheadConfig& config) {
+double defense_overhead_pct(const std::string& host, std::uint64_t scale,
+                            const mitigate::MitigationConfig& mitigations,
+                            const harden::HardenConfig& harden,
+                            const OverheadConfig& config) {
   CRS_ENSURE(config.repeats > 0, "repeats must be positive");
   Rng rng(config.seed);
   OnlineStats baseline, defended;
@@ -149,27 +150,10 @@ double mitigation_overhead_pct(const std::string& host, std::uint64_t scale,
     baseline.add(
         benign_ipc(host, scale, config.secret, config.profiler, seed));
     defended.add(benign_ipc(host, scale, config.secret, config.profiler,
-                            seed, mitigations));
+                            seed, mitigations, harden));
   }
   const double base = baseline.mean();
   return base <= 0.0 ? 0.0 : 100.0 * (base - defended.mean()) / base;
-}
-
-double harden_overhead_pct(const std::string& host, std::uint64_t scale,
-                           const harden::HardenConfig& harden,
-                           const OverheadConfig& config) {
-  CRS_ENSURE(config.repeats > 0, "repeats must be positive");
-  Rng rng(config.seed);
-  OnlineStats baseline, hardened;
-  for (int r = 0; r < config.repeats; ++r) {
-    const std::uint64_t seed = rng.next_u64();
-    baseline.add(
-        benign_ipc(host, scale, config.secret, config.profiler, seed));
-    hardened.add(benign_ipc(host, scale, config.secret, config.profiler,
-                            seed, {}, harden));
-  }
-  const double base = baseline.mean();
-  return base <= 0.0 ? 0.0 : 100.0 * (base - hardened.mean()) / base;
 }
 
 }  // namespace crs::core

@@ -48,21 +48,33 @@ OverheadRow measure_overhead(const std::string& label, const std::string& host,
 /// (simulation-scaled; see EXPERIMENTS.md for the scale mapping).
 std::vector<OverheadRow> table_one(const OverheadConfig& config = {});
 
-/// IPC overhead (percent, positive = slower) that a mitigation set imposes
-/// on a clean, non-attacked host run — the defense matrix's cost column.
-/// Paired seeds: every repeat runs the same jittered host with and without
-/// the mitigations, so the contrast is the defense's alone.
-double mitigation_overhead_pct(const std::string& host, std::uint64_t scale,
-                               const mitigate::MitigationConfig& mitigations,
-                               const OverheadConfig& config = {});
+/// IPC overhead (percent, positive = slower) that a defense column (a
+/// mitigation set plus a hardening configuration) imposes on a clean,
+/// non-attacked host run: fences and flushes, canary plant/check
+/// instructions, relocated layout, guarded-heap bookkeeping. This is the
+/// defense grids' cost column. Paired seeds: every repeat runs the same
+/// jittered host with and without the defenses, so the contrast is the
+/// defenses' alone.
+double defense_overhead_pct(const std::string& host, std::uint64_t scale,
+                            const mitigate::MitigationConfig& mitigations,
+                            const harden::HardenConfig& harden,
+                            const OverheadConfig& config = {});
 
-/// IPC overhead (percent, positive = slower) that a hardening configuration
-/// imposes on a clean, non-attacked host run (canary plant/check
-/// instructions, relocated layout, guarded-heap bookkeeping) — the harden
-/// sweep's cost column. Same paired-seed discipline as
-/// mitigation_overhead_pct.
-double harden_overhead_pct(const std::string& host, std::uint64_t scale,
-                           const harden::HardenConfig& harden,
-                           const OverheadConfig& config = {});
+/// defense_overhead_pct with only mitigations armed (kept because crbench
+/// uses it).
+inline double mitigation_overhead_pct(
+    const std::string& host, std::uint64_t scale,
+    const mitigate::MitigationConfig& mitigations,
+    const OverheadConfig& config = {}) {
+  return defense_overhead_pct(host, scale, mitigations, {}, config);
+}
+
+/// defense_overhead_pct with only hardening armed (kept because crbench
+/// uses it).
+inline double harden_overhead_pct(const std::string& host, std::uint64_t scale,
+                                  const harden::HardenConfig& harden,
+                                  const OverheadConfig& config = {}) {
+  return defense_overhead_pct(host, scale, {}, harden, config);
+}
 
 }  // namespace crs::core

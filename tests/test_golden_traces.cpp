@@ -1,11 +1,15 @@
 // Golden-trace tier: re-run the canonical small-scale scenarios and demand
 // byte-identical CSV traces against the references in tests/golden. A
 // mismatch prints a row-level diff; intentional changes are blessed with
-// `crs_fuzz --update-golden`.
+// `crs_fuzz --update-golden`. The quick defense grids are pinned the same
+// way against tests/golden/grid (regenerated with crs_matrix, see
+// docs/TESTING.md).
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "core/defense_matrix.hpp"
+#include "core/harden_matrix.hpp"
 #include "fuzz/golden.hpp"
 #include "support/error.hpp"
 
@@ -33,6 +37,39 @@ TEST_P(GoldenTrace, MatchesCheckedInReference) {
 INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenTrace,
                          ::testing::Values("benign", "spectre", "crspectre"),
                          [](const auto& info) { return info.param; });
+
+/// `crs_matrix [--harden-sweep] --quick` at its defaults: seed 23, host
+/// scale 8000.
+template <typename Config>
+Config quick_grid_config() {
+  Config cfg;
+  cfg.quick = true;
+  cfg.seed = 23;
+  cfg.host_scale = 8000;
+  return cfg;
+}
+
+void expect_grid_golden(const std::string& file, const std::string& live) {
+  const auto path = std::string(CRS_GOLDEN_DIR) + "/grid/" + file;
+  std::string golden;
+  ASSERT_NO_THROW(golden = fuzz::read_text_file(path)) << "missing " << path;
+  EXPECT_EQ(golden, live) << file << " moved; see docs/TESTING.md";
+}
+
+TEST(GoldenGrid, QuickDefenseMatrixMatchesCheckedInCsvs) {
+  const auto result =
+      core::run_defense_matrix(quick_grid_config<core::DefenseMatrixConfig>());
+  expect_grid_golden("matrix.csv", core::matrix_csv(result));
+  expect_grid_golden("matrix_metrics.csv", core::matrix_metrics_csv(result));
+}
+
+TEST(GoldenGrid, QuickHardenSweepMatchesCheckedInCsvs) {
+  const auto result =
+      core::run_harden_matrix(quick_grid_config<core::HardenMatrixConfig>());
+  expect_grid_golden("harden.csv", core::harden_matrix_csv(result));
+  expect_grid_golden("harden_metrics.csv",
+                     core::harden_matrix_metrics_csv(result));
+}
 
 TEST(GoldenCsv, DeterministicAcrossRuns) {
   EXPECT_EQ(fuzz::golden_csv("benign"), fuzz::golden_csv("benign"));

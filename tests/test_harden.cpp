@@ -22,6 +22,7 @@
 #include "harden/config.hpp"
 #include "support/error.hpp"
 #include "harden/probe.hpp"
+#include "hid/detector.hpp"
 #include "harness.hpp"
 #include "sim/snapshot.hpp"
 #include "workloads/workloads.hpp"
@@ -354,8 +355,16 @@ TEST(HardenScenario, AslrAloneBlocksUnleakedPayload) {
 TEST(HardenMatrix, GridSeparatesClassicFromSpeculative) {
   core::HardenMatrixConfig cfg;
   cfg.quick = true;
+  cfg.seed = 29;
   cfg.host_scale = 2000;
+  const hid::DetectorMemoStats memo_before = hid::detector_memo_stats();
   const core::HardenMatrixResult r = core::run_harden_matrix(cfg);
+
+  // The sweep is unscored: it fits no detector and scores no cell.
+  const hid::DetectorMemoStats memo_after = hid::detector_memo_stats();
+  EXPECT_EQ(memo_after.hits + memo_after.misses,
+            memo_before.hits + memo_before.misses);
+  for (const auto& c : r.cells) EXPECT_EQ(c.hid_detection, 0.0) << c.attack;
 
   // Classic stack overflow: leaks when unhardened, dead under canary, aslr
   // and the full stack (the canary abort fires before the chain's first

@@ -385,6 +385,12 @@ TEST(DefenseMatrix, RejectsUnknownPresetUpFront) {
   cfg.quick = true;
   cfg.presets = {"none", "not-a-defense"};
   EXPECT_THROW(core::run_defense_matrix(cfg), Error);
+  // A repeated column would run twice and be double-counted by
+  // preset_summary; the same up-front check refuses it in both grids.
+  cfg.presets = {"lfence-bounds", "lfence-bounds"};
+  EXPECT_THROW(core::run_defense_matrix(cfg), Error);
+  cfg.presets = {"canary", "none", "canary"};
+  EXPECT_THROW(core::run_harden_matrix(cfg), Error);
 }
 
 // --- property: mitigations preserve the differ's invariants ---------------

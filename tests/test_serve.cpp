@@ -10,8 +10,10 @@
 
 #include <unistd.h>
 
+#include <climits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/corpus.hpp"
@@ -250,6 +252,58 @@ TEST(ServeJobSpec, CorpusWindowsBoundedAtParse) {
   EXPECT_EQ(matrix_back.matrix.config.corpus_windows,
             core::kMaxJobCorpusWindows);
   EXPECT_EQ(core::serialize_job(matrix_back), matrix_text);
+}
+
+TEST(ServeJobSpec, MatrixAttemptsAndRepeatsBoundedAtParse) {
+  // A matrix job cannot be cancelled mid-sweep, so per-cell attempts and
+  // overhead repeats are capped at parse like the corpus size.
+  const std::pair<std::string, int> fields[] = {
+      {"mx.attempts=", core::kMaxJobMatrixAttempts},
+      {"mx.overhead_repeats=", core::kMaxJobOverheadRepeats}};
+  for (const auto& [key, cap] : fields) {
+    const std::string head = "crs-job v1\nkind=matrix\n" + key;
+    for (const std::string& bad :
+         {std::string("0"), std::string("-1"), std::to_string(cap + 1),
+          std::string("1000000000"), std::string("4294967298")}) {
+      try {
+        core::parse_job(head + bad + "\n");
+        ADD_FAILURE() << key << bad << " accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(core::parse_job(head + std::to_string(cap) + "\n"));
+  }
+
+  core::JobSpec matrix = matrix_spec(9);
+  matrix.matrix.config.attempts = core::kMaxJobMatrixAttempts;
+  matrix.matrix.config.overhead_repeats = core::kMaxJobOverheadRepeats;
+  const std::string text = core::serialize_job(matrix);
+  const core::JobSpec back = core::parse_job(text);
+  EXPECT_EQ(back.matrix.config.attempts, core::kMaxJobMatrixAttempts);
+  EXPECT_EQ(back.matrix.config.overhead_repeats, core::kMaxJobOverheadRepeats);
+  EXPECT_EQ(core::serialize_job(back), text);
+}
+
+TEST(ServeJobSpec, IntFieldsRejectValuesOutsideIntRange) {
+  // Narrowing 4294967298 to 2 would run a different job from the one sent.
+  for (const std::string line :
+       {"kind=scenario\nattempts=4294967298",
+        "kind=scenario\np.delay=2147483648", "kind=scenario\np.a=-2147483649",
+        "kind=campaign\ncamp.attempts=4294967297",
+        "kind=scenario\np.b=99999999999999999999"}) {
+    try {
+      core::parse_job("crs-job v1\n" + line + "\n");
+      ADD_FAILURE() << line << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u) << e.what();
+    }
+  }
+  const core::JobSpec edge = core::parse_job(
+      "crs-job v1\nkind=scenario\np.delay=2147483647\np.a=-2147483648\n");
+  EXPECT_EQ(edge.scenario.config.perturb_params.delay, INT_MAX);
+  EXPECT_EQ(edge.scenario.config.perturb_params.a, INT_MIN);
 }
 
 TEST(ServeJobSpec, AffinityKeyGroupsByConfig) {

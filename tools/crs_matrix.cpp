@@ -9,9 +9,12 @@
 //   crs_matrix --json <path>          write the matrix as JSON
 //   crs_matrix --metrics <path>       write per-preset mitigation counters
 //   crs_matrix --check                exit non-zero unless the expected
-//                                     story holds: `none` leaks, `full`
-//                                     blocks every attack, and every armed
-//                                     preset shows mitigation activity
+//                                     story holds: `none` leaks, CR-Spectre
+//                                     evades the HID there, `full` blocks
+//                                     every attack, and every armed preset
+//                                     shows mitigation activity. A check
+//                                     whose column --presets dropped is
+//                                     skipped and named on stderr
 //   crs_matrix --threads N            worker-pool width (results identical
 //                                     for any value)
 //   crs_matrix --exec interp|blocks   execution engine for every simulated
@@ -38,16 +41,16 @@
 //
 // Sweeps {spectre-pht, spectre-rsb, cr-spectre} × {mitigation presets} and
 // reports leak-success rate, HID detection over attack windows, mitigation
-// engagement, and per-preset clean-host IPC overhead.
+// engagement, and per-preset clean-host IPC overhead. Both grids come from
+// the one driver in core/defense_matrix; --harden-sweep only picks which
+// projection is printed, written and checked.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/defense_matrix.hpp"
-#include "core/harden_matrix.hpp"
 #include "core/report.hpp"
 #include "mine/mine.hpp"
 #include "sim/cpu.hpp"
@@ -109,104 +112,151 @@ void apply_exec_flag(const std::string& value) {
   }
 }
 
-/// The CI gate: the undefended column must reproduce the paper's leak, the
-/// full stack must stop everything, and every armed preset must actually
-/// have done something.
-int check_story(const core::DefenseMatrixResult& result) {
+/// Tallies a --check story. A check whose column the grid lacks (a
+/// --presets subset) is skipped and named on stderr, in both stories.
+struct Story {
+  const core::DefenseMatrixResult& result;
   int failures = 0;
-  const auto fail = [&](const std::string& what) {
-    std::fprintf(stderr, "[crs_matrix] CHECK FAILED: %s\n", what.c_str());
-    ++failures;
-  };
-  for (const auto& attack : result.attacks) {
-    const auto& undefended = result.cell(attack, "none");
-    if (undefended.leaks == 0) {
-      fail(attack + " under 'none' never recovered the secret");
-    }
-    const auto& full = result.cell(attack, "full");
-    if (full.leaks != 0) {
-      fail(attack + " under 'full' still leaked (" +
-           std::to_string(full.leaks) + "/" +
-           std::to_string(full.attempts) + ")");
-    }
-  }
-  for (const auto& preset : result.presets) {
-    const std::uint64_t events = result.preset_summary(preset).total_events();
-    if (preset == "none") {
-      if (events != 0) {
-        fail("'none' reported mitigation activity (" +
-             std::to_string(events) + " events)");
-      }
-    } else if (events == 0) {
-      fail("preset '" + preset + "' reported zero mitigation activity");
-    }
-  }
-  if (failures == 0) {
-    std::fprintf(stderr, "[crs_matrix] check passed: none leaks, full "
-                         "blocks, every armed preset engaged\n");
-  }
-  return failures == 0 ? 0 : 1;
-}
+  int skipped = 0;
 
-/// The harden-sweep CI gate: the classic overflow must die under canary,
-/// aslr and full, both speculative attacks must keep leaking under full,
-/// every row must leak in the unhardened column, and the none column must
-/// report zero hardening activity.
-int check_harden_story(const core::HardenMatrixResult& result) {
-  int failures = 0;
-  const auto fail = [&](const std::string& what) {
-    std::fprintf(stderr, "[crs_matrix] CHECK FAILED: %s\n", what.c_str());
-    ++failures;
-  };
-  const auto has = [&](const char* name) {
-    for (const auto& p : result.presets) {
-      if (p == name) return true;
-    }
+  /// True when the grid has column `preset`; otherwise names `check` as
+  /// skipped.
+  bool needs(const std::string& preset, const std::string& check) {
+    const auto& p = result.presets;
+    if (std::find(p.begin(), p.end(), preset) != p.end()) return true;
+    std::fprintf(stderr, "[crs_matrix] check skipped (no '%s' column): %s\n",
+                 preset.c_str(), check.c_str());
+    ++skipped;
     return false;
-  };
-  for (const auto& attack : result.attacks) {
-    if (has("none") && result.cell(attack, "none").leaks == 0) {
-      fail(attack + " under 'none' never recovered the secret");
+  }
+
+  void fail(const std::string& what) {
+    std::fprintf(stderr, "[crs_matrix] CHECK FAILED: %s\n", what.c_str());
+    ++failures;
+  }
+};
+
+/// Both stories open alike: every row leaks in the undefended column, and
+/// that column reports no `layer` activity.
+void check_undefended(Story& story, const std::string& layer) {
+  const core::DefenseMatrixResult& r = story.result;
+  for (const auto& attack : r.attacks) {
+    if (story.needs("none", attack + " leaks under 'none'") &&
+        r.cell(attack, "none").leaks == 0) {
+      story.fail(attack + " under 'none' never recovered the secret");
     }
   }
-  for (const char* preset : {"canary", "aslr", "full"}) {
-    if (!has(preset)) continue;
-    const auto& c = result.cell("stack-overflow", preset);
-    if (c.leaks != 0) {
-      fail("stack-overflow under '" + std::string(preset) + "' still leaked");
+  if (story.needs("none", "'none' reports no " + layer + " activity")) {
+    const std::uint64_t events = r.preset_summary("none").total_events();
+    if (events != 0) {
+      story.fail("'none' reported " + layer + " activity (" +
+                 std::to_string(events) + " events)");
     }
   }
-  if (has("full")) {
-    for (const char* attack : {"spec-probe-rop", "spectre-1.1"}) {
-      const auto& c = result.cell(attack, "full");
-      if (c.leaks == 0) {
-        fail(std::string(attack) + " under 'full' never leaked — the "
-             "speculative bypass is broken");
-      }
-    }
-  }
-  if (has("none") && result.preset_summary("none").total_events() != 0) {
-    fail("'none' reported hardening activity");
-  }
-  if (failures == 0) {
-    std::fprintf(stderr,
-                 "[crs_matrix] harden check passed: hardening kills the "
-                 "classic overflow, the speculative attacks pierce it\n");
-  }
-  return failures == 0 ? 0 : 1;
 }
 
-void print_harden_table(const core::HardenMatrixResult& result) {
-  std::printf("%-14s", "attack\\harden");
+/// The mitigation story: the undefended column reproduces the paper's leak
+/// and CR-Spectre's HID evasion, the full stack stops everything, and every
+/// armed preset actually did something.
+void mitigation_story(Story& story) {
+  const core::DefenseMatrixResult& r = story.result;
+  check_undefended(story, "mitigation");
+  for (const auto& attack : r.attacks) {
+    if (!story.needs("full", attack + " blocked under 'full'")) continue;
+    const auto& full = r.cell(attack, "full");
+    if (full.leaks != 0) {
+      story.fail(attack + " under 'full' still leaked (" +
+                 std::to_string(full.leaks) + "/" +
+                 std::to_string(full.attempts) + ")");
+    }
+  }
+  for (const auto& preset : r.presets) {
+    if (preset != "none" && r.preset_summary(preset).total_events() == 0) {
+      story.fail("preset '" + preset + "' reported zero mitigation activity");
+    }
+  }
+  if (story.needs("none", "cr-spectre evades the HID that catches "
+                          "spectre-pht")) {
+    const double cr = r.cell("cr-spectre", "none").hid_detection;
+    const double pht = r.cell("spectre-pht", "none").hid_detection;
+    if (!(cr < pht)) {
+      story.fail("cr-spectre's HID detection under 'none' (" +
+                 fixed(cr, 4) + ") is not below spectre-pht's (" +
+                 fixed(pht, 4) + ")");
+    }
+  }
+}
+
+/// The hardening story: the classic overflow dies under canary, aslr and
+/// full, and both speculative attacks keep leaking under full.
+void harden_story(Story& story) {
+  const core::DefenseMatrixResult& r = story.result;
+  check_undefended(story, "hardening");
+  for (const std::string preset : {"canary", "aslr", "full"}) {
+    if (story.needs(preset, "stack-overflow stopped by '" + preset + "'") &&
+        r.cell("stack-overflow", preset).leaks != 0) {
+      story.fail("stack-overflow under '" + preset + "' still leaked");
+    }
+  }
+  for (const std::string attack : {"spec-probe-rop", "spectre-1.1"}) {
+    if (story.needs("full", attack + " leaks under 'full'") &&
+        r.cell(attack, "full").leaks == 0) {
+      story.fail(attack + " under 'full' never leaked — the speculative "
+                 "bypass is broken");
+    }
+  }
+}
+
+/// What --harden-sweep switches: how a cell prints, which CSVs are written
+/// and which story --check holds the grid to. Everything else is one path.
+struct GridMode {
+  const char* bench_prefix;  ///< --bench-json record name prefix
+  const char* corner;        ///< table corner label
+  const char* legend;        ///< what a table cell shows
+  std::string (*cell_text)(const core::MatrixCell&);
+  std::string (*csv)(const core::DefenseMatrixResult&);
+  std::string (*metrics_csv)(const core::DefenseMatrixResult&);
+  void (*story)(Story&);
+  const char* passed;  ///< stderr line when the story holds
+};
+
+const GridMode kMitigationMode{
+    "",
+    "attack\\preset",
+    "leak-rate / HID-detection",
+    [](const core::MatrixCell& c) {
+      return fixed(c.leak_rate, 2) + "/" + fixed(c.hid_detection, 2);
+    },
+    core::matrix_csv,
+    core::matrix_metrics_csv,
+    mitigation_story,
+    "check passed: none leaks, full blocks, every armed preset engaged",
+};
+
+const GridMode kHardenMode{
+    "harden-",
+    "attack\\harden",
+    "leak-rate / launches",
+    [](const core::MatrixCell& c) {
+      return fixed(c.leak_rate, 2) + "/" + std::to_string(c.launches);
+    },
+    core::harden_matrix_csv,
+    core::harden_matrix_metrics_csv,
+    harden_story,
+    "harden check passed: hardening kills the classic overflow, the "
+    "speculative attacks pierce it",
+};
+
+void print_table(const core::DefenseMatrixResult& result,
+                 const GridMode& mode) {
+  std::printf("%-14s", mode.corner);
   for (const auto& p : result.presets) std::printf(" %14s", p.c_str());
   std::printf("\n");
   for (const auto& attack : result.attacks) {
     std::printf("%-14s", attack.c_str());
     for (const auto& preset : result.presets) {
-      const auto& c = result.cell(attack, preset);
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.2f/%d", c.leak_rate, c.launches);
-      std::printf(" %14s", buf);
+      std::printf(" %14s",
+                  mode.cell_text(result.cell(attack, preset)).c_str());
     }
     std::printf("\n");
   }
@@ -214,68 +264,13 @@ void print_harden_table(const core::HardenMatrixResult& result) {
   for (std::size_t i = 0; i < result.presets.size(); ++i) {
     std::printf(" %14.2f", result.ipc_overhead_pct[i]);
   }
-  std::printf("\n(cells: leak-rate / launches)\n");
+  std::printf("\n(cells: %s)\n", mode.legend);
 }
 
-/// The --harden-sweep mode: same CLI surface, hardening matrix underneath.
-int run_harden_sweep(const core::HardenMatrixConfig& config, bool check,
-                     const std::string& csv_path,
-                     const std::string& metrics_path,
-                     const std::string& bench_json_path) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const core::HardenMatrixResult result = core::run_harden_matrix(config);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  print_harden_table(result);
-  if (!csv_path.empty()) {
-    core::write_text_file(csv_path, core::harden_matrix_csv(result));
-    std::fprintf(stderr, "[crs_matrix] wrote %s\n", csv_path.c_str());
-  }
-  if (!metrics_path.empty()) {
-    core::write_text_file(metrics_path,
-                          core::harden_matrix_metrics_csv(result));
-    std::fprintf(stderr, "[crs_matrix] wrote %s\n", metrics_path.c_str());
-  }
-  if (!bench_json_path.empty()) {
-    if (std::FILE* f = std::fopen(bench_json_path.c_str(), "a")) {
-      std::string presets;
-      for (const auto& p : result.presets) {
-        if (!presets.empty()) presets += ',';
-        presets += p;
-      }
-      std::fprintf(f,
-                   "{\"name\":\"crs_matrix:harden-%s\",\"wall_ms\":%.3f,"
-                   "\"items_per_s\":%.3f,\"config\":%s}\n",
-                   config.quick ? "quick" : "full", wall_ms,
-                   static_cast<double>(result.cells.size()) / (wall_ms / 1e3),
-                   core::bench_config_json(presets).c_str());
-      std::fclose(f);
-    }
-  }
-  return check ? check_harden_story(result) : 0;
-}
-
-void print_table(const core::DefenseMatrixResult& result) {
-  std::printf("%-14s", "attack\\preset");
-  for (const auto& p : result.presets) std::printf(" %14s", p.c_str());
-  std::printf("\n");
-  for (const auto& attack : result.attacks) {
-    std::printf("%-14s", attack.c_str());
-    for (const auto& preset : result.presets) {
-      const auto& c = result.cell(attack, preset);
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.2f/%.2f", c.leak_rate,
-                    c.hid_detection);
-      std::printf(" %14s", buf);
-    }
-    std::printf("\n");
-  }
-  std::printf("%-14s", "ipc-ovh-%");
-  for (std::size_t i = 0; i < result.presets.size(); ++i) {
-    std::printf(" %14.2f", result.ipc_overhead_pct[i]);
-  }
-  std::printf("\n(cells: leak-rate / HID-detection)\n");
+void write_output(const std::string& path, const std::string& content) {
+  if (path.empty()) return;
+  core::write_text_file(path, content);
+  std::fprintf(stderr, "[crs_matrix] wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -320,50 +315,32 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (harden_sweep) {
-      if (mined > 0) {
-        throw Error("--mined applies to the mitigation matrix, not "
-                    "--harden-sweep");
-      }
-      if (!json_path.empty()) {
-        throw Error("--json is not supported with --harden-sweep (use "
-                    "--csv / --metrics)");
-      }
-      core::HardenMatrixConfig hcfg;
-      hcfg.attempts = config.attempts;
-      hcfg.seed = config.seed;
-      hcfg.host_scale = config.host_scale;
-      hcfg.secret = config.secret;
-      hcfg.presets = config.presets;
-      hcfg.overhead_repeats = config.overhead_repeats;
-      hcfg.quick = config.quick;
-      return run_harden_sweep(hcfg, check, csv_path, metrics_path,
-                              bench_json_path);
+    if (harden_sweep && mined > 0) {
+      throw Error("--mined applies to the mitigation matrix, not "
+                  "--harden-sweep");
     }
+    if (harden_sweep && !json_path.empty()) {
+      throw Error("--json is not supported with --harden-sweep (use "
+                  "--csv / --metrics)");
+    }
+    const GridMode& mode = harden_sweep ? kHardenMode : kMitigationMode;
 
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<core::AttackSpec> extra =
-        mined > 0 ? mined_attacks(config, mined, mined_seed)
-                  : std::vector<core::AttackSpec>{};
     const core::DefenseMatrixResult result =
-        core::run_defense_matrix(config, extra);
+        harden_sweep ? core::run_harden_matrix(config)
+                     : core::run_defense_matrix(
+                           config, mined > 0
+                                       ? mined_attacks(config, mined,
+                                                       mined_seed)
+                                       : std::vector<core::AttackSpec>{});
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
 
-    print_table(result);
-    if (!csv_path.empty()) {
-      core::write_text_file(csv_path, core::matrix_csv(result));
-      std::fprintf(stderr, "[crs_matrix] wrote %s\n", csv_path.c_str());
-    }
-    if (!json_path.empty()) {
-      core::write_text_file(json_path, core::matrix_json(result));
-      std::fprintf(stderr, "[crs_matrix] wrote %s\n", json_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      core::write_text_file(metrics_path, core::matrix_metrics_csv(result));
-      std::fprintf(stderr, "[crs_matrix] wrote %s\n", metrics_path.c_str());
-    }
+    print_table(result, mode);
+    write_output(csv_path, mode.csv(result));
+    if (!json_path.empty()) write_output(json_path, core::matrix_json(result));
+    write_output(metrics_path, mode.metrics_csv(result));
     if (!bench_json_path.empty()) {
       if (std::FILE* f = std::fopen(bench_json_path.c_str(), "a")) {
         // The sweep spans presets, so the config's mitigation field records
@@ -374,16 +351,28 @@ int main(int argc, char** argv) {
           presets += p;
         }
         std::fprintf(f,
-                     "{\"name\":\"crs_matrix:%s\",\"wall_ms\":%.3f,"
+                     "{\"name\":\"crs_matrix:%s%s\",\"wall_ms\":%.3f,"
                      "\"items_per_s\":%.3f,\"config\":%s}\n",
-                     config.quick ? "quick" : "full", wall_ms,
+                     mode.bench_prefix, config.quick ? "quick" : "full",
+                     wall_ms,
                      static_cast<double>(result.cells.size()) /
                          (wall_ms / 1e3),
                      core::bench_config_json(presets).c_str());
         std::fclose(f);
       }
     }
-    return check ? check_story(result) : 0;
+    if (!check) return 0;
+    Story story{result};
+    mode.story(story);
+    if (story.failures != 0) return 1;
+    if (story.skipped == 0) {
+      std::fprintf(stderr, "[crs_matrix] %s\n", mode.passed);
+    } else {
+      std::fprintf(stderr,
+                   "[crs_matrix] check passed with %d check(s) skipped\n",
+                   story.skipped);
+    }
+    return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "crs_matrix: %s\n", e.what());
     return 1;
