@@ -110,8 +110,8 @@ BENCHMARK(BM_FisherSelection)->Unit(benchmark::kMicrosecond);
 
 // Deploying a trained HID on a paper-sized corpus (2000 windows/class, full
 // universe width): /0 is a fresh HidDetector::fit, /1 a trained_detector()
-// memo hit on the same config and rows, i.e. the digest, the exact-match
-// check and the deep copy that every campaign after the first pays.
+// memo hit on the same config and rows, i.e. the key copy, the exact-key
+// lookup and the deep copy that every campaign after the first pays.
 void BM_DetectorFit(benchmark::State& state) {
   const auto train = blobs(4000, hid::feature_universe_size(), 8);
   hid::DetectorConfig config;

@@ -27,6 +27,7 @@
 //             BTB target with attacker-chosen arguments.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,6 +100,8 @@ struct AttackConfig {
 
   std::uint64_t link_base = 0x300000;
   std::string name = "cr_spectre";
+
+  auto operator<=>(const AttackConfig&) const = default;
 };
 
 /// Assembly source of the attack binary (inspectable / disassemblable).

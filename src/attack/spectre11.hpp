@@ -20,6 +20,7 @@
 // chain runs transiently where no integrity check ever fires.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -39,6 +40,8 @@ struct Spectre11Config {
   int train_iterations = 8;  ///< in-bounds stores per byte before the OOB one
   std::uint64_t link_base = 0x300000;
   std::string name = "cr_spectre11";
+
+  auto operator<=>(const Spectre11Config&) const = default;
 };
 
 /// Stable display name of the variant (matrix rows, reports).

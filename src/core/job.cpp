@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -39,8 +40,12 @@ std::string fmt_f64(double v) {
 double parse_f64(const std::string& key, const std::string& v) {
   char* end = nullptr;
   const double out = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    throw Error("job spec: " + key + " wants a number, got '" + v + "'");
+  // strtod also takes nan/inf spellings and overflows to inf. No field wants
+  // them, and a NaN in a session's config would compare equivalent to other
+  // configs in the session cache.
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(out)) {
+    throw Error("job spec: " + key + " wants a finite number, got '" + v +
+                "'");
   }
   return out;
 }

@@ -129,7 +129,8 @@ JobOutcome run_job(const JobSpec& spec, const JobProgressFn& on_progress = {});
 /// Shard-routing hash: mixes hash_machine_config of the machine the job
 /// will simulate with the scenario/session identity (or program bytes), so
 /// same-config jobs collide and land on a shard whose session cache is
-/// already warm for them.
+/// already warm for them. It only routes: distinct jobs whose keys collide
+/// share a shard, never a session.
 std::uint64_t job_affinity_key(const JobSpec& spec);
 
 }  // namespace crs::core

@@ -1,6 +1,8 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <variant>
 
 #include "attack/spectre11.hpp"
 #include "casm/assembler.hpp"
@@ -22,157 +24,80 @@ constexpr const char* kProbePath = "/bin/layout_probe";
 /// above the worst case keeps a broken probe from hanging a campaign.
 constexpr std::uint64_t kProbeBudget = 50'000'000;
 
-// Process-wide content-addressed build caches (support/memo.hpp). The
-// builds are pure functions of their configs, so concurrent campaigns share
-// one artifact per distinct config instead of rebuilding per attempt.
-MemoCache<sim::Program>& workload_cache() {
-  static MemoCache<sim::Program> cache;
+using WorkloadKey = std::pair<std::string, workloads::WorkloadOptions>;
+
+/// Inputs of plan_injection; the host program is a pure function of
+/// (host, options), which stand in for it.
+struct PlanKey {
+  std::string host;
+  workloads::WorkloadOptions options;
+  rop::ReconSpec spec;
+  std::string attack_path;
+
+  auto operator<=>(const PlanKey&) const = default;
+};
+
+/// Inputs of a mined attack build (build_mined_attack). The build reads
+/// only the secret's length; keying the whole secret keeps one entry per
+/// scenario secret, as scenario_memo_stats counts them.
+struct MinedAttackKey {
+  std::string source;
+  bool rop_injected = false;
+  std::string secret;
+  std::uint64_t secret_address = 0;
+  std::uint64_t link_base = 0;
+
+  auto operator<=>(const MinedAttackKey&) const = default;
+};
+
+/// Inputs of a layout probe build: what probe_config_for reads, with
+/// (host, options) standing in for the victim program.
+struct ProbeKey {
+  std::string host;
+  workloads::WorkloadOptions options;
+  bool aslr = false;
+  std::uint64_t aslr_range = 0;
+  bool leak_canary = false;
+
+  auto operator<=>(const ProbeKey&) const = default;
+};
+
+/// Every attack-side binary a session runs, keyed by its kind and inputs.
+using AttackKey = std::variant<attack::AttackConfig, MinedAttackKey,
+                               attack::Spectre11Config, ProbeKey>;
+
+// Process-wide build caches (support/memo.hpp). The builds are pure
+// functions of their keys, so concurrent campaigns share one artifact per
+// distinct input instead of rebuilding per attempt.
+LruCache<WorkloadKey, const sim::Program>& workload_cache() {
+  static LruCache<WorkloadKey, const sim::Program> cache;
   return cache;
 }
-MemoCache<sim::Program>& attack_cache() {
-  static MemoCache<sim::Program> cache;
+LruCache<AttackKey, const sim::Program>& attack_cache() {
+  static LruCache<AttackKey, const sim::Program> cache;
   return cache;
 }
-MemoCache<rop::InjectionPlan>& plan_cache() {
-  static MemoCache<rop::InjectionPlan> cache;
+LruCache<PlanKey, const rop::InjectionPlan>& plan_cache() {
+  static LruCache<PlanKey, const rop::InjectionPlan> cache;
   return cache;
-}
-
-void hash_perturb(HashBuilder& h, const perturb::PerturbParams& p) {
-  h.i64(p.a)
-      .i64(p.b)
-      .i64(p.loop_count)
-      .i64(p.a_step)
-      .i64(p.b_step)
-      .i64(p.extra_ladders)
-      .i64(p.delay)
-      .i64(static_cast<int>(p.style))
-      .b(p.flushless);
-}
-
-std::uint64_t hash_workload(const std::string& host,
-                            const workloads::WorkloadOptions& opt) {
-  HashBuilder h;
-  h.str(host).u64(opt.scale).b(opt.canary).str(opt.secret).u64(opt.link_base);
-  return h.digest();
-}
-
-std::uint64_t hash_attack_config(const attack::AttackConfig& a) {
-  HashBuilder h;
-  h.i64(static_cast<int>(a.variant))
-      .u64(a.target_secret_address)
-      .str(a.embed_secret)
-      .u32(a.secret_length)
-      .i64(a.train_iterations)
-      .i64(static_cast<int>(a.channel))
-      .i64(static_cast<int>(a.recovery))
-      .u32(a.threshold)
-      .i64(a.rounds_per_byte)
-      .u32(a.probe_stride)
-      .b(a.perturb);
-  hash_perturb(h, a.perturb_params);
-  h.i64(a.perturb_every)
-      .i64(a.perturb_probe_interval)
-      .u64(a.link_base)
-      .str(a.name);
-  return h.digest();
-}
-
-std::uint64_t hash_plan_key(const sim::Program& host,
-                            const rop::ReconSpec& spec,
-                            const std::string& attack_path) {
-  HashBuilder h;
-  h.u64(sim::hash_program(host));
-  h.str(spec.path).str(spec.entry_label).str(spec.body_label);
-  h.u64(spec.benign_args.size());
-  for (const auto& arg : spec.benign_args) h.str(arg);
-  h.u64(spec.max_instructions).str(attack_path);
-  return h.digest();
-}
-
-std::shared_ptr<const sim::Program> memo_workload(
-    const std::string& host, const workloads::WorkloadOptions& opt) {
-  return workload_cache().get_or_build(
-      hash_workload(host, opt),
-      [&] { return workloads::build_workload(host, opt); });
-}
-
-std::shared_ptr<const sim::Program> memo_attack(
-    const attack::AttackConfig& acfg) {
-  return attack_cache().get_or_build(
-      hash_attack_config(acfg),
-      [&] { return attack::build_attack_binary(acfg); });
-}
-
-std::shared_ptr<const rop::InjectionPlan> memo_plan(
-    const sim::Program& host, const rop::ReconSpec& spec,
-    const std::string& attack_path) {
-  return plan_cache().get_or_build(hash_plan_key(host, spec, attack_path), [&] {
-    return rop::plan_injection(host, spec, attack_path);
-  });
 }
 
 /// Mined replay programs (mine/synth.cpp) arrive as assembly text; complete
 /// them against the scenario's secret and assemble at the attack link base.
 /// Standalone sources are pre-wrapped (they define mine_secret_base/len);
 /// injected sources get numeric `.equ`s against the host's resolved secret.
-sim::Program build_mined_attack(const ScenarioConfig& config,
-                                std::uint64_t secret_address,
-                                std::uint64_t link_base) {
+sim::Program build_mined_attack(const MinedAttackKey& key) {
   std::string src;
-  if (config.rop_injected) {
-    src = ".equ mine_secret_len, " + std::to_string(config.secret.size()) +
-          "\n.equ mine_secret_base, " + std::to_string(secret_address) + "\n";
+  if (key.rop_injected) {
+    src = ".equ mine_secret_len, " + std::to_string(key.secret.size()) +
+          "\n.equ mine_secret_base, " + std::to_string(key.secret_address) +
+          "\n";
   }
-  src += config.mined_attack_source;
+  src += key.source;
   src += "\n";
   src += casm::runtime_library();
   return casm::assemble(src,
-                        {.name = "mined-attack", .link_base = link_base});
-}
-
-std::shared_ptr<const sim::Program> memo_mined_attack(
-    const ScenarioConfig& config, std::uint64_t secret_address,
-    std::uint64_t link_base) {
-  HashBuilder h;
-  h.str("mined-attack")
-      .str(config.mined_attack_source)
-      .b(config.rop_injected)
-      .str(config.secret)
-      .u64(secret_address)
-      .u64(link_base);
-  return attack_cache().get_or_build(h.digest(), [&] {
-    return build_mined_attack(config, secret_address, link_base);
-  });
-}
-
-std::shared_ptr<const sim::Program> memo_spectre11(
-    const attack::Spectre11Config& scfg) {
-  HashBuilder h;
-  h.str("spectre11")
-      .u64(scfg.target_secret_address)
-      .str(scfg.embed_secret)
-      .u32(scfg.secret_length)
-      .i64(scfg.train_iterations)
-      .u64(scfg.link_base)
-      .str(scfg.name);
-  return attack_cache().get_or_build(
-      h.digest(), [&] { return attack::build_spectre11_binary(scfg); });
-}
-
-std::shared_ptr<const sim::Program> memo_probe(const sim::Program& victim,
-                                               const sim::KernelConfig& kcfg,
-                                               bool leak_canary) {
-  HashBuilder h;
-  h.str("layout-probe")
-      .u64(sim::hash_program(victim))
-      .b(kcfg.aslr)
-      .u64(kcfg.aslr_range)
-      .b(leak_canary);
-  return attack_cache().get_or_build(h.digest(), [&] {
-    return harden::build_probe_binary(
-        harden::probe_config_for(victim, kcfg, leak_canary));
-  });
+                        {.name = "mined-attack", .link_base = key.link_base});
 }
 
 rop::ReconSpec make_recon_spec(const ScenarioConfig& config) {
@@ -222,19 +147,30 @@ ScenarioSession::ScenarioSession(const ScenarioConfig& config)
   wopt_.secret = config_.secret;
 
   if (config_.rop_injected) {
-    host_ = memo_workload(config_.host, wopt_);
+    host_ = workload_cache().get_or_build({config_.host, wopt_}, [&] {
+      return workloads::build_workload(config_.host, wopt_);
+    });
     secret_address_ = host_->symbol("host_secret");
     // Adversary offline phase (gadgets + recon + payload), against the
     // no-ASLR layout the attacker assumes. Deterministic given host + spec,
     // so memoized — and independent of the attack binary's contents, which
     // is what lets dynamic-perturbation attempts keep the plan.
-    plan_ = memo_plan(*host_, make_recon_spec(config_), kAttackPath);
+    const rop::ReconSpec rspec = make_recon_spec(config_);
+    plan_ = plan_cache().get_or_build(
+        {config_.host, wopt_, rspec, kAttackPath},
+        [&] { return rop::plan_injection(*host_, rspec, kAttackPath); });
     kcfg_.aslr = config_.aslr;
   }
   config_.mitigations.apply(mcfg_, kcfg_);
   config_.harden.apply(kcfg_);
   if (config_.leak_stage) {
-    probe_ = memo_probe(*host_, kcfg_, wopt_.canary);
+    probe_ = attack_cache().get_or_build(
+        ProbeKey{config_.host, wopt_, kcfg_.aslr, kcfg_.aslr_range,
+                 wopt_.canary},
+        [&] {
+          return harden::build_probe_binary(
+              harden::probe_config_for(*host_, kcfg_, wopt_.canary));
+        });
   }
 
   // Every session replicates from the process-wide frozen baseline for its
@@ -263,13 +199,19 @@ void ScenarioSession::ensure_attack_binary(
     attack::Spectre11Config scfg;
     scfg.embed_secret = config_.secret;
     scfg.secret_length = static_cast<std::uint32_t>(config_.secret.size());
-    attack_ = memo_spectre11(scfg);
+    attack_ = attack_cache().get_or_build(
+        scfg, [&] { return attack::build_spectre11_binary(scfg); });
   } else if (!config_.mined_attack_source.empty()) {
-    attack_ = memo_mined_attack(config_, target_address,
-                                make_attack_config(cfg, target_address)
-                                    .link_base);
+    const MinedAttackKey key{config_.mined_attack_source,
+                             config_.rop_injected, config_.secret,
+                             target_address,
+                             make_attack_config(cfg, target_address).link_base};
+    attack_ = attack_cache().get_or_build(
+        key, [&] { return build_mined_attack(key); });
   } else {
-    attack_ = memo_attack(make_attack_config(cfg, target_address));
+    const attack::AttackConfig acfg = make_attack_config(cfg, target_address);
+    attack_ = attack_cache().get_or_build(
+        acfg, [&] { return attack::build_attack_binary(acfg); });
   }
   attack_params_ = params;
   attack_target_ = target_address;
@@ -398,7 +340,16 @@ std::uint64_t hash_scenario_config(const ScenarioConfig& c) {
   h.str(c.host).u64(c.host_scale).str(c.secret);
   h.i64(static_cast<int>(c.variant)).b(c.rop_injected).b(c.perturb);
   h.str(c.mined_attack_source);
-  hash_perturb(h, c.perturb_params);
+  const perturb::PerturbParams& pp = c.perturb_params;
+  h.i64(pp.a)
+      .i64(pp.b)
+      .i64(pp.loop_count)
+      .i64(pp.a_step)
+      .i64(pp.b_step)
+      .i64(pp.extra_ladders)
+      .i64(pp.delay)
+      .i64(static_cast<int>(pp.style))
+      .b(pp.flushless);
   h.b(c.canary).b(c.aslr);
   h.b(c.harden.aslr).b(c.harden.canary).b(c.harden.heap_guard);
   h.b(c.leak_stage).b(c.spectre11);
@@ -422,50 +373,28 @@ std::uint64_t hash_scenario_config(const ScenarioConfig& c) {
 }
 
 namespace {
-// Per-thread override for the session-cache size (0 = default). Each live
-// session holds its setup artifacts and a fork that privately owns only the
-// pages its attempts dirty, so the default stays small for campaign
-// drivers; serve shards raise it to their routed-config count.
-thread_local std::size_t session_cache_capacity = 0;
+/// Sessions a thread keeps live unless set_session_cache_capacity says
+/// otherwise. Each live session holds its setup artifacts and a fork that
+/// privately owns only the pages its attempts dirty, so the default stays
+/// small for campaign drivers, which rarely interleave more than a few
+/// cells on one thread; serve shards raise it to their routed-config count.
+constexpr std::size_t kDefaultSessionCacheCapacity = 4;
+
+LruCache<ScenarioConfig, ScenarioSession>& session_cache() {
+  thread_local LruCache<ScenarioConfig, ScenarioSession> cache(
+      kDefaultSessionCacheCapacity);
+  return cache;
+}
 }  // namespace
 
 void set_session_cache_capacity(std::size_t capacity) {
-  session_cache_capacity = capacity;
+  session_cache().set_capacity(capacity != 0 ? capacity
+                                             : kDefaultSessionCacheCapacity);
 }
 
 ScenarioSession& thread_session(const ScenarioConfig& config) {
-  // Campaign drivers key sessions per cell, and a thread rarely interleaves
-  // more than a few cells; the serve shards override this per worker.
-  const std::size_t capacity =
-      std::max<std::size_t>(1, session_cache_capacity != 0
-                                   ? session_cache_capacity
-                                   : 4);
-  struct Entry {
-    std::uint64_t key = 0;
-    std::uint64_t last_use = 0;
-    std::unique_ptr<ScenarioSession> session;
-  };
-  thread_local std::vector<Entry> cache;
-  thread_local std::uint64_t tick = 0;
-
-  const std::uint64_t key = hash_scenario_config(config);
-  ++tick;
-  for (Entry& e : cache) {
-    if (e.key == key) {
-      e.last_use = tick;
-      return *e.session;
-    }
-  }
-  // Evict down to capacity - 1 (more than one when capacity was lowered
-  // mid-thread) to make room for the new session.
-  while (cache.size() >= capacity) {
-    cache.erase(std::min_element(
-        cache.begin(), cache.end(),
-        [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; }));
-  }
-  cache.push_back(
-      Entry{key, tick, std::make_unique<ScenarioSession>(config)});
-  return *cache.back().session;
+  return *session_cache().get_or_build(
+      config, [&] { return std::make_unique<ScenarioSession>(config); });
 }
 
 void warm_scenario_memo(const ScenarioConfig& config) {

@@ -22,6 +22,7 @@
 // are bit-identical — for the session's first attempt or any later one.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -90,6 +91,11 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
 
   hid::ProfilerConfig profiler;
+
+  /// Orders sessions in thread_session's cache. The profiler's doubles make
+  /// this a partial order, so they must never be NaN (crs-job v1 refuses
+  /// non-finite values); -0.0 and 0.0 compare equal and profile alike.
+  auto operator<=>(const ScenarioConfig&) const = default;
 };
 
 struct ScenarioRun {
@@ -119,7 +125,7 @@ struct ScenarioRun {
 
 /// Reusable execution context for repeated attempts of one scenario.
 /// Construction runs the full setup pipeline (host workload, ROP
-/// recon/plan, attack binary — all through the content-addressed memo
+/// recon/plan, attack binary — all through the process-wide build
 /// caches — plus a fork of sim::shared_baseline for the machine config,
 /// kernel construction and mitigation arming); each run_attempt then rolls
 /// the machine back to that baseline via Machine::restore and re-seeds the
@@ -177,21 +183,24 @@ ScenarioRun run_scenario(const ScenarioConfig& config);
 attack::AttackConfig make_attack_config(const ScenarioConfig& config,
                                         std::uint64_t secret_address);
 
-/// Content hash over every ScenarioConfig field (session cache key).
+/// FNV-1a digest over every ScenarioConfig field, for shard routing
+/// (job_affinity_key). It decides no cache hit: a collision costs routing
+/// quality, never a wrong result.
 std::uint64_t hash_scenario_config(const ScenarioConfig& config);
 
 /// Bounded per-thread session cache: returns a live session for `config`
 /// (constructing one on first use), evicting the least-recently-used entry
-/// beyond a small capacity. Campaign drivers call this from worker threads;
-/// because a session's behaviour is a pure function of its config, results
-/// are identical for any CRS_THREADS.
+/// beyond a small capacity. Sessions are found by comparing whole configs.
+/// Campaign drivers call this from worker threads; because a session's
+/// behaviour is a pure function of its config, results are identical for
+/// any CRS_THREADS. The reference stays valid until a later call on this
+/// thread evicts the session.
 ScenarioSession& thread_session(const ScenarioConfig& config);
 
-/// Sets the calling thread's session-cache capacity (default 4; clamped to
-/// at least 1). Worker shards of the campaign service raise it so a shard
-/// can keep every config routed to it warm; campaign drivers keep the small
-/// default. Takes effect on the next thread_session call and evicts down
-/// immediately if lowered.
+/// Sets the calling thread's session-cache capacity (0 = the default, 4).
+/// Worker shards of the campaign service raise it so a shard can keep every
+/// config routed to it warm; campaign drivers keep the small default.
+/// Lowering it evicts down at once.
 void set_session_cache_capacity(std::size_t capacity);
 
 /// Populates the workload/plan/attack memo caches for `config` on the

@@ -34,6 +34,7 @@
 // before the exploit pass.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,7 +48,7 @@ struct HardenConfig {
   bool canary = false;      ///< stack canary plant + return check
   bool heap_guard = false;  ///< redzone-guarded heap
 
-  bool operator==(const HardenConfig&) const = default;
+  auto operator<=>(const HardenConfig&) const = default;
 
   /// True when at least one hardening layer is on.
   bool any() const;

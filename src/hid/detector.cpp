@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <compare>
+#include <vector>
 
 #include "ml/mlp.hpp"
 #include "obs/metrics.hpp"
@@ -13,42 +15,30 @@ namespace crs::hid {
 
 namespace {
 
-MemoCache<HidDetector>& detector_cache() {
-  static MemoCache<HidDetector> cache(kDetectorMemoCapacity);
+/// What a fit reads: the config and the training rows, the doubles as bit
+/// patterns so that the same bytes, and only they, train the same model
+/// (-0.0 and 0.0, equal as doubles, are different rows here).
+struct DetectorKey {
+  DetectorKey(const DetectorConfig& cfg, const ml::Dataset& data)
+      : config(cfg), rows(data.x.rows()), cols(data.x.cols()), y(data.y) {
+    const auto x = data.x.data();
+    bits.reserve(x.size());
+    for (const double v : x) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+
+  DetectorConfig config;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::vector<std::uint64_t> bits;
+  std::vector<int> y;
+
+  auto operator<=>(const DetectorKey&) const = default;
+};
+
+LruCache<DetectorKey, const HidDetector>& detector_cache() {
+  static LruCache<DetectorKey, const HidDetector> cache(
+      kDetectorMemoCapacity);
   return cache;
-}
-
-std::uint64_t detector_key(const DetectorConfig& config,
-                           const ml::Dataset& rows) {
-  HashBuilder h;
-  h.str(config.classifier);
-  h.u64(config.features.size());
-  for (const std::size_t f : config.features) h.u64(f);
-  h.u64(config.feature_count);
-  h.u64(config.candidate_features.size());
-  for (const std::size_t f : config.candidate_features) h.u64(f);
-  h.u32(static_cast<std::uint32_t>(config.online_mode));
-  h.u64(config.seed);
-  const auto x = rows.x.data();
-  h.u64(rows.x.rows()).u64(rows.x.cols());
-  h.bytes(x.data(), x.size_bytes());
-  h.u64(rows.y.size());
-  h.bytes(rows.y.data(), rows.y.size() * sizeof(int));
-  return h.digest();
-}
-
-/// Bitwise equality: the same bytes train the same model (-0.0 and 0.0,
-/// which compare equal as doubles, do not count as the same row).
-bool same_rows(const ml::Dataset& a, const ml::Dataset& b) {
-  const auto ax = a.x.data();
-  const auto bx = b.x.data();
-  return a.x.rows() == b.x.rows() && a.x.cols() == b.x.cols() &&
-         std::equal(ax.begin(), ax.end(), bx.begin(),
-                    [](double p, double q) {
-                      return std::bit_cast<std::uint64_t>(p) ==
-                             std::bit_cast<std::uint64_t>(q);
-                    }) &&
-         a.y == b.y;
 }
 
 }  // namespace
@@ -200,18 +190,18 @@ ml::ConfusionMatrix HidDetector::evaluate(
 HidDetector trained_detector(const DetectorConfig& config,
                              const ml::Dataset& universe) {
   CRS_ENSURE(universe.size() > 0, "cannot fit on an empty dataset");
-  const auto cached = detector_cache().get_or_build(
-      detector_key(config, universe),
-      [&] {
+  // The key holds the entry's copy of the rows; the cached detector drops
+  // its own, and each hand-out takes the caller's (bitwise the same).
+  const auto cached =
+      detector_cache().get_or_build(DetectorKey(config, universe), [&] {
         HidDetector d(config);
         d.training_ = universe;
         d.train();
+        d.training_ = {};
         return d;
-      },
-      [&](const HidDetector& d) {
-        return d.config_ == config && same_rows(d.training_, universe);
       });
   HidDetector out(*cached);
+  out.training_ = universe;
   out.record_full_refit();
   return out;
 }

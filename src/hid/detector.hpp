@@ -9,6 +9,7 @@
 //    the model is retrained from scratch (Fig. 6).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,7 +49,7 @@ struct DetectorConfig {
   OnlineMode online_mode = OnlineMode::kIncremental;
   std::uint64_t seed = 1;
 
-  bool operator==(const DetectorConfig&) const = default;
+  auto operator<=>(const DetectorConfig&) const = default;
 };
 
 /// Retraining activity, observable directly instead of only through
@@ -137,7 +138,7 @@ inline constexpr std::size_t kDetectorMemoCapacity = 8;
 /// observable — predictions, selected features, stats(), the
 /// `hid.detector.*` metrics and the retrain trace instant — but the training
 /// is memoized process-wide: a request whose config and rows equal a cached
-/// one's (compared in full, not just by digest) gets a deep copy of the
+/// one's (compared bit for bit) gets a deep copy of the
 /// cached detector instead of a refit. The copy is the caller's own, so
 /// augment_and_refit never reaches the cache.
 HidDetector trained_detector(const DetectorConfig& config,

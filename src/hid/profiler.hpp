@@ -7,6 +7,7 @@
 // evaluation, never as a model input.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,6 +34,8 @@ struct ProfilerConfig {
   /// table; 1.0 ≈ a lightly loaded desktop, 0 disables.
   double background_intensity = 1.0;
   std::uint64_t noise_seed = 0x90210;
+
+  auto operator<=>(const ProfilerConfig&) const = default;
 };
 
 struct WindowSample {

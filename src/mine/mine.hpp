@@ -31,11 +31,12 @@
 //      a planted secret before it is declared scenario-eligible.
 //
 // mine_source memoizes the whole per-binary pipeline in a process-wide
-// support::MemoCache; mine_corpus fans binaries out on the thread pool and
+// support::LruCache; mine_corpus fans binaries out on the thread pool and
 // folds reports by index, so the mined set is byte-identical for any
 // CRS_THREADS and with memoization on or off.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,7 +87,7 @@ struct MineOptions {
   /// Deterministic per-binary candidate cap (address order).
   std::size_t max_candidates = 64;
 
-  bool operator==(const MineOptions&) const = default;
+  auto operator<=>(const MineOptions&) const = default;
 };
 
 /// One classified candidate window, in the original image's link-time

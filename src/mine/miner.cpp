@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "casm/assembler.hpp"
@@ -26,24 +27,12 @@
 namespace crs::mine {
 namespace {
 
-MemoCache<BinaryReport>& report_cache() {
-  static MemoCache<BinaryReport> cache;
-  return cache;
-}
+/// Inputs of one binary's report: its name, its source and the options.
+using ReportKey = std::tuple<std::string, std::string, MineOptions>;
 
-std::uint64_t report_key(const std::string& name, const std::string& source,
-                         const MineOptions& opt) {
-  HashBuilder h;
-  h.str("mine-v1").str(name).str(source);
-  h.u64(opt.attacker_regs.size());
-  for (const int r : opt.attacker_regs) h.i64(r);
-  h.i64(opt.max_window)
-      .u64(opt.link_base)
-      .b(opt.honor_fence_hints)
-      .b(opt.validate)
-      .i64(opt.train_iterations)
-      .u64(opt.max_candidates);
-  return h.digest();
+LruCache<ReportKey, const BinaryReport>& report_cache() {
+  static LruCache<ReportKey, const BinaryReport> cache;
+  return cache;
 }
 
 /// Runs the synthesized replay program against a planted secret; only a
@@ -164,7 +153,7 @@ std::string json_escape(const std::string& s) {
 BinaryReport mine_source(const std::string& name, const std::string& source,
                          const MineOptions& options) {
   const auto report = report_cache().get_or_build(
-      report_key(name, source, options),
+      {name, source, options},
       [&] { return build_report(name, source, options); });
   return *report;
 }

@@ -36,6 +36,7 @@
 // the partition boundary) on a Kernel via its load hook.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,7 +55,7 @@ struct MitigationConfig {
   bool partition_cache = false;
   bool ward_split = false;
 
-  bool operator==(const MitigationConfig&) const = default;
+  auto operator<=>(const MitigationConfig&) const = default;
 
   /// True when at least one mitigation is on.
   bool any() const;

@@ -13,6 +13,7 @@
 // detects the current variant, the attacker draws the next one.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -48,7 +49,7 @@ struct PerturbParams {
   /// instructions (§IV) — pairs with the prime+probe covert channel.
   bool flushless = false;
 
-  bool operator==(const PerturbParams&) const = default;
+  auto operator<=>(const PerturbParams&) const = default;
 
   /// e.g. "a=11 b=6 n=10 as=50 bs=10 x=0 d=0 s=hot_alu"
   std::string describe() const;

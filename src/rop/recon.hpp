@@ -12,6 +12,7 @@
 // scratch machine; nothing leaks into the measured experiment.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +39,8 @@ struct ReconSpec {
   std::string body_label = "read_input_body";
   std::vector<std::string> benign_args;  ///< e.g. {"hello"}
   std::uint64_t max_instructions = 10'000'000;
+
+  auto operator<=>(const ReconSpec&) const = default;
 };
 
 /// Runs the recon on a fresh scratch machine built from `program`

@@ -10,6 +10,7 @@
 //   address, which is exactly the state the ROP overflow creates.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -23,6 +24,8 @@ struct PredictorConfig {
   std::uint32_t pht_entries = 4096;  ///< power of two
   std::uint32_t btb_entries = 512;   ///< power of two
   std::uint32_t rsb_entries = 16;
+
+  auto operator<=>(const PredictorConfig&) const = default;
 };
 
 /// 2-bit saturating counter PHT, indexed by (pc >> 3) & mask.

@@ -8,6 +8,7 @@
 // leaks through.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,6 +28,8 @@ struct CacheConfig {
   /// hits are found wherever the line lives (lines resident before the
   /// boundary was set stay usable).
   std::uint32_t partition_ways = 0;
+
+  auto operator<=>(const CacheConfig&) const = default;
 };
 
 /// Per-level access statistics. Plain (non-atomic) counters: a CacheLevel
@@ -165,6 +168,8 @@ struct HierarchyTimings {
   std::uint32_t fetch_l1_hit = 0;  ///< fetch hit adds no stall (pipelined)
   std::uint32_t fetch_l1_miss = 8;
   std::uint32_t flush_cost = 36;
+
+  auto operator<=>(const HierarchyTimings&) const = default;
 };
 
 struct HierarchyConfig {
@@ -172,6 +177,8 @@ struct HierarchyConfig {
   CacheConfig l1i{32 * 1024, 64, 8};
   CacheConfig l2{256 * 1024, 64, 8};
   HierarchyTimings timings;
+
+  auto operator<=>(const HierarchyConfig&) const = default;
 };
 
 /// What a data access did, so the CPU can attribute PMU events.

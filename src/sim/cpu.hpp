@@ -23,6 +23,7 @@
 // Table I) and the HPC-based detector need.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -105,6 +106,8 @@ struct CpuConfig {
   /// Retpoline-style: indirect jumps/calls and returns never speculate on
   /// a predicted target; the front end waits for the real one.
   bool no_indirect_speculation = false;
+
+  auto operator<=>(const CpuConfig&) const = default;
 };
 
 /// What the armed CPU-side mitigations did. Plain unconditional counters

@@ -18,6 +18,7 @@
 //    canary-checking epilogue uses to kill the process on corruption.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -49,6 +50,8 @@ struct MachineConfig {
   HierarchyConfig hierarchy;
   PredictorConfig predictor;
   CpuConfig cpu;
+
+  auto operator<=>(const MachineConfig&) const = default;
 };
 
 class MachineSnapshot;

@@ -1,9 +1,7 @@
 #include "sim/snapshot.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <mutex>
-#include <unordered_map>
 
 #include "support/memo.hpp"
 
@@ -109,20 +107,15 @@ std::shared_ptr<const MachineBaseline> Machine::freeze() const {
 
 std::shared_ptr<const MachineBaseline> shared_baseline(
     const MachineConfig& config) {
-  static std::mutex mutex;
-  static std::unordered_map<std::uint64_t,
-                            std::shared_ptr<const MachineBaseline>>
-      registry;
-  const std::uint64_t key = hash_machine_config(config);
-  std::lock_guard<std::mutex> lock(mutex);
-  const auto it = registry.find(key);
-  if (it != registry.end()) return it->second;
   // One full build per distinct config for the process lifetime; every
-  // replica after this is an O(metadata) fork.
-  const Machine pristine(config);
-  auto base = pristine.freeze();
-  registry.emplace(key, base);
-  return base;
+  // replica after this is an O(metadata) fork. Calls are serialised so that
+  // threads racing on a cold config (the corpus builders' first sessions)
+  // wait for one 16 MB machine instead of each building their own.
+  static std::mutex mutex;
+  static LruCache<MachineConfig, const MachineBaseline> baselines;
+  std::lock_guard<std::mutex> lock(mutex);
+  return baselines.get_or_build(config,
+                                [&] { return Machine(config).freeze(); });
 }
 
 void Kernel::reset_for_attempt(std::uint64_t seed) {
@@ -142,28 +135,12 @@ void Kernel::reset_for_attempt(std::uint64_t seed) {
 }
 
 Machine& MachinePool::acquire(const MachineConfig& config) {
-  const std::uint64_t key = hash_machine_config(config);
-  ++tick_;
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      e.last_use = tick_;
-      ++hits_;
-      e.machine->restore(e.snapshot);
-      return *e.machine;
-    }
-  }
-  ++misses_;
-  if (entries_.size() >= capacity_ && !entries_.empty()) {
-    const auto victim = std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; });
-    entries_.erase(victim);
-  }
-  auto base = shared_baseline(config);
-  auto machine = std::make_unique<Machine>(*base);
-  entries_.push_back(
-      Entry{key, tick_, std::move(machine), MachineSnapshot(std::move(base))});
-  return *entries_.back().machine;
+  Fork& fork = *forks_.get_or_build(config, [&] {
+    return std::make_unique<Fork>(shared_baseline(config));
+  });
+  // A fresh fork already matches its baseline; the restore is then a no-op.
+  fork.machine.restore(fork.snapshot);
+  return fork.machine;
 }
 
 std::uint64_t hash_machine_config(const MachineConfig& config) {
@@ -194,24 +171,6 @@ std::uint64_t hash_machine_config(const MachineConfig& config) {
       .b(c.honor_fence_hints)
       .b(c.slh)
       .b(c.no_indirect_speculation);
-  return h.digest();
-}
-
-std::uint64_t hash_kernel_config(const KernelConfig& config) {
-  HashBuilder h;
-  h.u64(config.stack_size)
-      .b(config.aslr)
-      .u64(config.aslr_range)
-      .b(config.aslr_stack)
-      .u64(config.aslr_stack_range)
-      .b(config.heap_guard)
-      .u64(config.heap_base)
-      .u64(config.heap_size)
-      .u64(config.seed)
-      .i64(config.max_execve_depth)
-      .b(config.flush_predictors_on_switch)
-      .b(config.flush_l1_on_switch)
-      .b(config.ward_split);
   return h.digest();
 }
 

@@ -26,9 +26,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "support/memo.hpp"
 
 namespace crs::sim {
 
@@ -109,42 +111,38 @@ class MachineSnapshot {
 std::shared_ptr<const MachineBaseline> shared_baseline(
     const MachineConfig& config);
 
-/// Per-thread pool of reusable machines keyed by config hash. `acquire`
-/// returns a fork of `shared_baseline(config)` rolled back to that baseline
-/// — indistinguishable from `Machine(config)` — paying the O(metadata) fork
+/// Per-thread pool of reusable machines keyed by config. `acquire` returns
+/// a fork of `shared_baseline(config)` rolled back to that baseline —
+/// indistinguishable from `Machine(config)` — paying the O(metadata) fork
 /// only on first use per config. Bounded LRU: least-recently-used entries
 /// are dropped when `capacity` distinct configs are live. The returned
 /// reference stays valid until the next acquire() evicts it, so use one
 /// machine at a time.
 class MachinePool {
  public:
-  explicit MachinePool(std::size_t capacity = 6) : capacity_(capacity) {}
+  explicit MachinePool(std::size_t capacity = 6) : forks_(capacity) {}
 
   Machine& acquire(const MachineConfig& config);
 
-  std::size_t size() const { return entries_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
+  std::size_t size() const { return forks_.size(); }
+  std::uint64_t hits() const { return forks_.hits(); }
+  std::uint64_t misses() const { return forks_.misses(); }
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    std::uint64_t last_use = 0;
-    std::unique_ptr<Machine> machine;
+  /// A fork and its rollback point.
+  struct Fork {
+    explicit Fork(std::shared_ptr<const MachineBaseline> base)
+        : machine(*base), snapshot(std::move(base)) {}
+    Machine machine;
     MachineSnapshot snapshot;
   };
 
-  std::size_t capacity_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::vector<Entry> entries_;
+  LruCache<MachineConfig, Fork> forks_;
 };
 
-/// Content hashes for memo keys (support/memo.hpp) covering every field
-/// that influences simulated behaviour.
+/// FNV-1a digests for shard routing (core::job_affinity_key) and content
+/// checks. Neither decides a cache hit.
 std::uint64_t hash_machine_config(const MachineConfig& config);
-std::uint64_t hash_kernel_config(const KernelConfig& config);
 std::uint64_t hash_program(const Program& program);
 
 }  // namespace crs::sim

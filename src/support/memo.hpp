@@ -1,29 +1,30 @@
-// Content-addressed memoization for expensive deterministic builds.
+// Exact-key caching for expensive deterministic builds and reusable state.
 //
 // Campaign-scale drivers run the same scenario thousands of times with only
 // the seed (and occasionally the perturb parameters) varying, yet every
 // attempt used to rebuild the host workload, re-run ROP recon and reassemble
 // the attack binary from scratch. Those builds are pure functions of their
-// configs, so a process-wide cache keyed on a config hash computes each
-// artifact once and hands out shared immutable copies — the build-side half
-// of a session's setup, paired with machine replication on the execution
-// side (see sim/snapshot.hpp and DESIGN.md §10).
+// inputs, so a process-wide cache keyed on the inputs themselves computes
+// each artifact once and hands out shared copies — the build-side half of a
+// session's setup, paired with machine replication on the execution side
+// (see sim/snapshot.hpp and DESIGN.md §10). The same cache holds the
+// per-thread sessions and pooled machines.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 
 namespace crs {
 
-/// Incremental FNV-1a hasher for building content-addressed cache keys out
-/// of config structs. Every field feed is length-prefixed by its type width
-/// via the fixed-width overloads, so adjacent fields cannot alias.
+/// Incremental FNV-1a hasher for routing keys and output digests. Every
+/// field feed is length-prefixed by its type width via the fixed-width
+/// overloads, so adjacent fields cannot alias. Not collision-resistant:
+/// nothing that must tell two inputs apart may rely on it.
 class HashBuilder {
  public:
   HashBuilder& bytes(const void* data, std::size_t len) {
@@ -49,88 +50,99 @@ class HashBuilder {
   std::uint64_t hash_ = 14695981039346656037ull;  // FNV offset basis
 };
 
-/// Thread-safe build cache: key → shared immutable artifact. The builder
-/// runs outside the lock (two threads racing on a cold key may both build;
-/// the first insert wins and both get the same deterministic value), so a
-/// slow build never serialises unrelated lookups.
+/// Thread-safe cache: key → shared value, least recently used evicted
+/// beyond `capacity` entries (0 = unbounded).
 ///
-/// A cache built with a nonzero `capacity` holds at most that many entries
-/// and evicts the least recently used one; an artifact already handed out
-/// lives on through its shared_ptr. A lookup may pass `matches`, which vets
-/// a cached artifact against the request before it counts as a hit: keys
-/// are 64-bit digests, so a caller whose inputs are too large to trust a
-/// digest with compares the inputs themselves. An artifact that fails the
-/// check is rebuilt and replaced. `matches` runs without the lock held.
-template <typename T>
-class MemoCache {
+/// Each key is stored once and a hit is decided by comparing keys (a
+/// std::map over the key type's operator<=>), so two distinct keys never
+/// share an entry. With a defaulted operator<=>, every field of a key type
+/// takes part without being listed anywhere. A key must not hold a NaN: it
+/// compares unordered, which the map reads as equivalent.
+///
+/// The builder runs outside the lock: two threads racing on a cold key may
+/// both build, the first insert wins and both get the resident value, so a
+/// slow build never serialises unrelated lookups. Every build counts as a
+/// miss, so hits + misses is the number of lookups. A value already handed
+/// out lives on through its shared_ptr after eviction.
+template <typename Key, typename Value>
+class LruCache {
  public:
-  using Matches = std::function<bool(const T&)>;
+  explicit LruCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  explicit MemoCache(std::size_t capacity = 0) : capacity_(capacity) {}
-
-  std::shared_ptr<const T> get_or_build(std::uint64_t key,
-                                        const std::function<T()>& build,
-                                        const Matches& matches = nullptr) {
-    if (auto cached = lookup(key); cached && (!matches || matches(*cached))) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return cached;
-    }
-    auto built = std::make_shared<const T>(build());
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = map_.try_emplace(key);
-    if (inserted) {
-      recency_.push_front(key);
-      it->second = Entry{std::move(built), recency_.begin()};
-      if (capacity_ != 0 && map_.size() > capacity_) {
-        map_.erase(recency_.back());
-        recency_.pop_back();
+  /// The value cached under `key`, built on a miss. `build()` returns the
+  /// value itself, or an owning pointer to it for a type that cannot move.
+  template <typename Build>
+  std::shared_ptr<Value> get_or_build(const Key& key, Build&& build) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (const auto it = map_.find(key); it != map_.end()) {
+        ++hits_;
+        it->second.last_use = ++tick_;
+        return it->second.value;
       }
-      return it->second.value;
     }
-    // Another thread inserted this key since the lookup. Without a check the
-    // first insert wins; with one, the fresh build is the artifact known to
-    // match (the resident one may be a digest collision).
-    if (matches) it->second.value = std::move(built);
-    recency_.splice(recency_.begin(), recency_, it->second.recency);
+    std::shared_ptr<Value> built = own(build());
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++misses_;
+    const auto [it, inserted] = map_.try_emplace(key, Entry{std::move(built)});
+    it->second.last_use = ++tick_;
+    if (inserted) evict_down();
     return it->second.value;
   }
 
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  /// Sets the bound (0 = unbounded), evicting down to it at once.
+  void set_capacity(std::size_t capacity) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    capacity_ = capacity;
+    evict_down();
+  }
+
+  std::uint64_t hits() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return hits_;
+  }
   std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return misses_;
   }
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return map_.size();
   }
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    recency_.clear();
-  }
 
  private:
   struct Entry {
-    std::shared_ptr<const T> value;
-    std::list<std::uint64_t>::iterator recency;
+    std::shared_ptr<Value> value;
+    std::uint64_t last_use = 0;
   };
 
-  /// The cached artifact (now the most recently used), or null.
-  std::shared_ptr<const T> lookup(std::uint64_t key) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    recency_.splice(recency_.begin(), recency_, it->second.recency);
-    return it->second.value;
+  template <typename Built>
+  static std::shared_ptr<Value> own(Built&& built) {
+    if constexpr (std::is_convertible_v<Built, std::shared_ptr<Value>>) {
+      return std::forward<Built>(built);
+    } else {
+      return std::make_shared<Value>(std::forward<Built>(built));
+    }
   }
 
-  const std::size_t capacity_;  ///< 0 = unbounded
+  /// Caller holds mutex_. Linear in the entry count: bounded caches are a
+  /// handful of entries, and unbounded ones never get here with work to do.
+  void evict_down() {
+    while (capacity_ != 0 && map_.size() > capacity_) {
+      auto victim = map_.begin();
+      for (auto it = map_.begin(); it != map_.end(); ++it) {
+        if (it->second.last_use < victim->second.last_use) victim = it;
+      }
+      map_.erase(victim);
+    }
+  }
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> recency_;  ///< keys, most recently used first
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  std::map<Key, Entry> map_;
+  std::size_t capacity_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace crs

@@ -19,6 +19,7 @@
 // address; the overflow then aborts instead of hijacking control.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,6 +54,8 @@ struct WorkloadOptions {
   /// in the host application; the host never accesses the secret").
   std::string secret;
   std::uint64_t link_base = 0x10000;
+
+  auto operator<=>(const WorkloadOptions&) const = default;
 };
 
 /// Assembly source (without the runtime library).

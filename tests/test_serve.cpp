@@ -214,6 +214,26 @@ TEST(ServeJobSpec, ParseRejectsGarbage) {
   EXPECT_THROW(
       core::parse_job("crs-job v1\nkind=program\nprog.source=100\nshort\n"),
       Error);
+  // Non-finite doubles, which strtod accepts.
+  for (const std::string head : {"crs-job v1\nkind=scenario\nprof.noise_sigma=",
+                                 "crs-job v1\nkind=scenario\n"
+                                 "prof.background_intensity=",
+                                 "crs-job v1\nkind=campaign\n"
+                                 "camp.detect_threshold=",
+                                 "crs-job v1\nkind=campaign\n"
+                                 "camp.evade_threshold="}) {
+    for (const char* bad : {"nan", "NAN", "-nan", "inf", "-inf", "infinity",
+                            "1e999"}) {
+      try {
+        core::parse_job(head + bad + "\n");
+        ADD_FAILURE() << head << bad << " accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(core::parse_job(head + "0.5\n"));
+  }
 }
 
 TEST(ServeJobSpec, CorpusWindowsBoundedAtParse) {
@@ -402,6 +422,45 @@ TEST(ServeIdentity, ScenarioAttemptZeroMatchesRunScenario) {
   EXPECT_NE(payload.find(needle), std::string::npos) << payload;
   EXPECT_NE(payload.find(std::to_string(direct.profile.cycles)),
             std::string::npos);
+}
+
+TEST(ServeIdentity, DigestCollidingJobsOnOneThreadGetTheirOwnResults) {
+  // These two jobs differ only in their secret, yet their
+  // hash_scenario_config digests collide (both 0x97a9dcd5b7a878cc), so
+  // job_affinity_key routes them to one shard. A shard runs its jobs back to
+  // back on one thread, as below; B must not be served A's session.
+  const auto job = [](const std::string& secret) {
+    core::JobSpec spec;
+    spec.kind = core::JobKind::kScenario;
+    spec.scenario.config.host = "basicmath";
+    spec.scenario.config.host_scale = 300;
+    spec.scenario.config.rop_injected = true;
+    spec.scenario.config.seed = 99;
+    spec.scenario.config.secret = secret;
+    return spec;
+  };
+  const core::JobSpec a = job("aaf4172c6dfb25fe");
+  const core::JobSpec b = job("ecdbd01a29ec4bc7");
+
+  std::string b_after_a;
+  std::thread shard([&] {
+    (void)core::run_job(a);
+    b_after_a = core::run_job(b).payload;
+  });
+  shard.join();
+  std::string b_alone;
+  std::thread fresh([&] { b_alone = core::run_job(b).payload; });
+  fresh.join();
+
+  EXPECT_EQ(b_after_a, b_alone);
+  std::string b_hex;
+  for (const unsigned char c : b.scenario.config.secret) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    b_hex += kDigits[c >> 4];
+    b_hex += kDigits[c & 0xF];
+  }
+  EXPECT_NE(b_after_a.find(",1," + b_hex + ","), std::string::npos)
+      << b_after_a;
 }
 
 TEST(ServeIdentity, ProgramJobOverWireMatchesDirect) {

@@ -7,11 +7,13 @@
 // pin that promise from every angle: restore page mechanics, MachinePool
 // reuse and LRU, scenario sessions over every default grid row, campaign
 // results across thread counts, fuzz-corpus differential runs of pooled
-// machines against a fresh Machine(config), and memo-cache semantics.
+// machines against a fresh Machine(config), and LruCache semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -303,8 +305,8 @@ TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
 
 // --- build memoization ----------------------------------------------------
 
-TEST(MemoCacheTest, HitsAndMisses) {
-  MemoCache<int> cache;
+TEST(LruCacheTest, HitsAndMisses) {
+  LruCache<int, const int> cache;
   int builds = 0;
   const auto build = [&] { return ++builds; };
   EXPECT_EQ(*cache.get_or_build(1, build), 1);
@@ -315,8 +317,8 @@ TEST(MemoCacheTest, HitsAndMisses) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(MemoCacheTest, CapacityEvictsLeastRecentlyUsed) {
-  MemoCache<int> cache(2);
+TEST(LruCacheTest, CapacityEvictsLeastRecentlyUsed) {
+  LruCache<int, const int> cache(2);
   int builds = 0;
   const auto build = [&] { return ++builds; };
   const auto one = cache.get_or_build(1, build);
@@ -333,20 +335,52 @@ TEST(MemoCacheTest, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(*cache.get_or_build(1, build), 5);
   EXPECT_EQ(cache.hits(), 3u);
   EXPECT_EQ(cache.misses(), 5u);
+  cache.set_capacity(1);  // lowering the bound evicts down at once
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(*cache.get_or_build(1, build), 5);
 }
 
-TEST(MemoCacheTest, FailedMatchRebuildsAndReplaces) {
-  // Two requests whose keys collide: the check tells them apart.
-  MemoCache<int> cache;
-  const auto is = [](int want) {
-    return [want](const int& v) { return v == want; };
-  };
-  EXPECT_EQ(*cache.get_or_build(7, [] { return 10; }, is(10)), 10);
-  EXPECT_EQ(*cache.get_or_build(7, [] { return 20; }, is(20)), 20);
-  EXPECT_EQ(*cache.get_or_build(7, [] { return 99; }, is(20)), 20);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
+TEST(LruCacheTest, RacingCallersOfAKeyShareOneValue) {
+  // Builds run outside the lock, so threads racing on a cold key may each
+  // build one; the first insert must win for every caller, and every call
+  // must count as exactly one hit or one miss.
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 400;
+  constexpr int kKeys = 16;
+  LruCache<int, const int> cache;
+  std::atomic<int> builds{0};
+  std::atomic<bool> go{false};
+  std::vector<std::vector<int>> seen(kThreads, std::vector<int>(kKeys, -1));
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kCalls; ++i) {
+        const int key = (i + t) % kKeys;  // threads overlap on every key
+        const int value = *cache.get_or_build(key, [&] {
+          std::this_thread::yield();  // widen the cold-key race
+          return builds.fetch_add(1);
+        });
+        if (seen[t][key] < 0) seen[t][key] = value;
+        if (seen[t][key] != value) ++mismatches[t];
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    for (int key = 0; key < kKeys; ++key) {
+      EXPECT_EQ(seen[t][key], seen[0][key]) << "thread " << t << " key "
+                                            << key;
+    }
+  }
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::uint64_t>(kThreads * kCalls));
+  EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(builds.load()));
 }
 
 TEST(SnapshotTest, MemoStatsExposeScenarioCaches) {
