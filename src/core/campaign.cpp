@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <iterator>
 
 #include "hid/features.hpp"
 #include "obs/metrics.hpp"
@@ -12,6 +14,14 @@
 namespace crs::core {
 
 namespace {
+
+/// Attempts an online shared run serves, its own included. Runs past the
+/// next mutation are dropped unused, and every held run keeps its windows
+/// in memory. 3 is the smallest depth that kept the online gain on crbench
+/// campaign: over ten seeds it finished more online attempts on time than
+/// depth 2 at every seed and as many as depth 4, at depth 4's peak RSS
+/// (EXPERIMENTS.md, "Shared runs").
+constexpr int kOnlineRunAhead = 3;
 
 // Serial, main-thread-only summary emission: campaign-level trace events go
 // to the dedicated summary lane (never colliding with in-run lanes) with a
@@ -102,34 +112,30 @@ CampaignResult run_campaign(const CampaignConfig& config,
   // All attempts of this campaign run through one session config: the
   // session pins the host-scale draw to the campaign seed; per-attempt
   // jitter (window phase, noise, kernel RNG) still varies with the attempt
-  // seed. Worker threads share cached sessions (setup paid once, machine
-  // rolled back per attempt); because an attempt is a pure function of its
-  // session config and seed, results are byte-identical for any thread
-  // count (tests/test_snapshot.cpp holds the proof).
+  // seed. Because an attempt is a pure function of its session config and
+  // seed, whichever session runs it, results are byte-identical for any
+  // thread count (tests/test_snapshot.cpp holds the proof).
   ScenarioConfig session_cfg = config.scenario;
   session_cfg.seed = config.seed;
+  const auto attempt_seed = [&](int attempt) {
+    return config.seed * 7919 + static_cast<std::uint64_t>(attempt);
+  };
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
 
-  // One attempt: run the scenario and score it against `detector`. The
-  // detector's predict/evaluate paths are const and pure, so concurrent
-  // attempts may share it read-only.
-  const auto run_attempt = [&](int attempt,
-                               const perturb::PerturbParams& params,
-                               ScenarioRun* run_out) {
-    const std::uint64_t attempt_seed =
-        config.seed * 7919 + static_cast<std::uint64_t>(attempt);
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    ScenarioRun run =
-        thread_session(session_cfg).run_attempt(attempt_seed, params);
-    const auto wall_end = std::chrono::steady_clock::now();
-
+  // Scores one attempt's run against `detector`. The detector's
+  // predict/evaluate paths are const and pure, so concurrent attempts may
+  // share it read-only.
+  const auto score = [&](int attempt, const perturb::PerturbParams& params,
+                         const ScenarioRun& run, double wall_ms) {
     AttemptRecord record;
     record.attempt = attempt;
     record.params = params;
     record.sim_cycles = run.profile.cycles;
-    record.wall_ms = std::chrono::duration<double, std::milli>(
-                         wall_end - wall_start)
-                         .count();
+    record.wall_ms = wall_ms;
     record.secret_recovered = run.secret_recovered;
     record.host_ipc = run.host_ipc;
     record.attack_window_count = run.attack_windows.size();
@@ -143,28 +149,53 @@ CampaignResult run_campaign(const CampaignConfig& config,
                               : static_cast<double>(cm.fp) /
                                     static_cast<double>(cm.fp + cm.tn);
     }
-    if (run_out != nullptr) *run_out = std::move(run);
     return record;
   };
 
   CampaignResult result;
   if (!config.online_hid && !config.dynamic_perturbation) {
     // Offline campaign: the detector never refits and the mutator never
-    // advances, so attempts are independent — run them on the pool. Each
-    // attempt derives everything from its index (the seed formula matches
-    // the serial loop) and records land in index order: the result is
-    // bit-identical to the serial path for any thread count.
-    //
-    // Warm the build-artifact memo caches on the main thread first, so the
-    // workload/plan/attack builds — and any trace events they emit — happen
-    // deterministically before workers race, and no worker duplicates them.
-    warm_scenario_memo(session_cfg);
-    ThreadPool pool;
-    result.attempts = parallel_map<AttemptRecord>(
-        pool, static_cast<std::size_t>(config.attempts), [&](std::size_t i) {
-          return run_attempt(static_cast<int>(i) + 1, mutator.current(),
-                             nullptr);
-        });
+    // advances, so every attempt runs the same params. A local session on
+    // the calling thread (its construction does the workload/plan/attack
+    // builds, and any trace events they emit, before workers race) serves
+    // every attempt it can from one shared execution; the attempts it
+    // cannot serve are independent and run on the pool. Each attempt
+    // derives everything from its index and records land in index order:
+    // the result is bit-identical to the serial path for any thread count.
+    const perturb::PerturbParams params = mutator.current();
+    const auto n = static_cast<std::size_t>(config.attempts);
+    ScenarioSession session(session_cfg);
+    if (session.shares_runs()) {
+      const std::size_t listed =
+          std::min(n, ScenarioSession::kMaxSharedAttempts);
+      std::vector<std::uint64_t> seeds;
+      for (std::size_t i = 0; i < listed; ++i) {
+        seeds.push_back(attempt_seed(static_cast<int>(i) + 1));
+      }
+      const auto start = Clock::now();
+      const std::vector<ScenarioRun> runs = session.run_attempts(seeds, params);
+      const double wall_ms = ms_since(start);
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        hid::record_run_metrics(runs[i].profile);
+        result.attempts.push_back(
+            score(static_cast<int>(i) + 1, params, runs[i], wall_ms));
+      }
+    }
+    // The attempts the shared execution could not serve (all of them when
+    // the session cannot share) run on the pool, one thread_session each.
+    if (const std::size_t served = result.attempts.size(); served < n) {
+      ThreadPool pool;
+      const std::vector<AttemptRecord> rest = parallel_map<AttemptRecord>(
+          pool, n - served, [&](std::size_t k) {
+            const int attempt = static_cast<int>(served + k) + 1;
+            const auto start = Clock::now();
+            const ScenarioRun run =
+                thread_session(session_cfg)
+                    .run_attempt(attempt_seed(attempt), params);
+            return score(attempt, params, run, ms_since(start));
+          });
+      result.attempts.insert(result.attempts.end(), rest.begin(), rest.end());
+    }
     // Summary emission happens after the index-ordered collection, on the
     // calling thread, so it is identical to the serial campaign's.
     std::uint64_t acc_cycles = 0;
@@ -181,11 +212,32 @@ CampaignResult run_campaign(const CampaignConfig& config,
   }
 
   // Online / dynamic campaign: attempt k's detector (and possibly mutator)
-  // state depends on attempt k-1's outcome — inherently serial.
+  // state depends on attempt k-1's outcome — inherently serial. What
+  // executes does not: attempt k under params P also runs the next
+  // attempts under P, and the runs it serves are held until their attempt
+  // comes up or a mutation changes P. The list is the campaign's own, so
+  // held runs end with it.
+  std::deque<ScenarioRun> held;
   std::uint64_t acc_cycles = 0;
   for (int attempt = 1; attempt <= config.attempts; ++attempt) {
-    ScenarioRun run;
-    AttemptRecord record = run_attempt(attempt, mutator.current(), &run);
+    const perturb::PerturbParams params = mutator.current();
+    const auto start = Clock::now();
+    if (held.empty()) {
+      std::vector<std::uint64_t> seeds;
+      for (int k = attempt;
+           k <= std::min(config.attempts, attempt + kOnlineRunAhead - 1);
+           ++k) {
+        seeds.push_back(attempt_seed(k));
+      }
+      std::vector<ScenarioRun> runs =
+          thread_session(session_cfg).run_attempts(seeds, params);
+      held.insert(held.end(), std::make_move_iterator(runs.begin()),
+                  std::make_move_iterator(runs.end()));
+    }
+    const ScenarioRun run = std::move(held.front());
+    held.pop_front();
+    hid::record_run_metrics(run.profile);
+    AttemptRecord record = score(attempt, params, run, ms_since(start));
 
     if (config.online_hid && !run.attack_windows.empty()) {
       // Paper §II-E: the online HID retrains on newly profiled traces of
@@ -198,6 +250,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
     if (config.dynamic_perturbation && record.detected) {
       mutator.next();
       record.mutated_after = true;
+      held.clear();  // the held runs used the old params
     }
     record_attempt_observability(record, acc_cycles);
     result.attempts.push_back(record);

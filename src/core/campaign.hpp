@@ -66,9 +66,13 @@ struct AttemptRecord {
   std::size_t attack_window_count = 0;
   /// Simulated cycles the attempt's scenario consumed (deterministic).
   std::uint64_t sim_cycles = 0;
-  /// Wall-clock of the scenario run. NEVER fed into traces or the metrics
-  /// registry (it would break byte-reproducibility) — surfaced only through
-  /// the --bench-json reporters.
+  /// Wall-clock time the campaign waited for this attempt's run: the shared
+  /// execution's wall for every attempt it served
+  /// (ScenarioSession::run_attempts), the lookup time for an online attempt
+  /// whose run an earlier attempt's execution already held, the solo run's
+  /// wall otherwise. NEVER fed into traces or the metrics registry (it
+  /// would break byte-reproducibility) — surfaced only through the
+  /// --bench-json reporters.
   double wall_ms = 0.0;
 };
 
@@ -86,6 +90,15 @@ struct CampaignResult {
 /// datasets (from core::build_*_corpus) used for the detector's initial
 /// training. When `benign_holdout` is non-null, every attempt also records
 /// the detector's false-positive rate on it.
+///
+/// Attempts that differ only in their seed share one simulated execution
+/// (ScenarioSession::run_attempts): an offline campaign makes one shared
+/// run on a session local to the calling thread and runs the attempts it
+/// could not serve on the pool; an online or dynamic campaign, at attempt k
+/// under params P, also runs attempts k+1 and k+2 under P and holds those
+/// runs until their turn or the next mutation. The records, and the
+/// hid.profiler.* run metrics, are exactly those of one solo run per
+/// attempt, wall_ms aside.
 CampaignResult run_campaign(const CampaignConfig& config,
                             const ml::Dataset& benign_train,
                             const ml::Dataset& attack_train,

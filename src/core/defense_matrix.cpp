@@ -1,5 +1,6 @@
 #include "core/defense_matrix.hpp"
 
+#include <span>
 #include <sstream>
 
 #include "core/corpus.hpp"
@@ -75,34 +76,44 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
   }
 
   ThreadPool pool;
-  // Fan out over cells; each cell runs its attempts serially against its
-  // own session (pool items scatter across threads, so per-attempt fan-out
-  // would build a session per attempt instead of rolling one back) and
-  // folds them in attempt order. Every attempt derives its seed from its
-  // flat (attack × column × attempt) item index alone, and cells are
-  // collected by index, so the grid is identical for any thread count.
+  // Fan out over cells; each cell runs its attempts against its own session
+  // (pool items scatter across threads, so per-attempt fan-out would build
+  // a session per attempt instead of rolling one back), one shared
+  // execution per run_attempts call, and folds them in attempt order. Every
+  // attempt derives its seed from its flat (attack × column × attempt)
+  // item index alone, and cells are collected by index, so the grid is
+  // identical for any thread count.
   result.cells = parallel_map<MatrixCell>(
       pool, n_cells, [&](std::size_t cell) {
         MatrixCell c;
         c.attack = result.attacks[cell / columns.size()];
         c.preset = result.presets[cell % columns.size()];
         ScenarioSession session(cell_config(cell));
+        std::vector<std::uint64_t> seeds;
         for (int a = 0; a < attempts; ++a) {
-          const std::size_t item = cell * static_cast<std::size_t>(attempts) +
-                                   static_cast<std::size_t>(a);
-          const ScenarioRun run =
-              session.run_attempt(derive_seed(config.seed, item));
-          ++c.attempts;
-          if (run.secret_recovered) ++c.leaks;
-          if (run.attack_launched) ++c.launches;
-          if (run.leak_stage_ran && run.leak.found_base) ++c.base_leaks;
-          if (detector) {
-            c.hid_detection += detector->detection_rate(run.attack_windows);
+          seeds.push_back(derive_seed(
+              config.seed, cell * static_cast<std::size_t>(attempts) +
+                               static_cast<std::size_t>(a)));
+        }
+        // Each call serves a non-empty prefix of the seeds not yet served.
+        for (std::size_t next = 0; next < seeds.size();) {
+          const std::vector<ScenarioRun> runs = session.run_attempts(
+              std::span(seeds).subspan(next), session.config().perturb_params);
+          next += runs.size();
+          for (const ScenarioRun& run : runs) {
+            hid::record_run_metrics(run.profile);
+            ++c.attempts;
+            if (run.secret_recovered) ++c.leaks;
+            if (run.attack_launched) ++c.launches;
+            if (run.leak_stage_ran && run.leak.found_base) ++c.base_leaks;
+            if (detector) {
+              c.hid_detection += detector->detection_rate(run.attack_windows);
+            }
+            mitigate::accumulate(c.summary.mitigation, run.mitigation);
+            harden::accumulate(c.summary.harden, run.harden);
+            c.mitigation_events += run.mitigation.total_events();
+            c.harden_events += run.harden.total_events();
           }
-          mitigate::accumulate(c.summary.mitigation, run.mitigation);
-          harden::accumulate(c.summary.harden, run.harden);
-          c.mitigation_events += run.mitigation.total_events();
-          c.harden_events += run.harden.total_events();
         }
         c.leak_rate = static_cast<double>(c.leaks) / c.attempts;
         c.hid_detection /= c.attempts;

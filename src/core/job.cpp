@@ -96,6 +96,18 @@ int parse_count_field(const std::string& key, const std::string& v, int max) {
   return out;
 }
 
+/// parse_int_field capped at kMaxJobAttempts. Counts below 1 keep their
+/// meaning: a scenario job runs one attempt, a campaign refuses to run.
+int parse_attempts_field(const std::string& key, const std::string& v) {
+  const int out = parse_int_field(key, v);
+  if (out > kMaxJobAttempts) {
+    throw Error("job spec: " + key + " wants at most " +
+                std::to_string(kMaxJobAttempts) + " attempts, got '" + v +
+                "'");
+  }
+  return out;
+}
+
 bool parse_bool_field(const std::string& key, const std::string& v) {
   if (v == "1") return true;
   if (v == "0") return false;
@@ -386,13 +398,13 @@ JobSpec parse_job(const std::string& text) {
     if (sc != nullptr && apply_scenario_key(*sc, key, value)) continue;
 
     if (spec.kind == JobKind::kScenario && key == "attempts") {
-      spec.scenario.attempts = parse_int_field(key, value);
+      spec.scenario.attempts = parse_attempts_field(key, value);
       continue;
     }
     if (spec.kind == JobKind::kCampaign) {
       CampaignConfig& c = spec.campaign.config;
       if (key == "camp.attempts") {
-        c.attempts = parse_int_field(key, value);
+        c.attempts = parse_attempts_field(key, value);
       } else if (key == "camp.online") {
         c.online_hid = parse_bool_field(key, value);
       } else if (key == "camp.dynamic") {
@@ -494,26 +506,37 @@ JobOutcome run_scenario_job(const ScenarioJob& job,
   out.progress.total = static_cast<std::uint64_t>(attempts);
 
   // Like run_campaign: a warm per-thread session, so attempt i is a
-  // rollback plus a run — bit-identical to run_scenario with seed+i.
+  // rollback plus a run — bit-identical to run_scenario with seed+i. Each
+  // shared execution serves a prefix of the next seeds (at most one call's
+  // worth are listed at a time), and progress is reported after each one.
   ScenarioSession& session = thread_session(job.config);
+  std::vector<std::uint64_t> seeds;
 
   std::string payload = kScenarioHeader;
-  for (int i = 0; i < attempts; ++i) {
-    const ScenarioRun run =
-        session.run_attempt(job.config.seed + static_cast<std::uint64_t>(i));
-    payload += std::to_string(i + 1) + ',';
-    payload += std::to_string(run.attack_launched ? 1 : 0) + ',';
-    payload += std::to_string(run.secret_recovered ? 1 : 0) + ',';
-    payload += hex_encode(run.recovered) + ',';
-    payload += fixed(run.host_ipc, 4) + ',';
-    payload += std::to_string(run.attack_windows.size()) + ',';
-    payload += std::to_string(run.host_windows.size()) + ',';
-    payload += std::to_string(run.profile.cycles) + ',';
-    payload += std::to_string(run.mitigation.total_events()) + '\n';
-
-    out.progress.done = static_cast<std::uint64_t>(i + 1);
-    out.progress.leaks += run.secret_recovered ? 1 : 0;
-    out.progress.sim_cycles += run.profile.cycles;
+  for (int next = 0; next < attempts;) {
+    seeds.clear();
+    for (int i = next; i < attempts &&
+                       seeds.size() < ScenarioSession::kMaxSharedAttempts;
+         ++i) {
+      seeds.push_back(job.config.seed + static_cast<std::uint64_t>(i));
+    }
+    const std::vector<ScenarioRun> runs =
+        session.run_attempts(seeds, job.config.perturb_params);
+    for (const ScenarioRun& run : runs) {
+      hid::record_run_metrics(run.profile);
+      payload += std::to_string(++next) + ',';
+      payload += std::to_string(run.attack_launched ? 1 : 0) + ',';
+      payload += std::to_string(run.secret_recovered ? 1 : 0) + ',';
+      payload += hex_encode(run.recovered) + ',';
+      payload += fixed(run.host_ipc, 4) + ',';
+      payload += std::to_string(run.attack_windows.size()) + ',';
+      payload += std::to_string(run.host_windows.size()) + ',';
+      payload += std::to_string(run.profile.cycles) + ',';
+      payload += std::to_string(run.mitigation.total_events()) + '\n';
+      out.progress.leaks += run.secret_recovered ? 1 : 0;
+      out.progress.sim_cycles += run.profile.cycles;
+    }
+    out.progress.done = static_cast<std::uint64_t>(next);
     if (on_progress && !on_progress(out.progress)) {
       out.cancelled = true;
       return out;

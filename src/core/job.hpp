@@ -61,6 +61,14 @@ inline constexpr std::size_t kMaxJobCorpusWindows = 20000;
 inline constexpr int kMaxJobMatrixAttempts = 1000;
 inline constexpr int kMaxJobOverheadRepeats = 100;
 
+/// Largest attempt count a scenario or campaign job spec may request
+/// (parse_job rejects anything larger). Each attempt adds a payload row or
+/// a record that lives until the job ends, and an offline campaign reports
+/// nothing until all of its attempts have run, so an unbounded count would
+/// let one spec grow a shard's memory without bound. 100000 is 10^4 times
+/// the paper's ten attempts per campaign.
+inline constexpr int kMaxJobAttempts = 100'000;
+
 /// Campaign job: run_campaign over corpora built deterministically from the
 /// spec (the same construction the figure benches use).
 struct CampaignJob {

@@ -7,6 +7,7 @@
 #include "attack/spectre11.hpp"
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
+#include "obs/obs.hpp"
 #include "rop/chain.hpp"
 #include "support/error.hpp"
 #include "support/memo.hpp"
@@ -173,6 +174,11 @@ ScenarioSession::ScenarioSession(const ScenarioConfig& config)
         });
   }
 
+  // Runs known to read their kernel seed up front: layout randomisation
+  // draws at load, and the leak stage's probe runs before the watched run
+  // starts. The kernel reports every other dependence during the run.
+  seed_dependent_ = kcfg_.randomizes_layout() || config_.leak_stage;
+
   // Every session replicates from the process-wide frozen baseline for its
   // machine config in O(metadata) instead of paying a 16 MB private build —
   // the fan-out path campaign/matrix/serve workers share one warm baseline
@@ -224,8 +230,17 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed) {
 
 ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
                                          const perturb::PerturbParams& params) {
-  ++attempts_;
+  ScenarioRun run = std::move(run_attempts({&seed, 1}, params).front());
+  hid::record_run_metrics(run.profile);
+  return run;
+}
 
+bool ScenarioSession::shares_runs() const {
+  return !seed_dependent_ && !obs::tracing_enabled();
+}
+
+hid::ProfilerConfig ScenarioSession::attempt_profiler(
+    std::uint64_t seed) const {
   // Per-attempt jitter, reproducing run_scenario's Rng(seed) stream: the
   // scale draw was consumed at session construction, the sampling phase and
   // noise seed vary per attempt like back-to-back measurements.
@@ -235,15 +250,32 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
   prof.window_cycles +=
       rng.next_below(std::max<std::uint64_t>(prof.window_cycles / 10, 1));
   prof.noise_seed = rng.next_u64();
+  return prof;
+}
+
+std::vector<ScenarioRun> ScenarioSession::run_attempts(
+    std::span<const std::uint64_t> seeds,
+    const perturb::PerturbParams& params) {
+  CRS_ENSURE(!seeds.empty(), "run_attempts needs at least one seed");
+  std::vector<hid::ProfilerConfig> profs;
+  const std::size_t streams =
+      shares_runs() ? std::min(seeds.size(), kMaxSharedAttempts) : 1;
+  for (const std::uint64_t seed : seeds.first(streams)) {
+    profs.push_back(attempt_profiler(seed));
+  }
 
   machine_->restore(*baseline_);
 
-  ScenarioRun out;
+  // The execution runs under the first seed's kernel seed, so the first
+  // attempt is always exact; the other streams are served only if the run
+  // never read its seed.
   const std::uint64_t kernel_seed =
-      seed ^ (config_.rop_injected ? 0x5A5Aull : 0xABCDull);
+      seeds.front() ^ (config_.rop_injected ? 0x5A5Aull : 0xABCDull);
   std::uint64_t attack_target = secret_address_;
   std::vector<std::uint8_t> payload_bytes;
   if (config_.rop_injected) payload_bytes = plan_->payload.bytes;
+  bool leak_stage_ran = false;
+  harden::ProbeLeak leak;
 
   if (config_.rop_injected && config_.leak_stage) {
     // --- leak pass: same kernel seed ⇒ the loader replays the exact
@@ -256,13 +288,13 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
     pargs.push_back(plan_->payload.bytes);
     kernel_->start_probe(kHostPath, kProbePath, pargs);
     if (kernel_->run(kProbeBudget) == sim::StopReason::kHalted) {
-      out.leak = harden::parse_probe_output(kernel_->output());
-      out.leak_stage_ran = true;
+      leak = harden::parse_probe_output(kernel_->output());
+      leak_stage_ran = true;
       rop::LeakAdjust adj;
-      if (out.leak.found_base) adj.image_delta = out.leak.base_delta;
-      adj.stack_delta = out.leak.stack_pointer - plan_->frame.start_sp;
+      if (leak.found_base) adj.image_delta = leak.base_delta;
+      adj.stack_delta = leak.stack_pointer - plan_->frame.start_sp;
       adj.patch_canary = wopt_.canary;
-      adj.canary = out.leak.canary;
+      adj.canary = leak.canary;
       payload_bytes = rop::patch_payload_for_leak(
                           plan_->payload, plan_->frame.filler_length, adj)
                           .bytes;
@@ -278,56 +310,68 @@ ScenarioRun ScenarioSession::run_attempt(std::uint64_t seed,
   // session's long-lived hook must look the same to summarize().
   *armed_.fence_stats = mitigate::FencePassStats{};
 
-  if (!config_.rop_injected) {
-    // Standalone ("traditional") Spectre: the attack binary runs directly.
-    out.profile =
-        hid::profile_run_strings(*kernel_, kAttackPath, {"cr_spectre"}, prof);
-    out.attack_windows = out.profile.windows;  // the whole run is attack
-    out.attack_launched = true;
+  // Standalone ("traditional") Spectre runs the attack binary directly;
+  // CR-Spectre is ROP-injected into the host.
+  const std::string argv0 = config_.rop_injected ? config_.host : "cr_spectre";
+  std::vector<std::vector<std::uint8_t>> args;
+  args.emplace_back(argv0.begin(), argv0.end());
+  if (config_.rop_injected) args.push_back(std::move(payload_bytes));
+  std::vector<hid::ProfileResult> profiles = hid::profile_runs(
+      *kernel_, config_.rop_injected ? kHostPath : kAttackPath, args, profs);
+
+  // What the execution did is common to every attempt it serves.
+  const bool launched =
+      !config_.rop_injected || kernel_->execve_count() > 0;
+  const mitigate::MitigationSummary mitigation =
+      mitigate::summarize(*machine_, *kernel_, armed_);
+  const harden::HardenSummary hardening =
+      harden::summarize(*kernel_, config_.harden);
+
+  std::vector<ScenarioRun> runs(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    ScenarioRun& out = runs[i];
+    out.profile = std::move(profiles[i]);
+    out.attack_launched = launched;
     out.recovered = out.profile.output;
     out.secret_recovered = out.recovered == config_.secret;
-    out.host_ipc = 0.0;
-    out.mitigation = mitigate::summarize(*machine_, *kernel_, armed_);
-    out.harden = harden::summarize(*kernel_, config_.harden);
-    return out;
-  }
+    out.mitigation = mitigation;
+    out.harden = hardening;
+    out.leak_stage_ran = leak_stage_ran;
+    out.leak = leak;
+    if (!config_.rop_injected) {
+      out.attack_windows = out.profile.windows;  // the whole run is attack
+      continue;
+    }
 
-  // --- CR-Spectre: ROP-injected into the host ---
-  std::vector<std::vector<std::uint8_t>> args;
-  args.emplace_back(config_.host.begin(), config_.host.end());
-  args.push_back(payload_bytes);
-  out.profile = hid::profile_run(*kernel_, kHostPath, args, prof);
+    // Ground-truth split. Sized up front; the samples are trivially
+    // copyable (std::array deltas), so the moved-from originals in
+    // profile.windows stay intact for callers that read them (golden
+    // traces, trace export).
+    std::size_t n_attack = 0;
+    for (const auto& w : out.profile.windows) n_attack += w.injected ? 1 : 0;
+    out.attack_windows.reserve(n_attack);
+    out.host_windows.reserve(out.profile.windows.size() - n_attack);
+    for (auto& w : out.profile.windows) {
+      (w.injected ? out.attack_windows : out.host_windows)
+          .push_back(std::move(w));
+    }
 
-  // Ground-truth split. Sized up front; the samples are trivially copyable
-  // (std::array deltas), so the moved-from originals in profile.windows
-  // stay intact for callers that read them (golden traces, trace export).
-  std::size_t n_attack = 0;
-  for (const auto& w : out.profile.windows) n_attack += w.injected ? 1 : 0;
-  out.attack_windows.reserve(n_attack);
-  out.host_windows.reserve(out.profile.windows.size() - n_attack);
-  for (auto& w : out.profile.windows) {
-    (w.injected ? out.attack_windows : out.host_windows).push_back(
-        std::move(w));
+    // IPC from the noiseless deltas: Table I's ~1% contrasts would
+    // otherwise drown in measurement noise.
+    std::uint64_t host_instr = 0, host_cycles = 0;
+    for (const auto& w : out.host_windows) {
+      host_instr +=
+          w.true_delta[static_cast<std::size_t>(sim::Event::kInstructions)];
+      host_cycles +=
+          w.true_delta[static_cast<std::size_t>(sim::Event::kCycles)];
+    }
+    out.host_ipc = host_cycles == 0
+                       ? 0.0
+                       : static_cast<double>(host_instr) /
+                             static_cast<double>(host_cycles);
   }
-  out.attack_launched = kernel_->execve_count() > 0;
-  out.recovered = out.profile.output;
-  out.secret_recovered = out.recovered == config_.secret;
-
-  // IPC from the noiseless deltas: Table I's ~1% contrasts would otherwise
-  // drown in measurement noise.
-  std::uint64_t host_instr = 0, host_cycles = 0;
-  for (const auto& w : out.host_windows) {
-    host_instr +=
-        w.true_delta[static_cast<std::size_t>(sim::Event::kInstructions)];
-    host_cycles += w.true_delta[static_cast<std::size_t>(sim::Event::kCycles)];
-  }
-  out.host_ipc = host_cycles == 0
-                     ? 0.0
-                     : static_cast<double>(host_instr) /
-                           static_cast<double>(host_cycles);
-  out.mitigation = mitigate::summarize(*machine_, *kernel_, armed_);
-  out.harden = harden::summarize(*kernel_, config_.harden);
-  return out;
+  attempts_ += runs.size();
+  return runs;
 }
 
 ScenarioRun run_scenario(const ScenarioConfig& config) {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,14 +128,23 @@ struct ScenarioRun {
 /// Construction runs the full setup pipeline (host workload, ROP
 /// recon/plan, attack binary — all through the process-wide build
 /// caches — plus a fork of sim::shared_baseline for the machine config,
-/// kernel construction and mitigation arming); each run_attempt then rolls
-/// the machine back to that baseline via Machine::restore and re-seeds the
-/// kernel, making attempt N bit-identical to a fresh run_scenario with the
-/// same attempt seed and session scale.
+/// kernel construction and mitigation arming); each run rolls the machine
+/// back to that baseline via Machine::restore and re-seeds the kernel,
+/// making attempt N bit-identical to a fresh run_scenario with the same
+/// attempt seed and session scale.
+///
+/// A session's attempts differ only in how they are measured (window phase
+/// and PMU noise), not in what executes, unless the run reads its kernel
+/// seed. run_attempts exploits that: one simulated execution, sampled by
+/// one profiler stream per seed, serves every attempt whose run cannot
+/// depend on its seed.
 ///
 /// Not thread-safe: one session belongs to one thread (see thread_session).
 class ScenarioSession {
  public:
+  /// Most attempts one run_attempts execution serves.
+  static constexpr std::size_t kMaxSharedAttempts = 16;
+
   explicit ScenarioSession(const ScenarioConfig& config);
   ScenarioSession(const ScenarioSession&) = delete;
   ScenarioSession& operator=(const ScenarioSession&) = delete;
@@ -152,12 +162,45 @@ class ScenarioSession {
   ScenarioRun run_attempt(std::uint64_t seed,
                           const perturb::PerturbParams& params);
 
+  /// Attempts for `seeds` (non-empty) under `params`, from one simulated
+  /// execution under seeds[0]'s kernel seed (hid::profile_runs). Returns
+  /// the runs of a non-empty prefix of `seeds`, each bit-identical to
+  /// run_attempt(seed, params): seeds[0] always, and each later seed up to
+  /// the first the execution could not serve, because the run turned out
+  /// seed-dependent (sim::Kernel::seed_dependent) or that seed's stream
+  /// stopped at its own max_windows. Callers run the rest in later calls.
+  /// The execution is sampled for at most kMaxSharedAttempts seeds (every
+  /// stream holds its windows until the run ends, and callers report
+  /// progress per call), and for seeds[0] only when !shares_runs().
+  ///
+  /// The runs come back without their hid.profiler.* run metrics: the
+  /// caller records each run it uses with hid::record_run_metrics
+  /// (run.profile), as run_attempt does, so a run it drops unused (an
+  /// online campaign's held runs on a mutation) counts nowhere.
+  std::vector<ScenarioRun> run_attempts(std::span<const std::uint64_t> seeds,
+                                        const perturb::PerturbParams& params);
+
+  /// False when run_attempts serves one seed per call: every run of the
+  /// session reads its seed before its first window closes (layout
+  /// randomisation, sim::KernelConfig::randomizes_layout, or the leak
+  /// stage, whose probe runs before the watched run), or obs tracing is
+  /// on, where attempts run one per call so trace contents match a solo
+  /// run's. The kernel reports any other dependence (a canary read,
+  /// getrandom) during the shared run, which then serves seeds[0] alone.
+  bool shares_runs() const;
+
   const ScenarioConfig& config() const { return config_; }
+  /// The kernel config the session's runs use (the scenario's ASLR,
+  /// mitigations and hardening applied).
+  const sim::KernelConfig& kernel_config() const { return kcfg_; }
+  /// Attempts served so far.
   std::uint64_t attempts() const { return attempts_; }
 
  private:
   void ensure_attack_binary(const perturb::PerturbParams& params,
                             std::uint64_t target_address);
+  /// Per-attempt jitter: the profiler settings of attempt `seed`.
+  hid::ProfilerConfig attempt_profiler(std::uint64_t seed) const;
 
   ScenarioConfig config_;
   workloads::WorkloadOptions wopt_;
@@ -174,6 +217,7 @@ class ScenarioSession {
   std::unique_ptr<sim::Kernel> kernel_;
   mitigate::Armed armed_;
   std::optional<sim::MachineSnapshot> baseline_;  // the pre-start machine
+  bool seed_dependent_ = false;  // every run reads its seed (shares_runs)
   std::uint64_t attempts_ = 0;
 };
 

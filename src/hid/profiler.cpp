@@ -1,5 +1,6 @@
 #include "hid/profiler.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -83,80 +84,80 @@ std::size_t ProfileResult::injected_window_count() const {
   return n;
 }
 
-ProfileResult profile_run(sim::Kernel& kernel, const std::string& path,
-                          const std::vector<std::vector<std::uint8_t>>& args,
-                          const ProfilerConfig& config) {
-  CRS_ENSURE(config.window_cycles > 0, "window_cycles must be positive");
-  kernel.start(path, args);
+namespace {
 
-  sim::Machine& machine = kernel.machine();
-  ProfileResult out;
-  const std::uint64_t start_cycle = machine.cpu().cycle();
-  const std::uint64_t start_instr = machine.cpu().retired();
-  sim::PmuSnapshot prev = machine.pmu().snapshot();
-  int prev_execves = kernel.execve_count();
-  bool was_injected = kernel.in_injected_binary();
-  Rng noise_rng(config.noise_seed);
+/// The machine at one stop of the run: what a window closing here sees.
+struct Edge {
+  sim::PmuSnapshot pmu{};
+  std::uint64_t cycle = 0;
+  int execves = 0;
+  bool injected = false;
+};
 
-  for (;;) {
-    const std::uint64_t target = machine.cpu().cycle() + config.window_cycles;
-    const auto reason =
-        kernel.run_until_cycle(target, config.max_instructions);
-    const sim::PmuSnapshot now = machine.pmu().snapshot();
+/// One profiler stream: a solo run's sampling state.
+struct Stream {
+  Stream(const ProfilerConfig& c, const Edge& start)
+      : config(&c),
+        prev(start.pmu),
+        prev_execves(start.execves),
+        was_injected(start.injected),
+        noise_rng(c.noise_seed),
+        target(start.cycle + c.window_cycles) {}
 
+  /// Closes the window that ends at `edge`.
+  void close_window(const Edge& edge) {
     WindowSample sample;
-    sample.true_delta = sim::delta(prev, now);
-    sample.delta =
-        add_measurement_noise(sample.true_delta, config, noise_rng);
+    sample.true_delta = sim::delta(prev, edge.pmu);
+    sample.delta = add_measurement_noise(sample.true_delta, *config, noise_rng);
     // The window saw attack activity if injected code is running at either
     // edge or an execve fired inside it.
-    const bool now_injected = kernel.in_injected_binary();
-    sample.injected = was_injected || now_injected ||
-                      kernel.execve_count() != prev_execves;
-    prev = now;
-    prev_execves = kernel.execve_count();
-    was_injected = now_injected;
+    sample.injected =
+        was_injected || edge.injected || edge.execves != prev_execves;
+    prev = edge.pmu;
+    prev_execves = edge.execves;
+    was_injected = edge.injected;
 
     // Skip empty trailing windows (program already halted).
-    if (sample.true_delta[static_cast<std::size_t>(sim::Event::kCycles)] > 0 ||
+    if (sample.true_delta[static_cast<std::size_t>(sim::Event::kCycles)] ==
+            0 &&
         sample.true_delta[static_cast<std::size_t>(
-            sim::Event::kInstructions)] > 0) {
-      out.windows.push_back(sample);
-      if constexpr (obs::kEnabled) {
-        if (obs::tracing_enabled()) {
-          const std::uint64_t at = machine.cpu().cycle();
-          const auto ev = [&](sim::Event e) {
-            return static_cast<double>(
-                sample.delta[static_cast<std::size_t>(e)]);
-          };
-          obs::trace_instant("hid.profiler.window", at,
-                             sample.injected ? 1.0 : 0.0);
-          obs::trace_counter("hid.profiler.window.instructions", at,
-                             ev(sim::Event::kInstructions));
-          obs::trace_counter("hid.profiler.window.l1d_misses", at,
-                             ev(sim::Event::kL1dMisses));
-          obs::trace_counter("hid.profiler.window.branch_mispredicts", at,
-                             ev(sim::Event::kBranchMispredicts));
-          obs::trace_counter("hid.profiler.window.spec_instructions", at,
-                             ev(sim::Event::kSpecInstructions));
-        }
+            sim::Event::kInstructions)] == 0) {
+      return;
+    }
+    out.windows.push_back(sample);
+    if constexpr (obs::kEnabled) {
+      if (obs::tracing_enabled()) {
+        const auto ev = [&](sim::Event e) {
+          return static_cast<double>(
+              sample.delta[static_cast<std::size_t>(e)]);
+        };
+        obs::trace_instant("hid.profiler.window", edge.cycle,
+                           sample.injected ? 1.0 : 0.0);
+        obs::trace_counter("hid.profiler.window.instructions", edge.cycle,
+                           ev(sim::Event::kInstructions));
+        obs::trace_counter("hid.profiler.window.l1d_misses", edge.cycle,
+                           ev(sim::Event::kL1dMisses));
+        obs::trace_counter("hid.profiler.window.branch_mispredicts",
+                           edge.cycle, ev(sim::Event::kBranchMispredicts));
+        obs::trace_counter("hid.profiler.window.spec_instructions",
+                           edge.cycle, ev(sim::Event::kSpecInstructions));
       }
-    }
-
-    if (reason != sim::StopReason::kCycleLimit) {
-      out.stop = reason;
-      break;
-    }
-    if (out.windows.size() >= config.max_windows) {
-      out.stop = sim::StopReason::kCycleLimit;
-      break;
     }
   }
 
-  out.output = kernel.output_string();
-  out.cycles = machine.cpu().cycle() - start_cycle;
-  out.instructions = machine.cpu().retired() - start_instr;
+  const ProfilerConfig* config;
+  ProfileResult out;
+  sim::PmuSnapshot prev;
+  int prev_execves;
+  bool was_injected;
+  Rng noise_rng;
+  std::uint64_t target;  ///< cycle at which the open window closes
+  bool done = false;     ///< stopped: its solo run would end here
+};
 
+}  // namespace
+
+void record_run_metrics(const ProfileResult& out) {
   if constexpr (obs::kEnabled) {
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("hid.profiler.runs").add(1);
@@ -171,6 +172,92 @@ ProfileResult profile_run(sim::Kernel& kernel, const std::string& path,
       hist.observe(static_cast<double>(
           w.true_delta[static_cast<std::size_t>(sim::Event::kCycles)]));
     }
+  }
+}
+
+ProfileResult profile_run(sim::Kernel& kernel, const std::string& path,
+                          const std::vector<std::vector<std::uint8_t>>& args,
+                          const ProfilerConfig& config) {
+  ProfileResult out =
+      std::move(profile_runs(kernel, path, args, {&config, 1}).front());
+  record_run_metrics(out);
+  return out;
+}
+
+std::vector<ProfileResult> profile_runs(
+    sim::Kernel& kernel, const std::string& path,
+    const std::vector<std::vector<std::uint8_t>>& args,
+    std::span<const ProfilerConfig> configs) {
+  CRS_ENSURE(!configs.empty(), "profile_runs needs at least one stream");
+  const std::uint64_t budget = configs.front().max_instructions;
+  for (const ProfilerConfig& c : configs) {
+    CRS_ENSURE(c.window_cycles > 0, "window_cycles must be positive");
+    CRS_ENSURE(c.max_instructions == budget,
+               "the streams of one run share its instruction budget");
+  }
+  kernel.start(path, args);
+
+  sim::Machine& machine = kernel.machine();
+  sim::Cpu& cpu = machine.cpu();
+  const auto edge_now = [&] {
+    return Edge{machine.pmu().snapshot(), cpu.cycle(), kernel.execve_count(),
+                kernel.in_injected_binary()};
+  };
+  const std::uint64_t start_cycle = cpu.cycle();
+  const std::uint64_t start_instr = cpu.retired();
+  std::vector<Stream> streams;
+  streams.reserve(configs.size());
+  const Edge start = edge_now();
+  for (const ProfilerConfig& c : configs) streams.emplace_back(c, start);
+  // Streams [0, live) still stand for their solo runs.
+  std::size_t live = streams.size();
+
+  for (;;) {
+    std::uint64_t target = streams.front().target;
+    for (std::size_t i = 1; i < live; ++i) {
+      target = std::min(target, streams[i].target);
+    }
+    const auto reason = kernel.run_until_cycle(
+        target, budget - (cpu.retired() - start_instr));
+    // Later streams stand for runs under other kernel seeds.
+    if (live > 1 && kernel.seed_dependent()) live = 1;
+
+    const Edge edge = edge_now();
+    const bool ended = reason != sim::StopReason::kCycleLimit;
+    for (std::size_t i = 0; i < live; ++i) {
+      Stream& s = streams[i];
+      if (!ended && s.target > edge.cycle) continue;
+      s.close_window(edge);
+      if (ended) {
+        s.out.stop = reason;
+        s.done = true;
+      } else if (s.out.windows.size() >= s.config->max_windows) {
+        s.out.stop = sim::StopReason::kCycleLimit;
+        s.done = true;
+      } else {
+        s.target = edge.cycle + s.config->window_cycles;
+      }
+    }
+    // The machine stops with stream 0. A later stream is served only if its
+    // solo run stops here too; one that stops while stream 0 runs on is not.
+    std::size_t same = 1;
+    while (same < live && streams[same].done == streams.front().done) ++same;
+    live = same;
+    if (streams.front().done) break;
+  }
+
+  std::vector<ProfileResult> out;
+  out.reserve(live);
+  const std::string output = kernel.output_string();
+  for (std::size_t i = 0; i < live; ++i) {
+    ProfileResult& r = streams[i].out;
+    r.output = output;
+    r.cycles = cpu.cycle() - start_cycle;
+    r.instructions = cpu.retired() - start_instr;
+    out.push_back(std::move(r));
+  }
+  if constexpr (obs::kEnabled) {
+    obs::MetricsRegistry::instance().counter("hid.profiler.executions").add(1);
   }
   return out;
 }

@@ -68,6 +68,7 @@ LoadInfo Kernel::map_image(const std::string& path, const Program& program) {
     }
     CRS_ENSURE(placed, "ASLR could not place image '" + program.name + "'");
     ++hstats_.images_randomized;
+    seed_drawn_ = true;
   } else {
     CRS_ENSURE(fits(0), "image '" + program.name + "' does not fit");
   }
@@ -109,10 +110,12 @@ LoadInfo Kernel::map_image(const std::string& path, const Program& program) {
     info.hi = std::max(info.hi, lo + bytes.size());
   }
 
-  // Publish a fresh stack canary if the image declares one.
+  // Publish a fresh stack canary if the image declares one, and watch the
+  // word: the run depends on the seed only if something reads it.
   const auto canary_sym = program.symbols.find("__canary");
   if (canary_sym != program.symbols.end()) {
     mem.write_u64(canary_sym->second + delta, rng_.next_u64());
+    mem.watch_word(canary_sym->second + delta);
     ++hstats_.canaries_planted;
   }
 
@@ -162,6 +165,7 @@ void Kernel::start_impl(const std::string& path,
     const std::uint64_t pages = config_.aslr_stack_range / Memory::kPageSize;
     next_stack_top_ -= rng_.next_below(pages) * Memory::kPageSize;
     ++hstats_.stacks_randomized;
+    seed_drawn_ = true;
   }
 
   // Carve the main stack from the top of memory (RW, not executable: DEP).
@@ -338,6 +342,7 @@ SyscallOutcome Kernel::handle_syscall(Cpu& cpu) {
         machine_.memory().write_u8(addr + i,
                                    static_cast<std::uint8_t>(rng_.next_u64()));
       }
+      seed_drawn_ = true;
       cpu.set_reg(0, len);
       return SyscallOutcome::kContinue;
     }

@@ -129,6 +129,9 @@ struct KernelConfig {
   /// exact RNG stream they always had.
   bool aslr_stack = false;
   std::uint64_t aslr_stack_range = 1 * 1024 * 1024;
+  /// True when loading draws the layout from the kernel seed (image or
+  /// stack ASLR), so every run under this config depends on its seed.
+  bool randomizes_layout() const { return aslr || aslr_stack; }
   /// Guarded heap: SYS_HEAP_ALLOC carves pattern-filled redzones around
   /// every chunk and SYS_HEAP_FREE verifies them, faulting the process on a
   /// torn redzone (heap-overflow catch). Off: plain bump/free-list heap.
@@ -241,7 +244,8 @@ class Kernel {
   /// zero, and stale ward locks are forgotten (the restore already
   /// reinstated the permissions they recorded). The binary registry and
   /// the load hook survive — registering and arming once per session is
-  /// what makes a session's later attempts cheap. Follow with start().
+  /// what makes a session's later attempts cheap. Also clears
+  /// seed_dependent() and the memory's canary watch. Follow with start().
   void reset_for_attempt(std::uint64_t seed);
 
   /// Byte stream written via SYS_WRITE since start().
@@ -273,6 +277,16 @@ class Kernel {
 
   /// Activity of the hardening layer since the last reset/attempt.
   const KernelHardenStats& harden_stats() const { return hstats_; }
+
+  /// True once the run since the last reset_for_attempt depended on the
+  /// kernel seed: it drew an ASLR placement (image or stack) or
+  /// SYS_GETRANDOM bytes, or it read a canary word the loader planted (any
+  /// read through a sim::Memory accessor, wrong-path loads and kernel-side
+  /// copies included). Planting alone does not count: a run that never
+  /// reads the word executes the same under every seed.
+  bool seed_dependent() const {
+    return seed_drawn_ || machine_.memory().watch_fired();
+  }
 
  private:
   struct SavedContext {
@@ -329,6 +343,7 @@ class Kernel {
   std::vector<HeapChunk> heap_chunks_;
 
   LoadHook load_hook_;
+  bool seed_drawn_ = false;  // see seed_dependent()
   KernelMitigationStats kstats_;
   KernelHardenStats hstats_;
   std::vector<WardLock> ward_locks_;

@@ -94,6 +94,23 @@ std::size_t Memory::restore_dirty(const MemoryImage& image,
   return restored;
 }
 
+void Memory::watch_word(std::uint64_t addr) {
+  if (watch_fired_) return;  // this run already counts as read
+  for (std::uint64_t& slot : watch_) {
+    if (slot == kNoWatch) {
+      slot = addr;
+      return;
+    }
+  }
+  watch_fired_ = true;  // no free slot: count the word as read
+  watch_ = {kNoWatch, kNoWatch};
+}
+
+void Memory::clear_watch() {
+  watch_ = {kNoWatch, kNoWatch};
+  watch_fired_ = false;
+}
+
 void Memory::set_permissions(std::uint64_t addr, std::uint64_t len,
                              Perm perm) {
   CRS_ENSURE(addr <= size() && len <= size() - addr,
@@ -140,11 +157,13 @@ bool Memory::check(std::uint64_t addr, std::uint64_t len,
 
 std::uint8_t Memory::read_u8(std::uint64_t addr) const {
   CRS_ENSURE(addr < size(), "read_u8 out of range");
+  note_read(addr, 1);
   return read_frames_[addr / kPageSize][addr % kPageSize];
 }
 
 std::uint64_t Memory::read_u64(std::uint64_t addr) const {
   CRS_ENSURE(addr <= size() - 8 && addr + 8 <= size(), "read_u64 out of range");
+  note_read(addr, 8);
   const std::uint64_t off = addr % kPageSize;
   std::uint64_t v = 0;
   if (off + 8 <= kPageSize) {
@@ -208,6 +227,7 @@ std::span<const std::uint8_t> Memory::read_span(std::uint64_t addr,
                                                 std::uint64_t len) const {
   CRS_ENSURE(addr <= size() && len <= size() - addr, "read_span out of range");
   if (len == 0) return {};
+  note_read(addr, len);
   const std::uint64_t first = addr / kPageSize;
   const std::uint64_t last = (addr + len - 1) / kPageSize;
   const std::uint8_t* base = read_frames_[first] + addr % kPageSize;
@@ -241,6 +261,7 @@ std::span<const std::uint8_t> Memory::read_span(std::uint64_t addr,
 std::vector<std::uint8_t> Memory::read_bytes(std::uint64_t addr,
                                              std::uint64_t len) const {
   CRS_ENSURE(addr <= size() && len <= size() - addr, "read_bytes out of range");
+  if (len != 0) note_read(addr, len);
   std::vector<std::uint8_t> out(len);
   std::uint64_t cursor = addr;
   std::size_t copied = 0;

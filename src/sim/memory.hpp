@@ -140,7 +140,33 @@ class Memory {
   std::size_t restore_dirty(const MemoryImage& image,
                             std::vector<std::uint32_t>& versions);
 
+  /// Read watch behind Kernel::seed_dependent: arms the 8-byte word at
+  /// `addr`. Any later read that overlaps an armed word through read_u8,
+  /// read_u64, read_bytes or read_span fires the watch; writes never do.
+  /// Two words can be armed at once (the loader plants one canary per
+  /// image, and a scenario run maps at most two images); arming a third
+  /// fires the watch at once, which can only cost a caller a solo run,
+  /// never a wrong result.
+  void watch_word(std::uint64_t addr);
+  /// Disarms every word and clears watch_fired().
+  void clear_watch();
+  bool watch_fired() const { return watch_fired_; }
+
  private:
+  /// An unarmed watch slot: `last - slot` wraps past every read's window.
+  static constexpr std::uint64_t kNoWatch = 1ull << 63;
+
+  /// One subtract-and-compare per armed slot. A read [addr, addr+len)
+  /// overlaps the word [w, w+8) iff its last byte lies in [w, w+len+7).
+  void note_read(std::uint64_t addr, std::uint64_t len) const {
+    const std::uint64_t last = addr + len - 1;
+    if (last - watch_[0] < len + 7 || last - watch_[1] < len + 7)
+        [[unlikely]] {
+      watch_fired_ = true;
+      watch_ = {kNoWatch, kNoWatch};  // fired for this run: stop checking
+    }
+  }
+
   void bump_versions(std::uint64_t addr, std::uint64_t len) {
     if (len == 0) return;  // addr + len - 1 would underflow at addr == 0
     const std::uint64_t first = addr / kPageSize;
@@ -175,6 +201,9 @@ class Memory {
   std::vector<std::uint32_t> versions_;  // one content version per page
   // Scratch for read_span calls that cross non-adjacent frames.
   mutable std::vector<std::uint8_t> span_scratch_;
+  // Armed words of the read watch; reads are const, so firing is too.
+  mutable std::array<std::uint64_t, 2> watch_{kNoWatch, kNoWatch};
+  mutable bool watch_fired_ = false;
 };
 
 /// Immutable frozen copy of one Memory's full state, shared (refcounted)

@@ -127,6 +127,8 @@ void Kernel::reset_for_attempt(std::uint64_t seed) {
   // per-run — output, exit code, load tables, stack carving — is reset by
   // start().
   rng_ = Rng(seed);
+  seed_drawn_ = false;
+  machine_.memory().clear_watch();
   kstats_ = {};
   hstats_ = {};
   heap_bump_ = config_.heap_base;

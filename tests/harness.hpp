@@ -91,4 +91,14 @@ class SimHarness {
   std::map<std::string, sim::Program> programs_;
 };
 
+/// Runs `fn` with the process-wide default execution engine set to
+/// `engine`, restoring the previous default afterwards.
+template <typename Fn>
+void with_engine(sim::ExecEngine engine, Fn fn) {
+  const sim::ExecEngine before = sim::default_exec_engine();
+  sim::set_default_exec_engine(engine);
+  fn();
+  sim::set_default_exec_engine(before);
+}
+
 }  // namespace crs::test

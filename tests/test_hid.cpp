@@ -159,6 +159,200 @@ TEST(Profiler, GroundTruthFlagsInjectedWindows) {
   EXPECT_FALSE(r.windows.back().injected);
 }
 
+/// Everything profile_run reports, serialised for exact comparison.
+std::string profile_fingerprint(const ProfileResult& r) {
+  std::ostringstream os;
+  os << "stop:" << static_cast<int>(r.stop) << " cycles:" << r.cycles
+     << " instructions:" << r.instructions << " output:" << r.output << '\n';
+  for (const auto& w : r.windows) {
+    os << w.injected;
+    for (std::size_t e = 0; e < sim::kEventCount; ++e) {
+      os << ' ' << w.delta[e] << '/' << w.true_delta[e];
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(Profiler, InstructionBudgetBoundsTheRunNotEachWindow) {
+  workloads::WorkloadOptions opt;
+  opt.scale = 2000;
+  const sim::Program host = workloads::build_workload("basicmath", opt);
+  for (const auto engine :
+       {sim::ExecEngine::kInterp, sim::ExecEngine::kBlocks}) {
+    test::with_engine(engine, [&] {
+      sim::Machine machine;
+      sim::Kernel kernel(machine);
+      kernel.register_binary("/bin/w", host);
+      ProfilerConfig cfg;
+      cfg.window_cycles = 1000;
+      cfg.max_instructions = 50'000;
+      const auto r =
+          profile_run_strings(kernel, "/bin/w", {"basicmath", "input"}, cfg);
+      EXPECT_EQ(r.stop, StopReason::kInstructionLimit)
+          << sim::exec_engine_name(engine);
+      EXPECT_EQ(r.instructions, 50'000u) << sim::exec_engine_name(engine);
+      EXPECT_EQ(machine.cpu().retired(), 50'000u);
+    });
+  }
+}
+
+/// The execve host of GroundTruthFlagsInjectedWindows, with a child that
+/// writes output, so stream windows straddle injected edges.
+void add_execve_pair(test::SimHarness& h) {
+  h.add_program(
+      "_start:\n"
+      "  movi r13, 30000\n"
+      "w1: addi r4, r4, 1\n"
+      "  addi r13, r13, -1\n"
+      "  bnez r13, w1\n"
+      "  movi r0, 2\n"
+      "  movi r1, path\n"
+      "  syscall\n"
+      "  movi r13, 30000\n"
+      "w2: addi r4, r4, 1\n"
+      "  addi r13, r13, -1\n"
+      "  bnez r13, w2\n"
+      "  movi r1, 0\n"
+      "  call exit_\n"
+      ".data\npath: .asciz \"/bin/child\"\n",
+      "/bin/host");
+  h.add_program(
+      "_start:\n"
+      "  movi r13, 20000\n"
+      "c1: addi r4, r4, 1\n"
+      "  addi r13, r13, -1\n"
+      "  bnez r13, c1\n"
+      "  movi r1, msg\n"
+      "  movi r2, 2\n"
+      "  call print\n"
+      "  movi r1, 0\n"
+      "  call exit_\n"
+      ".data\nmsg: .asciz \"ok\"\n",
+      "/bin/child", 0x200000);
+}
+
+std::string solo_fingerprint(const ProfilerConfig& cfg) {
+  test::SimHarness h;
+  add_execve_pair(h);
+  return profile_fingerprint(
+      profile_run_strings(h.kernel(), "/bin/host", {}, cfg));
+}
+
+std::vector<ProfilerConfig> three_streams() {
+  std::vector<ProfilerConfig> configs(3);
+  configs[0].window_cycles = 10'000;
+  configs[1].window_cycles = 7'001;
+  configs[1].noise_seed = 2;
+  configs[2].window_cycles = 12'345;
+  configs[2].noise_seed = 3;
+  return configs;
+}
+
+TEST(Profiler, StreamsOfOneRunEqualTheirSoloRuns) {
+  for (const auto engine :
+       {sim::ExecEngine::kInterp, sim::ExecEngine::kBlocks}) {
+    test::with_engine(engine, [&] {
+      const std::vector<ProfilerConfig> configs = three_streams();
+      test::SimHarness h;
+      add_execve_pair(h);
+      const std::vector<ProfileResult> runs =
+          profile_runs(h.kernel(), "/bin/host", {}, configs);
+      ASSERT_EQ(runs.size(), configs.size());
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(profile_fingerprint(runs[i]), solo_fingerprint(configs[i]))
+            << "stream " << i << ' ' << sim::exec_engine_name(engine);
+      }
+      EXPECT_GT(runs[0].injected_window_count(), 0u);
+    });
+  }
+}
+
+TEST(Profiler, SharedRunLeavesPerRunMetricsToTheCaller) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto counted = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  reg.reset_values();
+  test::SimHarness h;
+  add_execve_pair(h);
+  const std::vector<ProfileResult> runs =
+      profile_runs(h.kernel(), "/bin/host", {}, three_streams());
+  ASSERT_EQ(runs.size(), 3u);
+  // One execution and no runs: a result counts once its caller uses it.
+  EXPECT_EQ(counted("hid.profiler.executions"), 1u);
+  EXPECT_EQ(counted("hid.profiler.runs"), 0u);
+  EXPECT_EQ(counted("hid.profiler.windows"), 0u);
+  record_run_metrics(runs[1]);
+  EXPECT_EQ(counted("hid.profiler.runs"), 1u);
+  EXPECT_EQ(counted("hid.profiler.windows"), runs[1].windows.size());
+  EXPECT_EQ(counted("hid.profiler.injected_windows"),
+            runs[1].injected_window_count());
+
+  // profile_run records its own result.
+  reg.reset_values();
+  test::SimHarness g;
+  add_execve_pair(g);
+  const ProfileResult solo =
+      profile_run_strings(g.kernel(), "/bin/host", {}, three_streams()[1]);
+  EXPECT_EQ(counted("hid.profiler.executions"), 1u);
+  EXPECT_EQ(counted("hid.profiler.runs"), 1u);
+  EXPECT_EQ(counted("hid.profiler.windows"), solo.windows.size());
+}
+
+TEST(Profiler, StreamThatStopsElsewhereThanStreamZeroIsNotServed) {
+  std::vector<ProfilerConfig> configs = three_streams();
+  configs[1].max_windows = 3;  // its solo run stops the machine early
+  test::SimHarness h;
+  add_execve_pair(h);
+  std::vector<ProfileResult> runs =
+      profile_runs(h.kernel(), "/bin/host", {}, configs);
+  ASSERT_EQ(runs.size(), 1u);  // a prefix: stream 2 goes with stream 1
+  EXPECT_EQ(profile_fingerprint(runs[0]), solo_fingerprint(configs[0]));
+
+  // Stream 0 stopping early ends the run; a stream that stops with it is
+  // served, one that would run on is not.
+  std::vector<ProfilerConfig> early(3);
+  early[0].window_cycles = 10'000;
+  early[0].max_windows = 3;
+  early[1] = early[0];
+  early[1].noise_seed = 9;
+  early[2].window_cycles = 10'000;
+  test::SimHarness g;
+  add_execve_pair(g);
+  runs = profile_runs(g.kernel(), "/bin/host", {}, early);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].windows.size(), 3u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(profile_fingerprint(runs[i]), solo_fingerprint(early[i]))
+        << "stream " << i;
+  }
+}
+
+TEST(Profiler, SeedDependentRunServesStreamZeroOnly) {
+  test::SimHarness h;
+  h.add_program(
+      "_start:\n"
+      "  movi r13, 20000\n"
+      "l: addi r13, r13, -1\n"
+      "  bnez r13, l\n"
+      "  movi r1, buf\n"
+      "  movi r2, 8\n"
+      "  call getrandom\n"
+      "  movi r1, buf\n"
+      "  movi r2, 8\n"
+      "  call print\n"
+      "  movi r1, 0\n"
+      "  call exit_\n"
+      ".data\nbuf: .space 8\n",
+      "/bin/t");
+  const std::vector<ProfileResult> runs =
+      profile_runs(h.kernel(), "/bin/t", {}, three_streams());
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].output.size(), 8u);
+}
+
 TEST(Features, UniverseCoversEventsAndAggregates) {
   EXPECT_EQ(feature_universe_size(), sim::kEventCount + 2);
   EXPECT_EQ(feature_name(0), "cycles");

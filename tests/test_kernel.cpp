@@ -369,6 +369,70 @@ TEST(Kernel, CanaryIsRandomPerProcess) {
   EXPECT_NE(c1, c2);
 }
 
+// The seed-dependence rule behind ScenarioSession::run_attempts: a run
+// depends on its kernel seed after an ASLR draw, a SYS_GETRANDOM, or a read
+// of a canary word the loader planted. Planting alone does not count.
+TEST(Kernel, PlantedCanaryCountsOnlyWhenRead) {
+  SimHarness h;
+  h.add_program("_start:\n  movi r1, 3\n  call exit_\n", "/bin/t");
+  h.kernel().reset_for_attempt(5);
+  EXPECT_EQ(h.run_program("/bin/t"), StopReason::kHalted);
+  EXPECT_EQ(h.kernel().harden_stats().canaries_planted, 1u);
+  EXPECT_FALSE(h.kernel().seed_dependent());
+
+  SimHarness r;
+  r.add_program(
+      "_start:\n"
+      "  movi r1, __canary\n"
+      "  load r4, [r1]\n"
+      "  movi r1, 0\n"
+      "  call exit_\n",
+      "/bin/t");
+  r.kernel().reset_for_attempt(5);
+  EXPECT_EQ(r.run_program("/bin/t"), StopReason::kHalted);
+  EXPECT_TRUE(r.kernel().seed_dependent());
+  r.kernel().reset_for_attempt(6);  // clears the flag and the watch
+  EXPECT_FALSE(r.kernel().seed_dependent());
+}
+
+TEST(Kernel, KernelSideCopyOfTheCanaryCounts) {
+  SimHarness h;
+  h.add_program(
+      "_start:\n"
+      "  movi r1, __canary\n"
+      "  movi r2, 8\n"
+      "  call print\n"
+      "  movi r1, 0\n"
+      "  call exit_\n",
+      "/bin/t");
+  EXPECT_EQ(h.run_program("/bin/t"), StopReason::kHalted);
+  EXPECT_EQ(h.kernel().output().size(), 8u);
+  EXPECT_TRUE(h.kernel().seed_dependent());
+}
+
+TEST(Kernel, GetRandomAndAslrDrawsCount) {
+  SimHarness g;
+  g.add_program(
+      "_start:\n"
+      "  movi r1, buf\n"
+      "  movi r2, 4\n"
+      "  call getrandom\n"
+      "  movi r1, 0\n"
+      "  call exit_\n"
+      ".data\n"
+      "buf: .space 8\n",
+      "/bin/t");
+  EXPECT_EQ(g.run_program("/bin/t"), StopReason::kHalted);
+  EXPECT_TRUE(g.kernel().seed_dependent());
+
+  sim::KernelConfig kcfg;
+  kcfg.aslr_stack = true;
+  SimHarness a(kcfg);
+  a.add_program("_start:\n  movi r1, 0\n  call exit_\n", "/bin/t");
+  EXPECT_EQ(a.run_program("/bin/t"), StopReason::kHalted);
+  EXPECT_TRUE(a.kernel().seed_dependent());
+}
+
 TEST(Kernel, StackIsNotExecutable) {
   SimHarness h;
   h.add_program(

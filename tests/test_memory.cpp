@@ -214,6 +214,56 @@ TEST(MemoryCow, ResidentBytesTracksPromotionsOnly) {
   EXPECT_EQ(fork.resident_bytes(), 2 * Memory::kPageSize);
 }
 
+TEST(MemoryWatch, OnlyReadsOverlappingAnArmedWordFire) {
+  Memory m(2 * Memory::kPageSize);
+  m.watch_word(100);
+  m.write_u64(100, 7);  // writes never fire
+  m.write_u8(103, 1);
+  (void)m.read_u64(92);   // ends at 99: adjacent below
+  (void)m.read_u8(108);   // adjacent above
+  (void)m.read_bytes(0, 100);
+  (void)m.read_span(108, 8);
+  EXPECT_FALSE(m.watch_fired());
+
+  (void)m.read_u8(107);  // last byte of the word
+  EXPECT_TRUE(m.watch_fired());
+  m.clear_watch();
+  EXPECT_FALSE(m.watch_fired());
+  (void)m.read_u8(107);  // cleared: the word is no longer armed
+  EXPECT_FALSE(m.watch_fired());
+
+  // Every accessor fires on an overlap, including zero-copy spans and a
+  // word read that straddles the armed word's first byte.
+  const auto fires = [&](const auto& read) {
+    m.clear_watch();
+    m.watch_word(200);
+    read();
+    return m.watch_fired();
+  };
+  EXPECT_TRUE(fires([&] { (void)m.read_u64(193); }));
+  EXPECT_TRUE(fires([&] { (void)m.read_u8(200); }));
+  EXPECT_TRUE(fires([&] { (void)m.read_bytes(150, 51); }));
+  EXPECT_TRUE(fires([&] { (void)m.read_span(207, 1); }));
+  EXPECT_FALSE(fires([&] { (void)m.read_bytes(150, 50); }));
+  EXPECT_FALSE(fires([&] { (void)m.read_span(208, 8); }));
+}
+
+TEST(MemoryWatch, TwoWordsAreTrackedAndAThirdCountsAsRead) {
+  Memory m(Memory::kPageSize);
+  m.watch_word(64);
+  m.watch_word(512);
+  (void)m.read_u64(128);
+  EXPECT_FALSE(m.watch_fired());
+  (void)m.read_u64(512);
+  EXPECT_TRUE(m.watch_fired());
+
+  m.clear_watch();
+  m.watch_word(64);
+  m.watch_word(512);
+  m.watch_word(1024);  // no free slot
+  EXPECT_TRUE(m.watch_fired());
+}
+
 TEST(Memory, DepIsExpressible) {
   // Write+execute never co-exist in the loader's use of this API; verify
   // the primitive supports the W^X split it relies on.

@@ -306,6 +306,56 @@ TEST(ServeJobSpec, MatrixAttemptsAndRepeatsBoundedAtParse) {
   EXPECT_EQ(core::serialize_job(back), text);
 }
 
+TEST(ServeJobSpec, AttemptsBoundedAtParse) {
+  // Every attempt of a scenario or campaign job leaves a payload row or a
+  // record until the job ends, so a huge count is refused before it
+  // reaches a shard.
+  for (const std::string head :
+       {"crs-job v1\nkind=scenario\nattempts=",
+        "crs-job v1\nkind=campaign\ncamp.attempts="}) {
+    for (const std::string& bad :
+         {std::to_string(core::kMaxJobAttempts + 1),
+          std::string("2147483647")}) {
+      try {
+        core::parse_job(head + bad + "\n");
+        ADD_FAILURE() << head << bad << " accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(
+        core::parse_job(head + std::to_string(core::kMaxJobAttempts) + "\n"));
+  }
+  // Counts below 1 keep their meaning: a scenario job runs one attempt.
+  EXPECT_EQ(core::parse_job("crs-job v1\nkind=scenario\nattempts=0\n")
+                .scenario.attempts,
+            0);
+  const core::JobSpec spec = scenario_spec(1, core::kMaxJobAttempts);
+  EXPECT_EQ(core::parse_job(core::serialize_job(spec)).scenario.attempts,
+            core::kMaxJobAttempts);
+}
+
+TEST(ServeJobSpec, LargestScenarioJobCancelsAfterItsFirstSharedRun) {
+  // The job lists one shared run's worth of seeds at a time, so the
+  // largest job it accepts starts at once, reports progress after its
+  // first run and stops there when cancelled.
+  const core::JobSpec spec = scenario_spec(1, core::kMaxJobAttempts);
+  int reports = 0;
+  core::JobProgress first;
+  const core::JobOutcome out =
+      core::run_job(spec, [&](const core::JobProgress& p) {
+        if (reports++ == 0) first = p;
+        return false;
+      });
+  EXPECT_TRUE(out.cancelled);
+  EXPECT_TRUE(out.payload.empty());
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(first.total, static_cast<std::uint64_t>(core::kMaxJobAttempts));
+  EXPECT_GE(first.done, 1u);
+  EXPECT_LE(first.done, core::ScenarioSession::kMaxSharedAttempts);
+}
+
 TEST(ServeJobSpec, IntFieldsRejectValuesOutsideIntRange) {
   // Narrowing 4294967298 to 2 would run a different job from the one sent.
   for (const std::string line :
@@ -579,13 +629,14 @@ TEST(ServeServer, CancelMidFlight) {
   server.start();
   Client client = Client::connect_tcp(server.port());
 
-  // Enough attempts that the job is still running when the cancel lands;
-  // the progress stream tells us it started.
-  client.submit(scenario_spec(1, 200));
+  // Enough attempts that the job is still running when the cancel lands
+  // (one shared execution serves up to 16 of them); the progress stream
+  // tells us it started.
+  client.submit(scenario_spec(1, 2000));
   EXPECT_EQ(client.next_event().type, FrameType::kAccepted);
   Client::Event ev = client.next_event();
   EXPECT_EQ(ev.type, FrameType::kProgress);
-  EXPECT_EQ(ev.progress.total, 200u);
+  EXPECT_EQ(ev.progress.total, 2000u);
   client.cancel(1);
   do {
     ev = client.next_event();
