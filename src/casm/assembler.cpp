@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "isa/isa.hpp"
+#include "sim/kernel.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -220,6 +221,7 @@ class AssemblerImpl {
       if (parts.size() > 1 && !parse_int(parts[1], fill))
         fail(line_no, ".space fill must be numeric");
       if (parts.size() > 2) fail(line_no, ".space takes at most two arguments");
+      check_growth(static_cast<std::uint64_t>(n), line_no);
       Statement st;
       st.kind = Statement::Kind::kRaw;
       st.line_no = line_no;
@@ -240,6 +242,7 @@ class AssemblerImpl {
           (static_cast<std::uint64_t>(a) - cur % static_cast<std::uint64_t>(a)) %
           static_cast<std::uint64_t>(a);
       if (pad > 0) {
+        check_growth(pad, line_no);
         Statement st;
         st.kind = Statement::Kind::kRaw;
         st.line_no = line_no;
@@ -269,6 +272,19 @@ class AssemblerImpl {
     if (st.section != kText)
       fail(line_no, "instructions are only allowed in .text");
     emit(st);
+  }
+
+  /// Refuses `bytes` more in the current section when the section would
+  /// outgrow what a default machine can load (sim::MachineConfig::
+  /// memory_size). `.space` and `.align` call it before allocating their
+  /// bytes, so a hostile size costs an error, not the process's memory.
+  void check_growth(std::uint64_t bytes, int line_no) const {
+    static const std::uint64_t limit = sim::MachineConfig{}.memory_size;
+    const std::uint64_t size = section_size_[section_];
+    if (size > limit || bytes > limit - size) {
+      fail(line_no, "section would exceed " + std::to_string(limit) +
+                        " bytes, the memory of a default machine");
+    }
   }
 
   void emit(Statement st) {

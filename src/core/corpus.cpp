@@ -34,7 +34,11 @@ std::vector<std::vector<double>> run_benign_spec(const BenignSpec& spec) {
   const auto profile =
       hid::profile_run_strings(kernel, "/bin/app", {spec.app, spec.arg},
                                spec.prof);
-  CRS_ENSURE(profile.stop == sim::StopReason::kHalted,
+  // A stop at max_windows is a prefix stop: the run's first max_windows
+  // windows are the uncapped run's, noise draws included.
+  const bool capped = profile.stop == sim::StopReason::kCycleLimit &&
+                      profile.windows.size() == spec.prof.max_windows;
+  CRS_ENSURE(profile.stop == sim::StopReason::kHalted || capped,
              "benign run of '" + spec.app + "' did not halt");
   std::vector<std::vector<double>> rows;
   rows.reserve(profile.windows.size());
@@ -108,6 +112,12 @@ ml::Dataset build_benign_corpus(const CorpusConfig& config) {
       spec.prof.noise_seed = rng.next_u64();
       spec.kernel_seed = rng.next_u64();
       spec.arg = "benign-" + std::to_string(rng.next_below(1000));
+      // No run of this batch contributes more windows than the corpus
+      // still lacks, so profiling past that is waste. The cap draws
+      // nothing from the RNG.
+      spec.prof.max_windows =
+          std::min(config.profiler.max_windows,
+                   config.windows_per_class - out.size());
       batch.push_back(std::move(spec));
     }
     const auto runs = parallel_map<std::vector<std::vector<double>>>(

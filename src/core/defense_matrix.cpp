@@ -42,6 +42,31 @@ std::vector<DefenseColumn> preset_columns(
   return columns;
 }
 
+/// What a cell's fold reads of one attempt.
+struct AttemptTally {
+  bool leaked = false;
+  bool launched = false;
+  bool base_leak = false;
+  double detection = 0.0;  ///< 0 in a grid that scores no detector
+  DefenseSummary summary;
+};
+
+/// One item of a grid's fan-out: `attempts` attempts of cell `index` from
+/// attempt `first` on, or, when `attempts` is 0, one cost-column probe run
+/// of column `index`.
+struct GridItem {
+  std::size_t index = 0;
+  int first = 0;
+  int attempts = 0;
+  OverheadProbe probe;
+};
+
+/// A cell item's tallies in attempt order, or a probe item's IPC.
+struct ItemResult {
+  std::vector<AttemptTally> tallies;
+  double ipc = 0.0;
+};
+
 /// The one grid driver: `rows` × `columns`, each cell's attempts scored by
 /// `detector` when one is given.
 DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
@@ -56,12 +81,12 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
   CRS_ENSURE(attempts > 0, "defense grid needs at least one attempt");
   const std::size_t n_cells = rows.size() * columns.size();
 
-  // Every cell owns one session. The session seed is derived per ATTACK —
-  // not per cell — so every column of a row shares the same host-scale
-  // jitter. Columns can still change the binaries (the canary presets
-  // change the host scaffold, the ASLR presets add a probe build), so the
-  // memos are warmed per cell, on the main thread: builds, and any trace
-  // events they emit, stay off the workers.
+  // A cell's sessions share one config. The session seed is derived per
+  // ATTACK — not per cell — so every column of a row shares the same
+  // host-scale jitter. Columns can still change the binaries (the canary
+  // presets change the host scaffold, the ASLR presets add a probe build),
+  // so the memos are warmed per cell, on the main thread: builds, and any
+  // trace events they emit, stay off the workers.
   const auto cell_config = [&](std::size_t cell) {
     const std::size_t attack_i = cell / columns.size();
     const DefenseColumn& column = columns[cell % columns.size()];
@@ -71,28 +96,62 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
     scenario.seed = derive_seed(config.seed ^ 0xCE11, attack_i);
     return scenario;
   };
+
+  // One fan-out runs the whole grid, cells first, then the cost column. A
+  // cell whose session shares runs is one item: its attempts cost about
+  // one execution. A cell whose every run reads its seed (layout
+  // randomisation, the leak stage) gains nothing from one session, so it
+  // becomes one item per attempt and its attempts spread over the pool.
+  std::vector<GridItem> items;
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    warm_scenario_memo(cell_config(cell));
+    if (warm_scenario_memo(cell_config(cell))) {
+      items.push_back(
+          {.index = cell, .first = 0, .attempts = attempts, .probe = {}});
+    } else {
+      for (int a = 0; a < attempts; ++a) {
+        items.push_back(
+            {.index = cell, .first = a, .attempts = 1, .probe = {}});
+      }
+    }
+  }
+  const std::size_t n_cell_items = items.size();
+
+  // Cost column: what each column's defenses do to a clean, non-attacked
+  // host, one item per probe run of defense_overhead_pct.
+  std::vector<OverheadConfig> costs(columns.size());
+  std::vector<std::vector<OverheadProbe>> probes(columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    costs[i].repeats = config.effective_overhead_repeats();
+    costs[i].secret = config.secret;
+    costs[i].seed = derive_seed(config.seed ^ 0x0E4, i);
+    probes[i] = overhead_probes(costs[i]);
+    for (const OverheadProbe& probe : probes[i]) {
+      items.push_back({.index = i, .probe = probe});
+    }
   }
 
+  // Every attempt derives its seed from its flat (attack × column ×
+  // attempt) index alone, each item runs on a session of its own (never
+  // thread_session: the calling thread may be a serve shard, whose cached
+  // sessions are its warm set), and results are folded by item index, so
+  // the grid is identical for any thread count and any split of a cell.
   ThreadPool pool;
-  // Fan out over cells; each cell runs its attempts against its own session
-  // (pool items scatter across threads, so per-attempt fan-out would build
-  // a session per attempt instead of rolling one back), one shared
-  // execution per run_attempts call, and folds them in attempt order. Every
-  // attempt derives its seed from its flat (attack × column × attempt)
-  // item index alone, and cells are collected by index, so the grid is
-  // identical for any thread count.
-  result.cells = parallel_map<MatrixCell>(
-      pool, n_cells, [&](std::size_t cell) {
-        MatrixCell c;
-        c.attack = result.attacks[cell / columns.size()];
-        c.preset = result.presets[cell % columns.size()];
-        ScenarioSession session(cell_config(cell));
+  const std::vector<ItemResult> results = parallel_map<ItemResult>(
+      pool, items.size(), [&](std::size_t i) {
+        const GridItem& item = items[i];
+        ItemResult out;
+        if (item.attempts == 0) {
+          const DefenseColumn& column = columns[item.index];
+          out.ipc = run_overhead_probe("basicmath", config.host_scale,
+                                       column.mitigation, column.harden,
+                                       costs[item.index], item.probe);
+          return out;
+        }
+        ScenarioSession session(cell_config(item.index));
         std::vector<std::uint64_t> seeds;
-        for (int a = 0; a < attempts; ++a) {
+        for (int a = item.first; a < item.first + item.attempts; ++a) {
           seeds.push_back(derive_seed(
-              config.seed, cell * static_cast<std::size_t>(attempts) +
+              config.seed, item.index * static_cast<std::size_t>(attempts) +
                                static_cast<std::size_t>(a)));
         }
         // Each call serves a non-empty prefix of the seeds not yet served.
@@ -102,40 +161,52 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
           next += runs.size();
           for (const ScenarioRun& run : runs) {
             hid::record_run_metrics(run.profile);
-            ++c.attempts;
-            if (run.secret_recovered) ++c.leaks;
-            if (run.attack_launched) ++c.launches;
-            if (run.leak_stage_ran && run.leak.found_base) ++c.base_leaks;
-            if (detector) {
-              c.hid_detection += detector->detection_rate(run.attack_windows);
-            }
-            mitigate::accumulate(c.summary.mitigation, run.mitigation);
-            harden::accumulate(c.summary.harden, run.harden);
-            c.mitigation_events += run.mitigation.total_events();
-            c.harden_events += run.harden.total_events();
+            out.tallies.push_back(
+                {.leaked = run.secret_recovered,
+                 .launched = run.attack_launched,
+                 .base_leak = run.leak_stage_ran && run.leak.found_base,
+                 .detection = detector ? detector->detection_rate(
+                                             run.attack_windows)
+                                       : 0.0,
+                 .summary = {run.mitigation, run.harden}});
           }
         }
-        c.leak_rate = static_cast<double>(c.leaks) / c.attempts;
-        c.hid_detection /= c.attempts;
-        return c;
+        return out;
       });
 
-  // Cost column: what each column's defenses do to a clean, non-attacked
-  // host.
-  OverheadConfig ocfg;
-  ocfg.repeats = config.effective_overhead_repeats();
-  ocfg.secret = config.secret;
-  result.ipc_overhead_pct = parallel_map<double>(
-      pool, columns.size(), [&](std::size_t i) {
-        // Per-worker copy: writing the shared ocfg's seed from every worker
-        // would race, and could hand column i another column's seed.
-        OverheadConfig local = ocfg;
-        local.seed = derive_seed(config.seed ^ 0x0E4, i);
-        return defense_overhead_pct("basicmath", config.host_scale,
-                                    columns[i].mitigation, columns[i].harden,
-                                    local);
-      });
+  // Fold cells in cell order and each cell's attempts in attempt order.
+  result.cells.resize(n_cells);
+  for (std::size_t cell = 0; cell < n_cells; ++cell) {
+    result.cells[cell].attack = result.attacks[cell / columns.size()];
+    result.cells[cell].preset = result.presets[cell % columns.size()];
+  }
+  for (std::size_t i = 0; i < n_cell_items; ++i) {
+    MatrixCell& c = result.cells[items[i].index];
+    for (const AttemptTally& t : results[i].tallies) {
+      ++c.attempts;
+      if (t.leaked) ++c.leaks;
+      if (t.launched) ++c.launches;
+      if (t.base_leak) ++c.base_leaks;
+      c.hid_detection += t.detection;
+      mitigate::accumulate(c.summary.mitigation, t.summary.mitigation);
+      harden::accumulate(c.summary.harden, t.summary.harden);
+      c.mitigation_events += t.summary.mitigation.total_events();
+      c.harden_events += t.summary.harden.total_events();
+    }
+  }
+  for (MatrixCell& c : result.cells) {
+    c.leak_rate = static_cast<double>(c.leaks) / c.attempts;
+    c.hid_detection /= c.attempts;
+  }
 
+  // Fold each column's probes in probe order, as defense_overhead_pct does.
+  std::vector<std::vector<double>> ipc(columns.size());
+  for (std::size_t i = n_cell_items; i < items.size(); ++i) {
+    ipc[items[i].index].push_back(results[i].ipc);
+  }
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    result.ipc_overhead_pct.push_back(overhead_pct(probes[i], ipc[i]));
+  }
   return result;
 }
 

@@ -23,9 +23,10 @@
 // is zero. The CSVs below are projections of the one result type.
 //
 // Determinism: session seeds derive per attack row, every attempt derives
-// its seed from (base seed, flat attack × column × attempt index) and cells
-// are collected by index, so a grid is byte-identical for any CRS_THREADS
-// value and either exec engine.
+// its seed from (base seed, flat attack × column × attempt index), and the
+// one fan-out's results fold by index (each cell's attempts in attempt
+// order, each column's cost probes in repeat order), so a grid is
+// byte-identical for any CRS_THREADS value and either exec engine.
 #pragma once
 
 #include <cstdint>

@@ -142,15 +142,47 @@ double defense_overhead_pct(const std::string& host, std::uint64_t scale,
                             const mitigate::MitigationConfig& mitigations,
                             const harden::HardenConfig& harden,
                             const OverheadConfig& config) {
+  const std::vector<OverheadProbe> probes = overhead_probes(config);
+  std::vector<double> ipc;
+  ipc.reserve(probes.size());
+  for (const OverheadProbe& probe : probes) {
+    ipc.push_back(
+        run_overhead_probe(host, scale, mitigations, harden, config, probe));
+  }
+  return overhead_pct(probes, ipc);
+}
+
+std::vector<OverheadProbe> overhead_probes(const OverheadConfig& config) {
   CRS_ENSURE(config.repeats > 0, "repeats must be positive");
   Rng rng(config.seed);
-  OnlineStats baseline, defended;
+  std::vector<OverheadProbe> probes;
   for (int r = 0; r < config.repeats; ++r) {
     const std::uint64_t seed = rng.next_u64();
-    baseline.add(
-        benign_ipc(host, scale, config.secret, config.profiler, seed));
-    defended.add(benign_ipc(host, scale, config.secret, config.profiler,
-                            seed, mitigations, harden));
+    probes.push_back({seed, false});
+    probes.push_back({seed, true});
+  }
+  return probes;
+}
+
+double run_overhead_probe(const std::string& host, std::uint64_t scale,
+                          const mitigate::MitigationConfig& mitigations,
+                          const harden::HardenConfig& harden,
+                          const OverheadConfig& config,
+                          const OverheadProbe& probe) {
+  if (!probe.defended) {
+    return benign_ipc(host, scale, config.secret, config.profiler,
+                      probe.seed);
+  }
+  return benign_ipc(host, scale, config.secret, config.profiler, probe.seed,
+                    mitigations, harden);
+}
+
+double overhead_pct(std::span<const OverheadProbe> probes,
+                    std::span<const double> ipc) {
+  CRS_ENSURE(probes.size() == ipc.size(), "one IPC per probe");
+  OnlineStats baseline, defended;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    (probes[i].defended ? defended : baseline).add(ipc[i]);
   }
   const double base = baseline.mean();
   return base <= 0.0 ? 0.0 : 100.0 * (base - defended.mean()) / base;

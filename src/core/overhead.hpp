@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,10 +56,37 @@ std::vector<OverheadRow> table_one(const OverheadConfig& config = {});
 /// defense grids' cost column. Paired seeds: every repeat runs the same
 /// jittered host with and without the defenses, so the contrast is the
 /// defenses' alone.
+///
+/// The measurement is overhead_probes(config), each run by
+/// run_overhead_probe and folded by overhead_pct; the grids run the same
+/// probes as separate pool items and fold them the same way.
 double defense_overhead_pct(const std::string& host, std::uint64_t scale,
                             const mitigate::MitigationConfig& mitigations,
                             const harden::HardenConfig& harden,
                             const OverheadConfig& config = {});
+
+/// One clean-host run of defense_overhead_pct: a repeat's seed, run with
+/// or without the column's defenses.
+struct OverheadProbe {
+  std::uint64_t seed = 0;
+  bool defended = false;
+};
+
+/// defense_overhead_pct's runs in fold order: per repeat, the baseline run
+/// and then the defended run, both on that repeat's seed.
+std::vector<OverheadProbe> overhead_probes(const OverheadConfig& config);
+
+/// IPC of one probe run. Share-nothing: safe to run concurrently.
+double run_overhead_probe(const std::string& host, std::uint64_t scale,
+                          const mitigate::MitigationConfig& mitigations,
+                          const harden::HardenConfig& harden,
+                          const OverheadConfig& config,
+                          const OverheadProbe& probe);
+
+/// The overhead percentage from `ipc[i]`, the IPC of `probes[i]`, folded
+/// in probe order.
+double overhead_pct(std::span<const OverheadProbe> probes,
+                    std::span<const double> ipc);
 
 /// defense_overhead_pct with only mitigations armed (kept because crbench
 /// uses it).

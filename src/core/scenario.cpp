@@ -69,17 +69,20 @@ using AttackKey = std::variant<attack::AttackConfig, MinedAttackKey,
 
 // Process-wide build caches (support/memo.hpp). The builds are pure
 // functions of their keys, so concurrent campaigns share one artifact per
-// distinct input instead of rebuilding per attempt.
+// distinct input instead of rebuilding per attempt. Each holds at most
+// kScenarioMemoCapacity entries.
 LruCache<WorkloadKey, const sim::Program>& workload_cache() {
-  static LruCache<WorkloadKey, const sim::Program> cache;
+  static LruCache<WorkloadKey, const sim::Program> cache(
+      kScenarioMemoCapacity);
   return cache;
 }
 LruCache<AttackKey, const sim::Program>& attack_cache() {
-  static LruCache<AttackKey, const sim::Program> cache;
+  static LruCache<AttackKey, const sim::Program> cache(kScenarioMemoCapacity);
   return cache;
 }
 LruCache<PlanKey, const rop::InjectionPlan>& plan_cache() {
-  static LruCache<PlanKey, const rop::InjectionPlan> cache;
+  static LruCache<PlanKey, const rop::InjectionPlan> cache(
+      kScenarioMemoCapacity);
   return cache;
 }
 
@@ -441,11 +444,12 @@ ScenarioSession& thread_session(const ScenarioConfig& config) {
       config, [&] { return std::make_unique<ScenarioSession>(config); });
 }
 
-void warm_scenario_memo(const ScenarioConfig& config) {
+bool warm_scenario_memo(const ScenarioConfig& config) {
   // Constructing a session builds the host/plan/attack artifacts through
   // the memo caches as a side effect; the throwaway machine is the price of
   // keeping exactly one build path.
-  ScenarioSession warm(config);
+  const ScenarioSession warm(config);
+  return warm.shares_runs();
 }
 
 ScenarioMemoStats scenario_memo_stats() {
@@ -456,6 +460,9 @@ ScenarioMemoStats scenario_memo_stats() {
   out.attack_misses = attack_cache().misses();
   out.plan_hits = plan_cache().hits();
   out.plan_misses = plan_cache().misses();
+  out.workload_size = workload_cache().size();
+  out.attack_size = attack_cache().size();
+  out.plan_size = plan_cache().size();
   return out;
 }
 

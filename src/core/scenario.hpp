@@ -251,9 +251,19 @@ void set_session_cache_capacity(std::size_t capacity);
 /// calling thread. Campaign drivers warm the caches once on the main thread
 /// before fanning out, so build work — and any trace events the builds
 /// emit — happens deterministically regardless of worker scheduling.
-void warm_scenario_memo(const ScenarioConfig& config);
+/// Returns shares_runs() of the session the warm-up constructs, so the
+/// caller learns whether a config's attempts share runs without building a
+/// second session.
+bool warm_scenario_memo(const ScenarioConfig& config);
 
-/// Hit/miss counters of the scenario-level memo caches (process-wide).
+/// Entries each scenario-level memo (workload, attack binary, ROP plan)
+/// holds, least recently used evicted. A constant, so fresh-seed traffic,
+/// whose every session draws a new host scale, cannot grow the caches; a
+/// session keeps its own artifacts alive past their eviction.
+inline constexpr std::size_t kScenarioMemoCapacity = 64;
+
+/// Hit/miss counters and live entries of the scenario-level memo caches
+/// (process-wide).
 struct ScenarioMemoStats {
   std::uint64_t workload_hits = 0;
   std::uint64_t workload_misses = 0;
@@ -261,6 +271,9 @@ struct ScenarioMemoStats {
   std::uint64_t attack_misses = 0;
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
+  std::size_t workload_size = 0;  ///< at most kScenarioMemoCapacity
+  std::size_t attack_size = 0;    ///< at most kScenarioMemoCapacity
+  std::size_t plan_size = 0;      ///< at most kScenarioMemoCapacity
 };
 ScenarioMemoStats scenario_memo_stats();
 

@@ -202,10 +202,15 @@ std::string corpus_json(const CorpusReport& report);
 core::ScenarioConfig mined_scenario(const MinedGadget& g,
                                     const std::string& secret, bool injected);
 
-/// Hit/miss counters of the per-binary recon memo cache.
+/// Entries the per-binary recon memo holds, least recently used evicted. A
+/// constant, so mining corpus after corpus at fresh seeds cannot grow it.
+inline constexpr std::size_t kMineMemoCapacity = 64;
+
+/// Hit/miss counters and live entries of the per-binary recon memo cache.
 struct MineMemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::size_t size = 0;  ///< at most kMineMemoCapacity
 };
 MineMemoStats mine_memo_stats();
 

@@ -31,7 +31,7 @@ namespace {
 using ReportKey = std::tuple<std::string, std::string, MineOptions>;
 
 LruCache<ReportKey, const BinaryReport>& report_cache() {
-  static LruCache<ReportKey, const BinaryReport> cache;
+  static LruCache<ReportKey, const BinaryReport> cache(kMineMemoCapacity);
   return cache;
 }
 
@@ -272,7 +272,8 @@ core::ScenarioConfig mined_scenario(const MinedGadget& g,
 }
 
 MineMemoStats mine_memo_stats() {
-  return {report_cache().hits(), report_cache().misses()};
+  return {report_cache().hits(), report_cache().misses(),
+          report_cache().size()};
 }
 
 }  // namespace crs::mine

@@ -282,7 +282,10 @@ void Server::worker_loop(Shard& shard) {
       try {
         outcome = core::run_job(job->spec, on_progress);
         finish_job(*job, outcome);
-      } catch (const Error& e) {
+      } catch (const std::exception& e) {
+        // Any failure, crs::Error or not (std::bad_alloc), fails this job
+        // only: an escaped exception would end the shard thread, and with
+        // it the server.
         completed_.fetch_add(1, std::memory_order_relaxed);
         bump("serve.completed");
         {

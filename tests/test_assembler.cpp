@@ -313,6 +313,21 @@ TEST(AssemblerErrors, MalformedDirectives) {
   expect_asm_error(".woops 3\n", "unknown directive '.woops'");
 }
 
+TEST(AssemblerErrors, OversizedSectionRefusedBeforeAllocating) {
+  // Refused with an error before the bytes are allocated: no bad_alloc, no
+  // 8 EiB fill.
+  expect_asm_error("nop\n.data\n.space 9223372036854775807\n",
+                   "asm line 3: section would exceed");
+  expect_asm_error(".data\n.byte 1\n.align 1099511627776\n",
+                   "asm line 3: section would exceed");
+  // The bound covers the section's running size: sixteen 1 MiB lines fill
+  // a default machine's 16 MiB, the seventeenth does not fit.
+  std::string src = ".data\n";
+  for (int i = 0; i < 16; ++i) src += ".space 1048576\n";
+  EXPECT_NO_THROW(assemble(src));
+  expect_asm_error(src + ".space 1\n", "asm line 18: section would exceed");
+}
+
 TEST(AssemblerErrors, MessagesCarryTheFailingLineNumber) {
   expect_asm_error("nop\nnop\nadd r1, r2\n", "asm line 3:");
   expect_asm_error(".data\n.byte\n", "asm line 2:");

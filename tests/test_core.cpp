@@ -3,12 +3,18 @@
 // exercising every code path the benches rely on.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
 #include "core/overhead.hpp"
 #include "core/scenario.hpp"
 #include "hid/features.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 
 namespace crs::core {
 namespace {
@@ -119,6 +125,42 @@ TEST(Corpus, AttackCorpusHasRequestedShape) {
   const auto& d = attack_corpus();
   EXPECT_EQ(d.size(), 250u);
   for (const int y : d.y) EXPECT_EQ(y, 1);
+}
+
+TEST(Corpus, BenignBuildProfilesOnlyTheWindowsItKeeps) {
+  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  // One thread draws one run per batch, and each run is capped at the
+  // windows the corpus still lacks, so the profiler closes exactly the
+  // windows the corpus keeps. An uncapped last run overshoots.
+  const obs::Counter& windows =
+      obs::MetricsRegistry::instance().counter("hid.profiler.windows");
+  set_thread_override(1);
+  for (const std::size_t target : {7u, 160u, 2000u}) {
+    CorpusConfig cc;
+    cc.windows_per_class = target;
+    const std::uint64_t before = windows.value();
+    EXPECT_EQ(build_benign_corpus(cc).size(), target);
+    EXPECT_EQ(windows.value() - before, target) << "target " << target;
+  }
+  set_thread_override(0);
+}
+
+TEST(Corpus, BenignCorpusIsAPrefixOfALargerOne) {
+  // The cap relies on it: a run's first k windows are the uncapped run's.
+  CorpusConfig cc = small_corpus();
+  cc.windows_per_class = 90;
+  const ml::Dataset part = build_benign_corpus(cc);
+  const ml::Dataset& whole = benign_corpus();
+  ASSERT_EQ(part.size(), 90u);
+  ASSERT_EQ(part.x.cols(), whole.x.cols());
+  for (std::size_t r = 0; r < part.size(); ++r) {
+    EXPECT_EQ(part.y[r], whole.y[r]);
+    for (std::size_t c = 0; c < part.x.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(part.x.row(r)[c]),
+                std::bit_cast<std::uint64_t>(whole.x.row(r)[c]))
+          << "row " << r << " column " << c;
+    }
+  }
 }
 
 TEST(Corpus, ClassesAreLearnable) {

@@ -11,6 +11,7 @@
 //    the leak-parameterized injection still lands under full hardening.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -18,9 +19,11 @@
 
 #include "attack/spectre11.hpp"
 #include "core/harden_matrix.hpp"
+#include "core/overhead.hpp"
 #include "core/scenario.hpp"
 #include "harden/config.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "harden/probe.hpp"
 #include "hid/detector.hpp"
 #include "harness.hpp"
@@ -388,6 +391,56 @@ TEST(HardenMatrix, GridSeparatesClassicFromSpeculative) {
             std::string::npos);
   EXPECT_EQ(r.cells.size(),
             r.attacks.size() * r.presets.size());
+}
+
+/// Both CSVs of a sweep plus its cost column's bit patterns.
+std::string sweep_bytes(const core::HardenMatrixResult& r) {
+  std::string out =
+      core::harden_matrix_csv(r) + core::harden_matrix_metrics_csv(r);
+  for (const double pct : r.ipc_overhead_pct) {
+    out += std::to_string(std::bit_cast<std::uint64_t>(pct)) + ",";
+  }
+  return out;
+}
+
+TEST(HardenMatrix, QuickSweepIsThreadCountInvariant) {
+  // The leak-stage row and the aslr/full columns read their seeds, so the
+  // sweep runs their attempts as separate pool items; the fold must not
+  // notice how they were spread.
+  core::HardenMatrixConfig cfg;
+  cfg.quick = true;
+  cfg.seed = 31;
+  cfg.host_scale = 2000;
+  std::vector<std::string> sweeps;
+  for (const unsigned threads : {1u, 3u}) {
+    set_thread_override(threads);
+    sweeps.push_back(sweep_bytes(core::run_harden_matrix(cfg)));
+  }
+  set_thread_override(0);
+  EXPECT_EQ(sweeps[0], sweeps[1])
+      << "the sweep must be byte-identical for any thread count";
+  EXPECT_NE(sweeps[0].find("spec-probe-rop,full"), std::string::npos);
+}
+
+TEST(HardenMatrix, CostColumnIsDefenseOverheadPct) {
+  // The grid runs its cost column as separate probe items; each column
+  // must still be exactly what defense_overhead_pct measures.
+  core::HardenMatrixConfig cfg;
+  cfg.quick = true;
+  cfg.seed = 37;
+  const core::HardenMatrixResult r = core::run_harden_matrix(cfg);
+  ASSERT_EQ(r.ipc_overhead_pct.size(), r.presets.size());
+  for (std::size_t i = 0; i < r.presets.size(); ++i) {
+    core::OverheadConfig oc;
+    oc.repeats = cfg.effective_overhead_repeats();
+    oc.secret = cfg.secret;
+    oc.seed = derive_seed(cfg.seed ^ 0x0E4, i);
+    const double direct = core::defense_overhead_pct(
+        "basicmath", cfg.host_scale, {}, harden::preset(r.presets[i]), oc);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(direct),
+              std::bit_cast<std::uint64_t>(r.ipc_overhead_pct[i]))
+        << r.presets[i];
+  }
 }
 
 TEST(HardenScenario, SessionRestoreMatchesFresh) {

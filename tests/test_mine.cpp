@@ -142,6 +142,16 @@ TEST(MineProperties, MinedSetByteIdenticalForAnyThreadCount) {
   EXPECT_NE(csvs[0].find("leak"), std::string::npos);
 }
 
+TEST(MineProperties, MemoStaysAtCapacityUnderFreshCorpora) {
+  // Every generated binary of a fresh corpus is a new key; the memo keeps
+  // the most recent kMineMemoCapacity reports.
+  mine::CorpusOptions opt;
+  opt.generated = mine::kMineMemoCapacity + 6;
+  opt.seed = 4242;
+  (void)mine::mine_corpus(opt);
+  EXPECT_EQ(mine::mine_memo_stats().size, mine::kMineMemoCapacity);
+}
+
 TEST(MineProperties, MinedSetByteIdenticalWhenReplayedFromMemo) {
   const auto opt = small_corpus();
   const std::string memoized = mine::corpus_csv(mine::mine_corpus(opt));

@@ -4,10 +4,13 @@
 // story the evaluation matrix depends on.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/defense_matrix.hpp"
+#include "core/overhead.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "fuzz/differ.hpp"
@@ -378,6 +381,27 @@ TEST(DefenseMatrix, QuickMatrixIsThreadCountInvariant) {
   EXPECT_EQ(csvs[0], csvs[1])
       << "matrix must be byte-identical for any thread count";
   EXPECT_NE(csvs[0].find("spectre-pht,none"), std::string::npos);
+}
+
+TEST(DefenseMatrix, CostColumnIsDefenseOverheadPct) {
+  // The grid runs its cost column as separate probe items; each column
+  // must still be exactly what defense_overhead_pct measures.
+  core::DefenseMatrixConfig cfg;
+  cfg.quick = true;
+  cfg.seed = 7;
+  const core::DefenseMatrixResult r = core::run_defense_matrix(cfg);
+  ASSERT_EQ(r.ipc_overhead_pct.size(), r.presets.size());
+  for (std::size_t i = 0; i < r.presets.size(); ++i) {
+    core::OverheadConfig oc;
+    oc.repeats = cfg.effective_overhead_repeats();
+    oc.secret = cfg.secret;
+    oc.seed = derive_seed(cfg.seed ^ 0x0E4, i);
+    const double direct = core::defense_overhead_pct(
+        "basicmath", cfg.host_scale, mitigate::preset(r.presets[i]), {}, oc);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(direct),
+              std::bit_cast<std::uint64_t>(r.ipc_overhead_pct[i]))
+        << r.presets[i];
+  }
 }
 
 TEST(DefenseMatrix, RejectsUnknownPresetUpFront) {

@@ -743,5 +743,32 @@ TEST(ServeServer, FailedJobGetsTerminalFrame) {
   EXPECT_EQ(stats.accepted, stats.completed + stats.cancelled);
 }
 
+TEST(ServeServer, HostileProgramJobFailsAndTheShardServesOn) {
+  ServeConfig scfg;
+  scfg.shards = 1;
+  Server server(scfg);
+  server.start();
+  Client client = Client::connect_tcp(server.port());
+
+  // An 8 EiB .space: refused by the assembler's section bound before any
+  // allocation. Without the bound the allocation threw std::bad_alloc on
+  // the shard thread and ended the server.
+  core::JobSpec hostile = program_spec(1);
+  hostile.program.source += ".data\n.space 9223372036854775807\n";
+  const Client::JobResult failed = client.run(hostile);
+  ASSERT_TRUE(failed.accepted);
+  EXPECT_EQ(failed.status, "failed");
+  EXPECT_NE(failed.payload.find("section would exceed"), std::string::npos)
+      << failed.payload;
+
+  // The same shard serves the next job.
+  const Client::JobResult next = client.run(program_spec(2));
+  ASSERT_TRUE(next.accepted);
+  EXPECT_EQ(next.status, "ok");
+  EXPECT_NE(next.payload.find("exit=42"), std::string::npos) << next.payload;
+
+  server.shutdown(true);
+}
+
 }  // namespace
 }  // namespace crs

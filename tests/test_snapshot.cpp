@@ -383,6 +383,34 @@ TEST(LruCacheTest, RacingCallersOfAKeyShareOneValue) {
   EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(builds.load()));
 }
 
+TEST(SnapshotTest, ScenarioMemosStayAtCapacityUnderFreshKeys) {
+  // Fresh-seed traffic builds a new workload, plan and attack binary per
+  // session; the memos keep the most recent kScenarioMemoCapacity.
+  const auto config_for = [](std::size_t i) {
+    core::ScenarioConfig config = small_scenario();
+    config.secret = "BOUND-" + std::to_string(1000 + i);  // workload + plan
+    config.perturb_params.delay = static_cast<int>(100 + i);  // attack
+    return config;
+  };
+  core::ScenarioSession early(config_for(0));
+  const std::string expected = run_fingerprint(early.run_attempt(5));
+  for (std::size_t i = 1; i <= core::kScenarioMemoCapacity + 8; ++i) {
+    core::warm_scenario_memo(config_for(i));
+  }
+  const auto stats = core::scenario_memo_stats();
+  EXPECT_EQ(stats.workload_size, core::kScenarioMemoCapacity);
+  EXPECT_EQ(stats.attack_size, core::kScenarioMemoCapacity);
+  EXPECT_EQ(stats.plan_size, core::kScenarioMemoCapacity);
+
+  // Session 0's artifacts were evicted; the session keeps its own.
+  EXPECT_EQ(run_fingerprint(early.run_attempt(5)), expected);
+  // A session built after the eviction rebuilds them, to the same run.
+  core::ScenarioSession rebuilt(config_for(0));
+  EXPECT_GT(core::scenario_memo_stats().workload_misses,
+            stats.workload_misses);
+  EXPECT_EQ(run_fingerprint(rebuilt.run_attempt(5)), expected);
+}
+
 TEST(SnapshotTest, MemoStatsExposeScenarioCaches) {
   const auto before = core::scenario_memo_stats();
   core::ScenarioConfig config = small_scenario();
