@@ -9,6 +9,7 @@
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
 #include "core/report.hpp"
+#include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 
@@ -26,11 +27,9 @@ class BenchIo {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--threads" && i + 1 < argc) {
-        set_thread_override(
-            static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+        set_thread_override(threads(argv[++i]));
       } else if (arg.rfind("--threads=", 0) == 0) {
-        set_thread_override(static_cast<unsigned>(
-            std::strtoul(arg.c_str() + 10, nullptr, 10)));
+        set_thread_override(threads(arg.substr(10)));
       } else if (arg == "--bench-json" && i + 1 < argc) {
         json_path_ = argv[++i];
       } else if (arg.rfind("--bench-json=", 0) == 0) {
@@ -85,6 +84,16 @@ class BenchIo {
   }
 
  private:
+  /// A bad count is a usage error: the benches' mains catch nothing.
+  static unsigned threads(const std::string& value) {
+    try {
+      return parse_number<unsigned>("--threads", value);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
+  }
+
   std::string json_path_;
 };
 

@@ -147,11 +147,11 @@ int main(int argc, char** argv) {
 
     FlagCursor args(argc, argv);
     while (args.more()) {
-      if (args.take_int("--requests", requests)) {
-      } else if (args.take_int("--configs", configs)) {
-      } else if (args.take_int("--shards", shards)) {
-      } else if (args.take_int("--attempts", attempts)) {
-      } else if (args.take_u64("--host-scale", host_scale)) {
+      if (args.take_number("--requests", requests)) {
+      } else if (args.take_number("--configs", configs)) {
+      } else if (args.take_number("--shards", shards)) {
+      } else if (args.take_number("--attempts", attempts)) {
+      } else if (args.take_number("--host-scale", host_scale)) {
       } else {
         args.unknown();
       }

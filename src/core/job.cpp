@@ -1,14 +1,12 @@
 #include "core/job.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cinttypes>
 #include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
+#include <iterator>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
@@ -27,215 +25,281 @@ namespace crs::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serialization primitives. Text lines `key=value`; doubles via %.17g so a
-// round trip reproduces the exact bits; raw program source length-prefixed
-// so arbitrary bytes survive.
+// The crs-job v1 field table. Text lines `key=value`, one row per key, in
+// emit order: serialize_job writes the rows of the spec's kind in table
+// order, parse_job finds each line's row by key, and the row's field type
+// and range are the only rules its value is read by. Doubles print with
+// %.17g so a round trip reproduces the exact bits; blob rows carry raw casm
+// source length-prefixed, so arbitrary bytes survive.
 
-std::string fmt_f64(double v) {
+/// A row's section: the job kinds it belongs to, and the object its
+/// accessor reads.
+enum class Section {
+  kHeader,
+  kScenario,
+  kAttempts,
+  kCampaign,
+  kMatrix,
+  kProgram
+};
+using enum Section;
+
+bool in_section(Section section, JobKind kind) {
+  switch (section) {
+    case kHeader:
+      return true;
+    case kScenario:
+      return kind == JobKind::kScenario || kind == JobKind::kCampaign;
+    case kAttempts:
+      return kind == JobKind::kScenario;
+    case kCampaign:
+      return kind == JobKind::kCampaign;
+    case kMatrix:
+      return kind == JobKind::kMatrix;
+    case kProgram:
+      return kind == JobKind::kProgram;
+  }
+  return false;
+}
+
+/// The object section S's accessors read. The scenario section is shared:
+/// it is the scenario job's config or the campaign's scenario.
+template <Section S, class Spec>
+auto& section_of(Spec& spec) {
+  if constexpr (S == kHeader) {
+    return spec;
+  } else if constexpr (S == kScenario) {
+    return spec.kind == JobKind::kCampaign ? spec.campaign.config.scenario
+                                           : spec.scenario.config;
+  } else if constexpr (S == kAttempts) {
+    return spec.scenario;
+  } else if constexpr (S == kCampaign) {
+    return spec.campaign;
+  } else if constexpr (S == kMatrix) {
+    return spec.matrix.config;
+  } else {
+    return spec.program;
+  }
+}
+
+/// How a row's value rides in the text.
+enum class Form {
+  kLine,          ///< `key=value`
+  kBlob,          ///< `key=<length>`, that many raw bytes, then '\n'
+  kOptionalBlob,  ///< a kBlob left out when empty
+};
+
+/// Accepted integers, where narrower than the field's C++ type.
+struct Range {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+struct Row {
+  std::string_view key;
+  Section section;
+  /// Reads `value` into the row's field of `spec`, or throws crs::Error.
+  void (*read)(const Row& row, JobSpec& spec, const std::string& value);
+  /// The row's field of `spec` as text.
+  std::string (*write)(const JobSpec& spec);
+  std::optional<Range> range;
+  Form form = Form::kLine;
+
+  std::string what() const { return "job spec: " + std::string(key); }
+};
+
+// Enum rows: a value is its name.
+std::vector<JobKind> enum_values(JobKind) {
+  return {JobKind::kScenario, JobKind::kCampaign, JobKind::kMatrix,
+          JobKind::kProgram};
+}
+std::string enum_name(JobKind kind) { return job_kind_name(kind); }
+std::vector<attack::SpectreVariant> enum_values(attack::SpectreVariant) {
+  return attack::all_variants();
+}
+std::string enum_name(attack::SpectreVariant v) {
+  return attack::variant_name(v);
+}
+std::vector<perturb::MimicStyle> enum_values(perturb::MimicStyle) {
+  return {perturb::MimicStyle::kHotAlu, perturb::MimicStyle::kStrided,
+          perturb::MimicStyle::kBranchy, perturb::MimicStyle::kStores};
+}
+std::string enum_name(perturb::MimicStyle s) {
+  return perturb::mimic_style_name(s);
+}
+
+// Field codecs, one overload pair per field type: read_field parses a
+// value, write_field prints one.
+
+template <class T>
+  requires std::is_arithmetic_v<T>
+void read_field(const Row& row, const std::string& v, T& out) {
+  out = row.range ? parse_number<T>(row.what(), v,
+                                    static_cast<T>(row.range->lo),
+                                    static_cast<T>(row.range->hi))
+                  : parse_number<T>(row.what(), v);
+}
+template <class T>
+  requires std::is_arithmetic_v<T>
+std::string write_field(T v) {
+  return std::to_string(v);
+}
+
+void read_field(const Row& row, const std::string& v, bool& out) {
+  if (v != "0" && v != "1") {
+    throw Error(row.what() + " wants 0 or 1, got '" + v + "'");
+  }
+  out = v == "1";
+}
+std::string write_field(bool v) { return v ? "1" : "0"; }
+
+std::string write_field(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 
-double parse_f64(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  // strtod also takes nan/inf spellings and overflows to inf. No field wants
-  // them, and a NaN in a session's config would compare equivalent to other
-  // configs in the session cache.
-  if (end == v.c_str() || *end != '\0' || !std::isfinite(out)) {
-    throw Error("job spec: " + key + " wants a finite number, got '" + v +
-                "'");
+void read_field(const Row&, const std::string& v, std::string& out) {
+  out = v;
+}
+std::string write_field(const std::string& v) { return v; }
+
+template <class E>
+  requires std::is_enum_v<E>
+void read_field(const Row& row, const std::string& v, E& out) {
+  std::string names;
+  for (const E e : enum_values(E{})) {
+    if (enum_name(e) == v) {
+      out = e;
+      return;
+    }
+    names += (names.empty() ? "" : "|") + enum_name(e);
   }
+  throw Error(row.what() + " wants one of " + names + ", got '" + v + "'");
+}
+template <class E>
+  requires std::is_enum_v<E>
+std::string write_field(E v) {
+  return enum_name(v);
+}
+
+/// Flag sets (harden, mitigations), through their own parse/serialize.
+template <class T>
+  requires requires(const std::string& text) { T::parse(text); }
+void read_field(const Row& row, const std::string& v, T& out) {
+  try {
+    out = T::parse(v);
+  } catch (const Error& e) {
+    throw Error(row.what() + ": " + e.what());
+  }
+}
+template <class T>
+  requires requires(const T& flags) { flags.serialize(); }
+std::string write_field(const T& v) {
+  return v.serialize();
+}
+
+/// Comma lists (mx.presets); the empty list is the empty value.
+void read_field(const Row&, const std::string& v,
+                std::vector<std::string>& out) {
+  out = v.empty() ? std::vector<std::string>{} : split(v, ',');
+}
+std::string write_field(const std::vector<std::string>& v) {
+  std::string out;
+  for (const auto& item : v) out += (out.empty() ? "" : ",") + item;
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(v.c_str(), &end, 0);
-  if (end == v.c_str() || *end != '\0') {
-    throw Error("job spec: " + key + " wants an unsigned integer, got '" + v +
-                "'");
-  }
-  return out;
+/// The row of `key` in section S whose typed accessor `Get` picks its
+/// field out of the section object; the field's type picks the codec.
+template <Section S, class Get>
+constexpr Row row(std::string_view key, Get,
+                  std::optional<Range> range = std::nullopt,
+                  Form form = Form::kLine) {
+  return {key, S,
+          [](const Row& r, JobSpec& spec, const std::string& v) {
+            read_field(r, v, Get{}(section_of<S>(spec)));
+          },
+          [](const JobSpec& spec) {
+            return write_field(Get{}(section_of<S>(spec)));
+          },
+          range, form};
 }
 
-std::size_t parse_corpus_windows(const std::string& key,
-                                 const std::string& v) {
-  const std::uint64_t out = parse_u64(key, v);
-  if (out == 0 || out > kMaxJobCorpusWindows) {
-    throw Error("job spec: " + key + " wants 1.." +
-                std::to_string(kMaxJobCorpusWindows) + " windows, got '" + v +
-                "'");
-  }
-  return out;
-}
+#define CRS_FIELD(member) [](auto& x) -> auto& { return x.member; }
 
-int parse_int_field(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  errno = 0;
-  const long out = std::strtol(v.c_str(), &end, 0);
-  if (end == v.c_str() || *end != '\0') {
-    throw Error("job spec: " + key + " wants an integer, got '" + v + "'");
-  }
-  // A silent narrowing would run a different job from the one sent.
-  if (errno == ERANGE || out < INT_MIN || out > INT_MAX) {
-    throw Error("job spec: " + key + " is outside the int range, got '" + v +
-                "'");
-  }
-  return static_cast<int>(out);
-}
+constexpr Row kRows[] = {
+    row<kHeader>("kind", CRS_FIELD(kind)),
+    row<kHeader>("id", CRS_FIELD(id)),
+    row<kScenario>("host", CRS_FIELD(host)),
+    row<kScenario>("host_scale", CRS_FIELD(host_scale)),
+    row<kScenario>("secret", CRS_FIELD(secret)),
+    row<kScenario>("variant", CRS_FIELD(variant)),
+    row<kScenario>("rop_injected", CRS_FIELD(rop_injected)),
+    row<kScenario>("perturb", CRS_FIELD(perturb)),
+    row<kScenario>("p.a", CRS_FIELD(perturb_params.a)),
+    row<kScenario>("p.b", CRS_FIELD(perturb_params.b)),
+    row<kScenario>("p.loop_count", CRS_FIELD(perturb_params.loop_count)),
+    row<kScenario>("p.a_step", CRS_FIELD(perturb_params.a_step)),
+    row<kScenario>("p.b_step", CRS_FIELD(perturb_params.b_step)),
+    row<kScenario>("p.extra_ladders", CRS_FIELD(perturb_params.extra_ladders)),
+    row<kScenario>("p.delay", CRS_FIELD(perturb_params.delay)),
+    row<kScenario>("p.style", CRS_FIELD(perturb_params.style)),
+    row<kScenario>("p.flushless", CRS_FIELD(perturb_params.flushless)),
+    row<kScenario>("canary", CRS_FIELD(canary)),
+    row<kScenario>("aslr", CRS_FIELD(aslr)),
+    row<kScenario>("harden", CRS_FIELD(harden)),
+    row<kScenario>("leak_stage", CRS_FIELD(leak_stage)),
+    row<kScenario>("spectre11", CRS_FIELD(spectre11)),
+    row<kScenario>("mitigations", CRS_FIELD(mitigations)),
+    row<kScenario>("seed", CRS_FIELD(seed)),
+    row<kScenario>("prof.window_cycles", CRS_FIELD(profiler.window_cycles)),
+    row<kScenario>("prof.max_windows", CRS_FIELD(profiler.max_windows)),
+    row<kScenario>("prof.max_instructions",
+                   CRS_FIELD(profiler.max_instructions)),
+    row<kScenario>("prof.noise_sigma", CRS_FIELD(profiler.noise_sigma)),
+    row<kScenario>("prof.background_intensity",
+                   CRS_FIELD(profiler.background_intensity)),
+    row<kScenario>("prof.noise_seed", CRS_FIELD(profiler.noise_seed)),
+    // The mined replay program is a multi-line casm listing.
+    row<kScenario>("mined.source", CRS_FIELD(mined_attack_source),
+                   std::nullopt, Form::kOptionalBlob),
+    // Counts below 1 keep their meaning: a scenario job runs one attempt,
+    // a campaign refuses to run.
+    row<kAttempts>("attempts", CRS_FIELD(attempts),
+                   Range{INT_MIN, kMaxJobAttempts}),
+    row<kCampaign>("camp.attempts", CRS_FIELD(config.attempts),
+                   Range{INT_MIN, kMaxJobAttempts}),
+    row<kCampaign>("camp.online", CRS_FIELD(config.online_hid)),
+    row<kCampaign>("camp.dynamic", CRS_FIELD(config.dynamic_perturbation)),
+    row<kCampaign>("camp.detect_threshold", CRS_FIELD(config.detect_threshold)),
+    row<kCampaign>("camp.evade_threshold", CRS_FIELD(config.evade_threshold)),
+    row<kCampaign>("camp.seed", CRS_FIELD(config.seed)),
+    row<kCampaign>("det.classifier", CRS_FIELD(config.detector.classifier)),
+    row<kCampaign>("det.feature_count",
+                   CRS_FIELD(config.detector.feature_count)),
+    row<kCampaign>("det.seed", CRS_FIELD(config.detector.seed)),
+    row<kCampaign>("camp.corpus_windows", CRS_FIELD(corpus_windows),
+                   Range{1, kMaxJobCorpusWindows}),
+    row<kCampaign>("camp.corpus_seed", CRS_FIELD(corpus_seed)),
+    row<kMatrix>("mx.attempts", CRS_FIELD(attempts),
+                 Range{1, kMaxJobMatrixAttempts}),
+    row<kMatrix>("mx.seed", CRS_FIELD(seed)),
+    row<kMatrix>("mx.host_scale", CRS_FIELD(host_scale)),
+    row<kMatrix>("mx.secret", CRS_FIELD(secret)),
+    row<kMatrix>("mx.presets", CRS_FIELD(presets)),
+    row<kMatrix>("mx.corpus_windows", CRS_FIELD(corpus_windows),
+                 Range{1, kMaxJobCorpusWindows}),
+    row<kMatrix>("mx.overhead_repeats", CRS_FIELD(overhead_repeats),
+                 Range{1, kMaxJobOverheadRepeats}),
+    row<kMatrix>("mx.quick", CRS_FIELD(quick)),
+    row<kProgram>("prog.max_instructions", CRS_FIELD(max_instructions)),
+    row<kProgram>("prog.smc", CRS_FIELD(writable_text)),
+    row<kProgram>("prog.source", CRS_FIELD(source), std::nullopt,
+                  Form::kBlob),
+};
 
-/// parse_int_field restricted to 1..`max`.
-int parse_count_field(const std::string& key, const std::string& v, int max) {
-  const int out = parse_int_field(key, v);
-  if (out < 1 || out > max) {
-    throw Error("job spec: " + key + " wants 1.." + std::to_string(max) +
-                ", got '" + v + "'");
-  }
-  return out;
-}
-
-/// parse_int_field capped at kMaxJobAttempts. Counts below 1 keep their
-/// meaning: a scenario job runs one attempt, a campaign refuses to run.
-int parse_attempts_field(const std::string& key, const std::string& v) {
-  const int out = parse_int_field(key, v);
-  if (out > kMaxJobAttempts) {
-    throw Error("job spec: " + key + " wants at most " +
-                std::to_string(kMaxJobAttempts) + " attempts, got '" + v +
-                "'");
-  }
-  return out;
-}
-
-bool parse_bool_field(const std::string& key, const std::string& v) {
-  if (v == "1") return true;
-  if (v == "0") return false;
-  throw Error("job spec: " + key + " wants 0 or 1, got '" + v + "'");
-}
-
-attack::SpectreVariant parse_variant(const std::string& v) {
-  for (const auto variant : attack::all_variants()) {
-    if (attack::variant_name(variant) == v) return variant;
-  }
-  throw Error("job spec: unknown variant '" + v + "'");
-}
-
-perturb::MimicStyle parse_style(const std::string& v) {
-  for (const auto style :
-       {perturb::MimicStyle::kHotAlu, perturb::MimicStyle::kStrided,
-        perturb::MimicStyle::kBranchy, perturb::MimicStyle::kStores}) {
-    if (perturb::mimic_style_name(style) == v) return style;
-  }
-  throw Error("job spec: unknown mimic style '" + v + "'");
-}
-
-void emit_scenario(std::string& out, const ScenarioConfig& c) {
-  out += "host=" + c.host + "\n";
-  out += "host_scale=" + std::to_string(c.host_scale) + "\n";
-  out += "secret=" + c.secret + "\n";
-  out += "variant=" + attack::variant_name(c.variant) + "\n";
-  out += std::string("rop_injected=") + (c.rop_injected ? "1" : "0") + "\n";
-  out += std::string("perturb=") + (c.perturb ? "1" : "0") + "\n";
-  const perturb::PerturbParams& p = c.perturb_params;
-  out += "p.a=" + std::to_string(p.a) + "\n";
-  out += "p.b=" + std::to_string(p.b) + "\n";
-  out += "p.loop_count=" + std::to_string(p.loop_count) + "\n";
-  out += "p.a_step=" + std::to_string(p.a_step) + "\n";
-  out += "p.b_step=" + std::to_string(p.b_step) + "\n";
-  out += "p.extra_ladders=" + std::to_string(p.extra_ladders) + "\n";
-  out += "p.delay=" + std::to_string(p.delay) + "\n";
-  out += "p.style=" + perturb::mimic_style_name(p.style) + "\n";
-  out += std::string("p.flushless=") + (p.flushless ? "1" : "0") + "\n";
-  out += std::string("canary=") + (c.canary ? "1" : "0") + "\n";
-  out += std::string("aslr=") + (c.aslr ? "1" : "0") + "\n";
-  out += "harden=" + c.harden.serialize() + "\n";
-  out += std::string("leak_stage=") + (c.leak_stage ? "1" : "0") + "\n";
-  out += std::string("spectre11=") + (c.spectre11 ? "1" : "0") + "\n";
-  out += "mitigations=" + c.mitigations.serialize() + "\n";
-  out += "seed=" + std::to_string(c.seed) + "\n";
-  const hid::ProfilerConfig& pr = c.profiler;
-  out += "prof.window_cycles=" + std::to_string(pr.window_cycles) + "\n";
-  out += "prof.max_windows=" + std::to_string(pr.max_windows) + "\n";
-  out += "prof.max_instructions=" + std::to_string(pr.max_instructions) + "\n";
-  out += "prof.noise_sigma=" + fmt_f64(pr.noise_sigma) + "\n";
-  out += "prof.background_intensity=" + fmt_f64(pr.background_intensity) +
-         "\n";
-  out += "prof.noise_seed=" + std::to_string(pr.noise_seed) + "\n";
-  if (!c.mined_attack_source.empty()) {
-    // Length-prefixed (like prog.source): the mined replay program is a
-    // multi-line casm listing and cannot ride in a key=value line.
-    out += "mined.source=" + std::to_string(c.mined_attack_source.size()) +
-           "\n";
-    out += c.mined_attack_source;
-    out += "\n";
-  }
-}
-
-/// Applies one scenario-section key; true when the key belonged here.
-bool apply_scenario_key(ScenarioConfig& c, const std::string& key,
-                        const std::string& value) {
-  if (key == "host") {
-    c.host = value;
-  } else if (key == "host_scale") {
-    c.host_scale = parse_u64(key, value);
-  } else if (key == "secret") {
-    c.secret = value;
-  } else if (key == "variant") {
-    c.variant = parse_variant(value);
-  } else if (key == "rop_injected") {
-    c.rop_injected = parse_bool_field(key, value);
-  } else if (key == "perturb") {
-    c.perturb = parse_bool_field(key, value);
-  } else if (key == "p.a") {
-    c.perturb_params.a = parse_int_field(key, value);
-  } else if (key == "p.b") {
-    c.perturb_params.b = parse_int_field(key, value);
-  } else if (key == "p.loop_count") {
-    c.perturb_params.loop_count = parse_int_field(key, value);
-  } else if (key == "p.a_step") {
-    c.perturb_params.a_step = parse_int_field(key, value);
-  } else if (key == "p.b_step") {
-    c.perturb_params.b_step = parse_int_field(key, value);
-  } else if (key == "p.extra_ladders") {
-    c.perturb_params.extra_ladders = parse_int_field(key, value);
-  } else if (key == "p.delay") {
-    c.perturb_params.delay = parse_int_field(key, value);
-  } else if (key == "p.style") {
-    c.perturb_params.style = parse_style(value);
-  } else if (key == "p.flushless") {
-    c.perturb_params.flushless = parse_bool_field(key, value);
-  } else if (key == "canary") {
-    c.canary = parse_bool_field(key, value);
-  } else if (key == "aslr") {
-    c.aslr = parse_bool_field(key, value);
-  } else if (key == "harden") {
-    c.harden = harden::HardenConfig::parse(value);
-  } else if (key == "leak_stage") {
-    c.leak_stage = parse_bool_field(key, value);
-  } else if (key == "spectre11") {
-    c.spectre11 = parse_bool_field(key, value);
-  } else if (key == "mitigations") {
-    c.mitigations = mitigate::MitigationConfig::parse(value);
-  } else if (key == "seed") {
-    c.seed = parse_u64(key, value);
-  } else if (key == "prof.window_cycles") {
-    c.profiler.window_cycles = parse_u64(key, value);
-  } else if (key == "prof.max_windows") {
-    c.profiler.max_windows = parse_u64(key, value);
-  } else if (key == "prof.max_instructions") {
-    c.profiler.max_instructions = parse_u64(key, value);
-  } else if (key == "prof.noise_sigma") {
-    c.profiler.noise_sigma = parse_f64(key, value);
-  } else if (key == "prof.background_intensity") {
-    c.profiler.background_intensity = parse_f64(key, value);
-  } else if (key == "prof.noise_seed") {
-    c.profiler.noise_seed = parse_u64(key, value);
-  } else {
-    return false;
-  }
-  return true;
-}
+#undef CRS_FIELD
 
 std::string hex_encode(const std::string& bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -266,61 +330,15 @@ std::string job_kind_name(JobKind kind) {
 
 std::string serialize_job(const JobSpec& spec) {
   std::string out = "crs-job v1\n";
-  out += "kind=" + job_kind_name(spec.kind) + "\n";
-  out += "id=" + std::to_string(spec.id) + "\n";
-  switch (spec.kind) {
-    case JobKind::kScenario:
-      emit_scenario(out, spec.scenario.config);
-      out += "attempts=" + std::to_string(spec.scenario.attempts) + "\n";
-      break;
-    case JobKind::kCampaign: {
-      const CampaignConfig& c = spec.campaign.config;
-      emit_scenario(out, c.scenario);
-      out += "camp.attempts=" + std::to_string(c.attempts) + "\n";
-      out += std::string("camp.online=") + (c.online_hid ? "1" : "0") + "\n";
-      out += std::string("camp.dynamic=") +
-             (c.dynamic_perturbation ? "1" : "0") + "\n";
-      out += "camp.detect_threshold=" + fmt_f64(c.detect_threshold) + "\n";
-      out += "camp.evade_threshold=" + fmt_f64(c.evade_threshold) + "\n";
-      out += "camp.seed=" + std::to_string(c.seed) + "\n";
-      out += "det.classifier=" + c.detector.classifier + "\n";
-      out += "det.feature_count=" + std::to_string(c.detector.feature_count) +
-             "\n";
-      out += "det.seed=" + std::to_string(c.detector.seed) + "\n";
-      out += "camp.corpus_windows=" +
-             std::to_string(spec.campaign.corpus_windows) + "\n";
-      out += "camp.corpus_seed=" + std::to_string(spec.campaign.corpus_seed) +
-             "\n";
-      break;
+  for (const Row& row : kRows) {
+    if (!in_section(row.section, spec.kind)) continue;
+    const std::string value = row.write(spec);
+    if (row.form == Form::kLine) {
+      out += std::string(row.key) + "=" + value + "\n";
+    } else if (row.form == Form::kBlob || !value.empty()) {
+      out += std::string(row.key) + "=" + std::to_string(value.size()) +
+             "\n" + value + "\n";
     }
-    case JobKind::kMatrix: {
-      const DefenseMatrixConfig& m = spec.matrix.config;
-      out += "mx.attempts=" + std::to_string(m.attempts) + "\n";
-      out += "mx.seed=" + std::to_string(m.seed) + "\n";
-      out += "mx.host_scale=" + std::to_string(m.host_scale) + "\n";
-      out += "mx.secret=" + m.secret + "\n";
-      std::string presets;
-      for (const auto& p : m.presets) {
-        if (!presets.empty()) presets += ',';
-        presets += p;
-      }
-      out += "mx.presets=" + presets + "\n";
-      out += "mx.corpus_windows=" + std::to_string(m.corpus_windows) + "\n";
-      out += "mx.overhead_repeats=" + std::to_string(m.overhead_repeats) +
-             "\n";
-      out += std::string("mx.quick=") + (m.quick ? "1" : "0") + "\n";
-      break;
-    }
-    case JobKind::kProgram:
-      out += "prog.max_instructions=" +
-             std::to_string(spec.program.max_instructions) + "\n";
-      out += std::string("prog.smc=") +
-             (spec.program.writable_text ? "1" : "0") + "\n";
-      out += "prog.source=" + std::to_string(spec.program.source.size()) +
-             "\n";
-      out += spec.program.source;
-      out += "\n";
-      break;
   }
   return out;
 }
@@ -329,7 +347,7 @@ JobSpec parse_job(const std::string& text) {
   JobSpec spec;
   std::size_t pos = 0;
   bool have_kind = false;
-  bool have_source = false;
+  bool have_blob = false;  // the kind's required blob (prog.source)
 
   const auto next_line = [&]() -> std::optional<std::string> {
     if (pos >= text.size()) return std::nullopt;
@@ -356,136 +374,43 @@ JobSpec parse_job(const std::string& text) {
       throw Error("job spec: malformed line '" + line + "'");
     }
     const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-
+    std::string value = line.substr(eq + 1);
     if (key == "kind") {
       have_kind = true;
-      if (value == "scenario") {
-        spec.kind = JobKind::kScenario;
-      } else if (value == "campaign") {
-        spec.kind = JobKind::kCampaign;
-      } else if (value == "matrix") {
-        spec.kind = JobKind::kMatrix;
-      } else if (value == "program") {
-        spec.kind = JobKind::kProgram;
-      } else {
-        throw Error("job spec: unknown kind '" + value + "'");
-      }
-      continue;
+    } else if (!have_kind) {
+      throw Error("job spec: '" + key + "' before kind");
     }
-    if (!have_kind) throw Error("job spec: '" + key + "' before kind");
-    if (key == "id") {
-      spec.id = parse_u64(key, value);
-      continue;
+    const Row* row = std::find_if(
+        std::begin(kRows), std::end(kRows), [&](const Row& r) {
+          return r.key == key && in_section(r.section, spec.kind);
+        });
+    if (row == std::end(kRows)) {
+      throw Error("job spec: unknown " + job_kind_name(spec.kind) + " key '" +
+                  key + "'");
     }
-
-    ScenarioConfig* sc = nullptr;
-    if (spec.kind == JobKind::kScenario) sc = &spec.scenario.config;
-    if (spec.kind == JobKind::kCampaign) sc = &spec.campaign.config.scenario;
-    if (sc != nullptr && key == "mined.source") {
-      const std::uint64_t len = parse_u64(key, value);
-      if (len > text.size() || pos + len + 1 > text.size()) {
-        throw Error("job spec: truncated mined source (wants " +
+    if (row->form != Form::kLine) {
+      const auto len = parse_number<std::uint64_t>(row->what(), value);
+      if (len >= text.size() - pos) {
+        throw Error("job spec: truncated " + key + " (wants " +
                     std::to_string(len) + " bytes)");
       }
-      sc->mined_attack_source = text.substr(pos, len);
       if (text[pos + len] != '\n') {
-        throw Error("job spec: mined source not newline-terminated");
+        throw Error("job spec: " + key + " not newline-terminated");
       }
+      value = text.substr(pos, len);
       pos += len + 1;
-      continue;
+      have_blob = have_blob || row->form == Form::kBlob;
     }
-    if (sc != nullptr && apply_scenario_key(*sc, key, value)) continue;
-
-    if (spec.kind == JobKind::kScenario && key == "attempts") {
-      spec.scenario.attempts = parse_attempts_field(key, value);
-      continue;
-    }
-    if (spec.kind == JobKind::kCampaign) {
-      CampaignConfig& c = spec.campaign.config;
-      if (key == "camp.attempts") {
-        c.attempts = parse_attempts_field(key, value);
-      } else if (key == "camp.online") {
-        c.online_hid = parse_bool_field(key, value);
-      } else if (key == "camp.dynamic") {
-        c.dynamic_perturbation = parse_bool_field(key, value);
-      } else if (key == "camp.detect_threshold") {
-        c.detect_threshold = parse_f64(key, value);
-      } else if (key == "camp.evade_threshold") {
-        c.evade_threshold = parse_f64(key, value);
-      } else if (key == "camp.seed") {
-        c.seed = parse_u64(key, value);
-      } else if (key == "det.classifier") {
-        c.detector.classifier = value;
-      } else if (key == "det.feature_count") {
-        c.detector.feature_count = parse_u64(key, value);
-      } else if (key == "det.seed") {
-        c.detector.seed = parse_u64(key, value);
-      } else if (key == "camp.corpus_windows") {
-        spec.campaign.corpus_windows = parse_corpus_windows(key, value);
-      } else if (key == "camp.corpus_seed") {
-        spec.campaign.corpus_seed = parse_u64(key, value);
-      } else {
-        throw Error("job spec: unknown campaign key '" + key + "'");
-      }
-      continue;
-    }
-    if (spec.kind == JobKind::kMatrix) {
-      DefenseMatrixConfig& m = spec.matrix.config;
-      if (key == "mx.attempts") {
-        m.attempts = parse_count_field(key, value, kMaxJobMatrixAttempts);
-      } else if (key == "mx.seed") {
-        m.seed = parse_u64(key, value);
-      } else if (key == "mx.host_scale") {
-        m.host_scale = parse_u64(key, value);
-      } else if (key == "mx.secret") {
-        m.secret = value;
-      } else if (key == "mx.presets") {
-        m.presets = value.empty() ? std::vector<std::string>{}
-                                  : split(value, ',');
-      } else if (key == "mx.corpus_windows") {
-        m.corpus_windows = parse_corpus_windows(key, value);
-      } else if (key == "mx.overhead_repeats") {
-        m.overhead_repeats =
-            parse_count_field(key, value, kMaxJobOverheadRepeats);
-      } else if (key == "mx.quick") {
-        m.quick = parse_bool_field(key, value);
-      } else {
-        throw Error("job spec: unknown matrix key '" + key + "'");
-      }
-      continue;
-    }
-    if (spec.kind == JobKind::kProgram) {
-      if (key == "prog.max_instructions") {
-        spec.program.max_instructions = parse_u64(key, value);
-        continue;
-      }
-      if (key == "prog.smc") {
-        spec.program.writable_text = parse_bool_field(key, value);
-        continue;
-      }
-      if (key == "prog.source") {
-        const std::uint64_t len = parse_u64(key, value);
-        if (len > text.size() || pos + len + 1 > text.size()) {
-          throw Error("job spec: truncated program source (wants " +
-                      std::to_string(len) + " bytes)");
-        }
-        spec.program.source = text.substr(pos, len);
-        if (text[pos + len] != '\n') {
-          throw Error("job spec: program source not newline-terminated");
-        }
-        pos += len + 1;
-        have_source = true;
-        continue;
-      }
-      throw Error("job spec: unknown program key '" + key + "'");
-    }
-    throw Error("job spec: unknown key '" + key + "'");
+    row->read(*row, spec, value);
   }
 
   if (!have_kind) throw Error("job spec: missing kind");
-  if (spec.kind == JobKind::kProgram && !have_source) {
-    throw Error("job spec: program job without prog.source");
+  for (const Row& row : kRows) {
+    if (row.form == Form::kBlob && in_section(row.section, spec.kind) &&
+        !have_blob) {
+      throw Error("job spec: " + job_kind_name(spec.kind) + " job without " +
+                  std::string(row.key));
+    }
   }
   return spec;
 }

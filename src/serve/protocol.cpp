@@ -1,24 +1,14 @@
 #include "serve/protocol.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace crs::serve {
 
 namespace {
-
-std::uint64_t parse_u64_field(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') {
-    throw Error("frame payload: " + key + " wants an integer, got '" + v +
-                "'");
-  }
-  return out;
-}
 
 /// Parses `key=value` lines from the front of `payload` until `stop_after`
 /// keys (or the whole payload when 0); returns the map and the offset one
@@ -54,6 +44,11 @@ const std::string& want(const std::map<std::string, std::string>& kv,
   const auto it = kv.find(key);
   if (it == kv.end()) throw Error("frame payload: missing " + key);
   return it->second;
+}
+
+std::uint64_t want_u64(const std::map<std::string, std::string>& kv,
+                       const std::string& key) {
+  return parse_number<std::uint64_t>("frame payload: " + key, want(kv, key));
 }
 
 }  // namespace
@@ -180,13 +175,13 @@ std::string encode_result(const ResultPayload& p) {
 
 AcceptedPayload parse_accepted(std::string_view payload) {
   const auto kv = parse_kv(payload);
-  return {.id = parse_u64_field("id", want(kv, "id"))};
+  return {.id = want_u64(kv, "id")};
 }
 
 RejectedPayload parse_rejected(std::string_view payload) {
   const auto kv = parse_kv(payload);
   RejectedPayload p;
-  p.id = parse_u64_field("id", want(kv, "id"));
+  p.id = want_u64(kv, "id");
   p.reason = want(kv, "reason");
   if (const auto it = kv.find("detail"); it != kv.end()) p.detail = it->second;
   return p;
@@ -195,12 +190,11 @@ RejectedPayload parse_rejected(std::string_view payload) {
 ProgressPayload parse_progress(std::string_view payload) {
   const auto kv = parse_kv(payload);
   ProgressPayload p;
-  p.id = parse_u64_field("id", want(kv, "id"));
-  p.progress.done = parse_u64_field("done", want(kv, "done"));
-  p.progress.total = parse_u64_field("total", want(kv, "total"));
-  p.progress.leaks = parse_u64_field("leaks", want(kv, "leaks"));
-  p.progress.sim_cycles =
-      parse_u64_field("sim_cycles", want(kv, "sim_cycles"));
+  p.id = want_u64(kv, "id");
+  p.progress.done = want_u64(kv, "done");
+  p.progress.total = want_u64(kv, "total");
+  p.progress.leaks = want_u64(kv, "leaks");
+  p.progress.sim_cycles = want_u64(kv, "sim_cycles");
   return p;
 }
 
@@ -208,12 +202,12 @@ ResultPayload parse_result(std::string_view payload) {
   std::size_t body = 0;
   const auto kv = parse_kv(payload, &body, 3);
   ResultPayload p;
-  p.id = parse_u64_field("id", want(kv, "id"));
+  p.id = want_u64(kv, "id");
   p.status = want(kv, "status");
   if (p.status != "ok" && p.status != "cancelled" && p.status != "failed") {
     throw Error("result frame: unknown status '" + p.status + "'");
   }
-  const std::uint64_t bytes = parse_u64_field("bytes", want(kv, "bytes"));
+  const std::uint64_t bytes = want_u64(kv, "bytes");
   if (payload.size() - body != bytes) {
     throw Error("result frame: bytes=" + std::to_string(bytes) + " but " +
                 std::to_string(payload.size() - body) + " remain");

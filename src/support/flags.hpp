@@ -13,6 +13,7 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace crs {
 
@@ -21,7 +22,8 @@ namespace crs {
 ///   FlagCursor args(argc, argv);
 ///   while (args.more()) {
 ///     if (args.take("--quick")) { quick = true; }
-///     else if (args.take_value("--seed", value)) { ... }
+///     else if (args.take_number("--seed", seed)) {}
+///     else if (args.take_value("--out", path)) {}
 ///     else break;   // positional argument (or let unknown() report it)
 ///   }
 class FlagCursor {
@@ -72,11 +74,17 @@ class FlagCursor {
     return false;
   }
 
-  /// take_value + unsigned 64-bit parse (base auto-detected).
-  bool take_u64(const std::string& flag, std::uint64_t& out);
-
-  /// take_value + int parse.
-  bool take_int(const std::string& flag, int& out);
+  /// take_value + parse_number: the value must be a T (decimal or 0x-hex
+  /// for integers), or crs::Error names the flag. The type of `out` is the
+  /// accepted range, so `--port 70001` into a std::uint16_t is an error,
+  /// not 4465.
+  template <class T>
+  bool take_number(const std::string& flag, T& out) {
+    std::string v;
+    if (!take_value(flag, v)) return false;
+    out = parse_number<T>(flag, v);
+    return true;
+  }
 
   /// Consumes and returns the current positional argument.
   std::string take_positional() { return argv_[index_++]; }

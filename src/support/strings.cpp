@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "support/error.hpp"
+
 namespace crs {
 
 std::vector<std::string> split(std::string_view s, char sep) {
@@ -100,5 +102,45 @@ bool parse_int(std::string_view s, std::int64_t& out) {
   }
   return true;
 }
+
+namespace detail {
+
+std::optional<IntegerText> read_integer(std::string_view text) {
+  IntegerText out;
+  if (starts_with(text, "-")) {
+    out.negative = true;
+    text.remove_prefix(1);
+  }
+  int base = 10;
+  if (starts_with(text, "0x") || starts_with(text, "0X")) {
+    base = 16;
+    text.remove_prefix(2);
+  }
+  // from_chars takes no sign, prefix or whitespace for an unsigned target,
+  // and reports overflow instead of wrapping.
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), end, out.magnitude, base);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
+}
+
+std::optional<double> read_finite(std::string_view text) {
+  double out = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end || !std::isfinite(out)) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+void bad_number(std::string_view what, const std::string& want,
+                std::string_view text) {
+  throw Error(std::string(what) + " wants " + want + ", got '" +
+              std::string(text) + "'");
+}
+
+}  // namespace detail
 
 }  // namespace crs

@@ -11,6 +11,9 @@
 #include <unistd.h>
 
 #include <climits>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,11 +22,14 @@
 #include "core/corpus.hpp"
 #include "core/job.hpp"
 #include "core/report.hpp"
+#include "harden/config.hpp"
+#include "mitigate/config.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/rng.hpp"
 #include "support/socket.hpp"
 
 namespace crs {
@@ -83,6 +89,114 @@ core::JobSpec program_spec(std::uint64_t id) {
       "  addi r1, r1, 1\n"
       "  call exit_\n";
   return spec;
+}
+
+// The specs pinned in tests/golden/job/: every key of its kind at a
+// non-default value.
+core::ScenarioConfig golden_scenario_config() {
+  core::ScenarioConfig c;
+  c.host = "susan";
+  c.host_scale = 4321;
+  c.secret = "GOLDEN-SECRET";
+  c.variant = attack::SpectreVariant::kRsb;
+  c.rop_injected = false;
+  c.perturb = true;
+  c.perturb_params.a = -7;
+  c.perturb_params.b = 9;
+  c.perturb_params.loop_count = 12;
+  c.perturb_params.a_step = 35;
+  c.perturb_params.b_step = 4;
+  c.perturb_params.extra_ladders = 2;
+  c.perturb_params.delay = 150;
+  c.perturb_params.style = perturb::MimicStyle::kStrided;
+  c.perturb_params.flushless = true;
+  c.canary = true;
+  c.aslr = true;
+  c.harden = harden::HardenConfig::parse("aslr,heap-guard");
+  c.leak_stage = true;
+  c.spectre11 = true;
+  c.mitigations = mitigate::MitigationConfig::parse("slh,retpoline");
+  c.seed = 18446744073709551615ull;
+  c.profiler.window_cycles = 30000;
+  c.profiler.max_windows = 4096;
+  c.profiler.max_instructions = 123456789;
+  c.profiler.noise_sigma = 0.1 + 0.2;
+  c.profiler.background_intensity = 2.5e-7;
+  c.profiler.noise_seed = 42;
+  c.mined_attack_source =
+      "; mined replay\nmain:\n  movi r1, 3\nseed=9\n  call exit_\n";
+  return c;
+}
+
+core::JobSpec golden_job(core::JobKind kind) {
+  core::JobSpec spec;
+  spec.kind = kind;
+  switch (kind) {
+    case core::JobKind::kScenario:
+      spec.id = 101;
+      spec.scenario.config = golden_scenario_config();
+      spec.scenario.attempts = 3;
+      break;
+    case core::JobKind::kCampaign: {
+      spec.id = 102;
+      core::CampaignConfig& c = spec.campaign.config;
+      c.scenario = golden_scenario_config();
+      c.scenario.seed = 77;
+      c.attempts = 7;
+      c.online_hid = true;
+      c.dynamic_perturbation = true;
+      c.detect_threshold = 0.9;
+      c.evade_threshold = 1.0 / 3.0;
+      c.seed = 6;
+      c.detector.classifier = "LR";
+      c.detector.feature_count = 6;
+      c.detector.seed = 13;
+      spec.campaign.corpus_windows = 48;
+      spec.campaign.corpus_seed = 5;
+      break;
+    }
+    case core::JobKind::kMatrix: {
+      spec.id = 103;
+      core::DefenseMatrixConfig& m = spec.matrix.config;
+      m.attempts = 3;
+      m.seed = 29;
+      m.host_scale = 4000;
+      m.secret = "MX-SECRET";
+      m.presets = {"slh", "none"};
+      m.corpus_windows = 64;
+      m.overhead_repeats = 3;
+      m.quick = true;
+      break;
+    }
+    case core::JobKind::kProgram:
+      spec.id = 104;
+      spec.program.max_instructions = 5000;
+      spec.program.writable_text = true;
+      spec.program.source =
+          "; prog.source=4\nkind=matrix\nmain:\n"
+          "  movi r1, 7 ; caf\xc3\xa9 \xff\x01\n  call exit_\n";
+      break;
+  }
+  return spec;
+}
+
+std::string read_golden_job(const std::string& kind) {
+  std::ifstream in(std::string(CRS_GOLDEN_DIR) + "/job/" + kind + ".job",
+                   std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// parse_job must refuse `text` with a "job spec: " error that names `key`.
+void expect_job_rejected(const std::string& text,
+                         const std::string& key = "") {
+  try {
+    core::parse_job(text);
+    ADD_FAILURE() << text << " accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("job spec: ", 0), 0u) << what;
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+  }
 }
 
 // --- Protocol -------------------------------------------------------------
@@ -224,13 +338,7 @@ TEST(ServeJobSpec, ParseRejectsGarbage) {
                                  "camp.evade_threshold="}) {
     for (const char* bad : {"nan", "NAN", "-nan", "inf", "-inf", "infinity",
                             "1e999"}) {
-      try {
-        core::parse_job(head + bad + "\n");
-        ADD_FAILURE() << head << bad << " accepted";
-      } catch (const Error& e) {
-        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
-            << e.what();
-      }
+      expect_job_rejected(head + bad + "\n");
     }
     EXPECT_NO_THROW(core::parse_job(head + "0.5\n"));
   }
@@ -247,13 +355,7 @@ TEST(ServeJobSpec, CorpusWindowsBoundedAtParse) {
     for (const std::string& bad : {std::string("0"), over,
                                    std::string("1000000000"),
                                    std::string("-1")}) {
-      try {
-        core::parse_job(head + bad + "\n");
-        ADD_FAILURE() << head << bad << " accepted";
-      } catch (const Error& e) {
-        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
-            << e.what();
-      }
+      expect_job_rejected(head + bad + "\n");
     }
     EXPECT_NO_THROW(core::parse_job(head + cap + "\n"));
   }
@@ -285,13 +387,7 @@ TEST(ServeJobSpec, MatrixAttemptsAndRepeatsBoundedAtParse) {
     for (const std::string& bad :
          {std::string("0"), std::string("-1"), std::to_string(cap + 1),
           std::string("1000000000"), std::string("4294967298")}) {
-      try {
-        core::parse_job(head + bad + "\n");
-        ADD_FAILURE() << key << bad << " accepted";
-      } catch (const Error& e) {
-        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
-            << e.what();
-      }
+      expect_job_rejected(head + bad + "\n");
     }
     EXPECT_NO_THROW(core::parse_job(head + std::to_string(cap) + "\n"));
   }
@@ -316,13 +412,7 @@ TEST(ServeJobSpec, AttemptsBoundedAtParse) {
     for (const std::string& bad :
          {std::to_string(core::kMaxJobAttempts + 1),
           std::string("2147483647")}) {
-      try {
-        core::parse_job(head + bad + "\n");
-        ADD_FAILURE() << head << bad << " accepted";
-      } catch (const Error& e) {
-        EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u)
-            << e.what();
-      }
+      expect_job_rejected(head + bad + "\n");
     }
     EXPECT_NO_THROW(
         core::parse_job(head + std::to_string(core::kMaxJobAttempts) + "\n"));
@@ -363,17 +453,107 @@ TEST(ServeJobSpec, IntFieldsRejectValuesOutsideIntRange) {
         "kind=scenario\np.delay=2147483648", "kind=scenario\np.a=-2147483649",
         "kind=campaign\ncamp.attempts=4294967297",
         "kind=scenario\np.b=99999999999999999999"}) {
-    try {
-      core::parse_job("crs-job v1\n" + line + "\n");
-      ADD_FAILURE() << line << " accepted";
-    } catch (const Error& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("job spec: ", 0), 0u) << e.what();
-    }
+    expect_job_rejected("crs-job v1\n" + line + "\n");
   }
   const core::JobSpec edge = core::parse_job(
       "crs-job v1\nkind=scenario\np.delay=2147483647\np.a=-2147483648\n");
   EXPECT_EQ(edge.scenario.config.perturb_params.delay, INT_MAX);
   EXPECT_EQ(edge.scenario.config.perturb_params.a, INT_MIN);
+}
+
+TEST(ServeJobSpec, UnsignedFieldsRejectSignAndOverflow) {
+  // A sign or an overflow on an unsigned key once wrapped or clamped to
+  // 2^64-1, so seed=-1 and seed=99999999999999999999999 both ran the job
+  // of seed=18446744073709551615.
+  const std::vector<std::vector<std::string>> cases = {
+      {"scenario", "seed", "-1"},
+      {"scenario", "seed", "99999999999999999999999"},
+      {"scenario", "host_scale", "-5"},
+      {"matrix", "mx.seed", "-1"},
+      {"campaign", "camp.corpus_seed", "18446744073709551616"},
+      {"scenario", "id", "-1"}};
+  for (const auto& c : cases) {
+    expect_job_rejected(
+        "crs-job v1\nkind=" + c[0] + "\n" + c[1] + "=" + c[2] + "\n", c[1]);
+  }
+  EXPECT_EQ(core::parse_job("crs-job v1\nkind=scenario\n"
+                            "seed=18446744073709551615\n")
+                .scenario.config.seed,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ServeJobSpec, SerializedSpecsMatchGolden) {
+  // The wire bytes of every key, pinned before the field table replaced
+  // the hand-written serializer and parser.
+  for (const auto kind : {core::JobKind::kScenario, core::JobKind::kCampaign,
+                          core::JobKind::kMatrix, core::JobKind::kProgram}) {
+    const std::string golden = read_golden_job(core::job_kind_name(kind));
+    ASSERT_FALSE(golden.empty()) << core::job_kind_name(kind);
+    EXPECT_EQ(core::serialize_job(golden_job(kind)), golden);
+    EXPECT_EQ(core::serialize_job(core::parse_job(golden)), golden);
+  }
+}
+
+TEST(ServeJobSpec, MutatedSpecsAreRejectedOrRoundTrip) {
+  // Reject-or-round-trip: a mutated spec either throws crs::Error or parses
+  // to a spec whose text reads back to the same text. Any other exception
+  // fails the test.
+  std::vector<std::string> seeds;
+  for (const char* kind : {"scenario", "campaign", "matrix", "program"}) {
+    seeds.push_back(read_golden_job(kind));
+    ASSERT_FALSE(seeds.back().empty()) << kind;
+  }
+  const std::vector<std::string> inserts = {
+      "-1", "18446744073709551616", "nan", "=", "\n", "prog.source="};
+  Rng rng(2030);
+  int refused = 0;
+  int accepted = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    std::string text = seeds[rng.next_below(seeds.size())];
+    for (std::uint64_t edits = 1 + rng.next_below(3); edits > 0; --edits) {
+      const std::size_t at = rng.next_below(text.size());
+      switch (rng.next_below(4)) {
+        case 0:  // flip one bit of a byte
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.next_below(8)));
+          break;
+        case 1:  // delete a run
+          text.erase(at, 1 + rng.next_below(8));
+          break;
+        case 2:  // duplicate a run
+          text.insert(at, text.substr(at, 1 + rng.next_below(16)));
+          break;
+        default: {
+          std::string insert = inserts[rng.next_below(inserts.size())];
+          if (insert == "prog.source=") {
+            insert += std::to_string(rng.next_below(40)) + "\n";
+          }
+          text.insert(at, insert);
+        }
+      }
+      if (text.empty()) text = "\n";
+    }
+    std::string once;
+    try {
+      once = core::serialize_job(core::parse_job(text));
+    } catch (const Error&) {
+      ++refused;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " threw " << e.what() << "\n"
+                    << text;
+      continue;
+    }
+    ++accepted;
+    try {
+      EXPECT_EQ(core::serialize_job(core::parse_job(once)), once)
+          << "mutation " << i << ":\n" << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " re-parse threw " << e.what()
+                    << "\n" << once;
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(ServeJobSpec, AffinityKeyGroupsByConfig) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "support/error.hpp"
@@ -160,6 +161,35 @@ TEST(Strings, ParseIntDecimalHexNegative) {
   EXPECT_FALSE(parse_int("-", v));
 }
 
+TEST(Strings, ParseNumberGrammar) {
+  EXPECT_EQ(parse_number<std::uint64_t>("n", "010"), 10u);  // not octal
+  EXPECT_EQ(parse_number<std::uint64_t>("n", "0x1F"), 31u);
+  EXPECT_EQ(parse_number<int>("n", "-0x10"), -16);
+  EXPECT_EQ(parse_number<std::int64_t>("n", "-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse_number<double>("n", "0.30000000000000004"), 0.1 + 0.2);
+  EXPECT_EQ(parse_number<double>("n", "4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(parse_number<int>("n", "7", 1, 7), 7);
+  for (const std::string bad :
+       {"", " 1", "1 ", "+1", "1x", "0x", "-", "--1", "1.0", "1e3"}) {
+    EXPECT_THROW(parse_number<int>("n", bad), Error) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_number<unsigned>("n", "-0"), Error);
+  EXPECT_THROW(parse_number<std::int64_t>("n", "-9223372036854775809"),
+               Error);
+  for (const std::string bad : {"nan", "-inf", "infinity", "1e999", "0x1p3"}) {
+    EXPECT_THROW(parse_number<double>("n", bad), Error) << bad;
+  }
+  try {
+    parse_number<int>("job spec: mx.attempts", "0", 1, 1000);
+    FAIL() << "0 accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "job spec: mx.attempts wants an integer in 1..1000, got '0'");
+  }
+}
+
 TEST(Strings, HexAndFixedFormatting) {
   EXPECT_EQ(hex(255), "0xff");
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
@@ -232,7 +262,7 @@ TEST(FlagCursor, BadU64Throws) {
   auto args = a.cursor();
   std::uint64_t v = 0;
   try {
-    args.take_u64("--seed", v);
+    args.take_number("--seed", v);
     FAIL() << "should have thrown";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("unsigned integer"),
@@ -245,33 +275,73 @@ TEST(FlagCursor, U64ParsesHexAndDecimal) {
   Argv a({"--a", "0x10", "--b=42"});
   auto args = a.cursor();
   std::uint64_t v = 0;
-  EXPECT_TRUE(args.take_u64("--a", v));
+  EXPECT_TRUE(args.take_number("--a", v));
   EXPECT_EQ(v, 16u);
-  EXPECT_TRUE(args.take_u64("--b", v));
+  EXPECT_TRUE(args.take_number("--b", v));
   EXPECT_EQ(v, 42u);
 }
 
 TEST(FlagCursor, BadIntThrows) {
-  Argv a({"--attempts", "many"});
-  auto args = a.cursor();
-  int v = 0;
-  try {
-    args.take_int("--attempts", v);
-    FAIL() << "should have thrown";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("integer"), std::string::npos);
+  for (const std::string bad : {"many", "4294967298"}) {
+    Argv a({"--attempts", bad});
+    auto args = a.cursor();
+    int v = 0;
+    try {
+      args.take_number("--attempts", v);
+      FAIL() << bad << " should have thrown";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("integer"), std::string::npos);
+    }
   }
+  int v = 0;
   // Empty inline value is also a parse error, not a silent zero.
   Argv b({"--attempts="});
   auto bargs = b.cursor();
-  EXPECT_THROW(bargs.take_int("--attempts", v), Error);
+  EXPECT_THROW(bargs.take_number("--attempts", v), Error);
+}
+
+// The target's type is the flag's range: a value that would wrap or narrow
+// is an error naming the flag, and every type's maximum still parses.
+template <class T>
+void expect_flag_rejected(const std::string& flag, const std::string& value) {
+  Argv a({flag, value});
+  auto args = a.cursor();
+  T v{};
+  try {
+    args.take_number(flag, v);
+    ADD_FAILURE() << flag << ' ' << value << " accepted as " << v;
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(flag + " wants ", 0), 0u)
+        << e.what();
+  }
+}
+
+template <class T>
+void expect_flag_takes_max(const std::string& flag) {
+  const T max = std::numeric_limits<T>::max();
+  Argv a({flag, std::to_string(max)});
+  auto args = a.cursor();
+  T v{};
+  EXPECT_TRUE(args.take_number(flag, v));
+  EXPECT_EQ(v, max);
+}
+
+TEST(FlagCursor, NumberOutsideTargetTypeThrows) {
+  expect_flag_rejected<std::uint16_t>("--port", "70001");
+  expect_flag_rejected<unsigned>("--threads", "4294967297");
+  expect_flag_rejected<std::uint64_t>("--seed", "-1");
+  expect_flag_rejected<std::uint64_t>("--seed", "18446744073709551616");
+  expect_flag_takes_max<std::uint16_t>("--port");
+  expect_flag_takes_max<unsigned>("--threads");
+  expect_flag_takes_max<std::uint64_t>("--seed");
+  expect_flag_takes_max<int>("--attempts");
 }
 
 TEST(FlagCursor, IntParsesNegative) {
   Argv a({"--delta", "-3"});
   auto args = a.cursor();
   int v = 0;
-  EXPECT_TRUE(args.take_int("--delta", v));
+  EXPECT_TRUE(args.take_number("--delta", v));
   EXPECT_EQ(v, -3);
 }
 
@@ -282,7 +352,7 @@ TEST(FlagCursor, DuplicateFlagLastWins) {
   auto args = a.cursor();
   std::uint64_t seed = 0;
   while (args.more()) {
-    if (args.take_u64("--seed", seed)) continue;
+    if (args.take_number("--seed", seed)) continue;
     args.unknown();
   }
   EXPECT_EQ(seed, 9u);

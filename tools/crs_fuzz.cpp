@@ -30,8 +30,6 @@
 // iteration does.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -46,6 +44,7 @@
 #include "serve/server.hpp"
 #include "sim/cpu.hpp"
 #include "support/error.hpp"
+#include "support/flags.hpp"
 #include "support/parallel.hpp"
 
 #ifndef CRS_FUZZ_DEFAULT_CORPUS
@@ -96,75 +95,49 @@ int usage() {
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto next = [&](std::uint64_t& out) {
-      if (i + 1 >= argc) return false;
-      out = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 0));
-      return true;
-    };
-    if (a == "--seed") {
-      if (!next(opt.seed)) return false;
-    } else if (a == "--iters") {
-      if (!next(opt.iters)) return false;
-    } else if (a == "--seconds") {
-      if (i + 1 >= argc) return false;
-      opt.seconds = std::atof(argv[++i]);
-    } else if (a == "--corpus") {
-      if (i + 1 >= argc) return false;
-      opt.corpus = argv[++i];
-    } else if (a == "--max-instructions") {
-      if (!next(opt.max_instructions)) return false;
-    } else if (a == "--attack-every") {
-      if (!next(opt.attack_every)) return false;
-    } else if (a == "--harden-every") {
-      if (!next(opt.harden_every)) return false;
-    } else if (a == "--threads") {
-      std::uint64_t t = 0;
-      if (!next(t)) return false;
-      opt.threads = static_cast<unsigned>(t);
-    } else if (a == "--parallel-batch") {
-      std::uint64_t b = 0;
-      if (!next(b)) return false;
-      opt.parallel_batch = static_cast<int>(b);
-    } else if (a == "--max-repros") {
-      std::uint64_t r = 0;
-      if (!next(r)) return false;
-      opt.max_repros = static_cast<int>(r);
-    } else if (a == "--exec" || a.rfind("--exec=", 0) == 0) {
-      // Sets the default engine for machines the differ does not pin
-      // explicitly (golden traces, scenario replay, the attack-leak base).
-      std::string v;
-      if (a == "--exec") {
-        if (i + 1 >= argc) return false;
-        v = argv[++i];
+  try {
+    FlagCursor args(argc, argv);
+    std::string value;
+    while (args.more()) {
+      if (args.take_number("--seed", opt.seed)) {
+      } else if (args.take_number("--iters", opt.iters)) {
+      } else if (args.take_number("--seconds", opt.seconds)) {
+      } else if (args.take_value("--corpus", opt.corpus)) {
+      } else if (args.take_number("--max-instructions",
+                                  opt.max_instructions)) {
+      } else if (args.take_number("--attack-every", opt.attack_every)) {
+      } else if (args.take_number("--harden-every", opt.harden_every)) {
+      } else if (args.take_number("--threads", opt.threads)) {
+      } else if (args.take_number("--parallel-batch", opt.parallel_batch)) {
+      } else if (args.take_number("--max-repros", opt.max_repros)) {
+      } else if (args.take_value("--check-trace", opt.check_trace)) {
+      } else if (args.take_value("--exec", value)) {
+        // Sets the default engine for machines the differ does not pin
+        // explicitly (golden traces, scenario replay, the attack-leak base).
+        const auto engine = sim::parse_exec_engine(value);
+        if (!engine) throw Error("--exec wants 'interp' or 'blocks'");
+        sim::set_default_exec_engine(*engine);
+      } else if (args.take("--no-smc")) {
+        opt.allow_smc = false;
+      } else if (args.take("--no-pivot")) {
+        opt.allow_pivot = false;
+      } else if (args.take("--no-perturb")) {
+        opt.allow_perturb = false;
+      } else if (args.take("--fuzz-serve")) {
+        opt.fuzz_serve = true;
+      } else if (const bool update = args.take("--update-golden");
+                 update || args.take("--check-golden")) {
+        (update ? opt.update_golden : opt.check_golden) = true;
+        if (args.more() && !args.more_flags()) {
+          opt.golden_dir = args.take_positional();
+        }
       } else {
-        v = a.substr(7);
+        args.unknown();
       }
-      const auto engine = sim::parse_exec_engine(v);
-      if (!engine) {
-        std::fprintf(stderr, "crs_fuzz: --exec wants 'interp' or 'blocks'\n");
-        return false;
-      }
-      sim::set_default_exec_engine(*engine);
-    } else if (a == "--no-smc") {
-      opt.allow_smc = false;
-    } else if (a == "--no-pivot") {
-      opt.allow_pivot = false;
-    } else if (a == "--no-perturb") {
-      opt.allow_perturb = false;
-    } else if (a == "--fuzz-serve") {
-      opt.fuzz_serve = true;
-    } else if (a == "--check-trace") {
-      if (i + 1 >= argc) return false;
-      opt.check_trace = argv[++i];
-    } else if (a == "--update-golden" || a == "--check-golden") {
-      (a == "--update-golden" ? opt.update_golden : opt.check_golden) = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') opt.golden_dir = argv[++i];
-    } else {
-      std::fprintf(stderr, "crs_fuzz: unknown argument '%s'\n", a.c_str());
-      return false;
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "crs_fuzz: %s\n", e.what());
+    return false;
   }
   return true;
 }

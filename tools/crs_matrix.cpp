@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
     std::string value;
     FlagCursor args(argc, argv);
     while (args.more()) {
-      std::uint64_t u = 0;
+      unsigned threads = 0;
       if (args.take("--quick")) {
         config.quick = true;
       } else if (args.take("--check")) {
@@ -296,16 +296,16 @@ int main(int argc, char** argv) {
         harden_sweep = true;
       } else if (args.take_value("--presets", value)) {
         config.presets = split(value, ',');
-      } else if (args.take_int("--attempts", config.attempts)) {
-      } else if (args.take_u64("--seed", config.seed)) {
+      } else if (args.take_number("--attempts", config.attempts)) {
+      } else if (args.take_number("--seed", config.seed)) {
       } else if (args.take_value("--csv", csv_path)) {
       } else if (args.take_value("--json", json_path)) {
       } else if (args.take_value("--metrics", metrics_path)) {
       } else if (args.take_value("--bench-json", bench_json_path)) {
-      } else if (args.take_int("--mined", mined)) {
-      } else if (args.take_u64("--mined-seed", mined_seed)) {
-      } else if (args.take_u64("--threads", u)) {
-        set_thread_override(static_cast<unsigned>(u));
+      } else if (args.take_number("--mined", mined)) {
+      } else if (args.take_number("--mined-seed", mined_seed)) {
+      } else if (args.take_number("--threads", threads)) {
+        set_thread_override(threads);
       } else if (args.take_value("--exec", value)) {
         apply_exec_flag(value);
       } else if (args.take("--help")) {

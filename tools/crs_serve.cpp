@@ -87,23 +87,19 @@ int main(int argc, char** argv) {
 
     FlagCursor args(argc, argv);
     while (args.more()) {
-      std::uint64_t u = 0;
-      int n = 0;
+      unsigned threads = 0;
       if (args.take_value("--oneshot", oneshot_path)) {
       } else if (args.take_value("--example", example_kind)) {
-      } else if (args.take_u64("--port", u)) {
-        config.tcp_port = static_cast<std::uint16_t>(u);
+      } else if (args.take_number("--port", config.tcp_port)) {
       } else if (args.take_value("--unix", config.unix_path)) {
-      } else if (args.take_int("--shards", n)) {
-        config.shards = n;
-      } else if (args.take_u64("--queue", u)) {
-        config.queue_capacity = u;
+      } else if (args.take_number("--shards", config.shards)) {
+      } else if (args.take_number("--queue", config.queue_capacity)) {
       } else if (args.take_value("--affinity", value)) {
         config.affinity = parse_on_off("--affinity", value);
-      } else if (args.take_u64("--session-cache", u)) {
-        config.session_cache_capacity = u;
-      } else if (args.take_u64("--threads", u)) {
-        set_thread_override(static_cast<unsigned>(u));
+      } else if (args.take_number("--session-cache",
+                                  config.session_cache_capacity)) {
+      } else if (args.take_number("--threads", threads)) {
+        set_thread_override(threads);
       } else if (args.take_value("--metrics", metrics_path)) {
       } else if (args.take("--help")) {
         return help();

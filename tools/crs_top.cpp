@@ -57,14 +57,11 @@ int usage() {
 bool parse_args(int argc, char** argv, Options& opt) {
   FlagCursor args(argc, argv);
   while (args.more()) {
-    std::uint64_t u = 0;
-    if (args.take_int("--attempts", opt.attempts)) {
-    } else if (args.take_u64("--windows", u)) {
-      opt.windows = static_cast<std::size_t>(u);
-    } else if (args.take_u64("--seed", opt.seed)) {
-    } else if (args.take_u64("--threads", u)) {
-      opt.threads = static_cast<unsigned>(u);
-    } else if (args.take_int("--interval-ms", opt.interval_ms)) {
+    if (args.take_number("--attempts", opt.attempts)) {
+    } else if (args.take_number("--windows", opt.windows)) {
+    } else if (args.take_number("--seed", opt.seed)) {
+    } else if (args.take_number("--threads", opt.threads)) {
+    } else if (args.take_number("--interval-ms", opt.interval_ms)) {
     } else if (args.take_value("--metrics", opt.metrics_path)) {
     } else if (args.take("--online")) {
       opt.online = true;

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     std::string value;
     FlagCursor args(argc, argv);
     while (args.more_flags()) {
-      std::uint64_t u = 0;
+      unsigned threads = 0;
       if (args.take("--disasm")) {
         disasm = true;
       } else if (args.take_value("--mitigations", value)) {
@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
         harden = harden::HardenConfig::parse(value);
       } else if (args.take_value("--exec", value)) {
         apply_exec_flag(value);
-      } else if (args.take_u64("--threads", u)) {
-        set_thread_override(static_cast<unsigned>(u));
+      } else if (args.take_number("--threads", threads)) {
+        set_thread_override(threads);
       } else if (args.take_value("--bench-json", json_path)) {
       } else if (args.take_value("--trace", trace_path)) {
       } else if (args.take_value("--metrics", metrics_path)) {

@@ -334,25 +334,23 @@ int main(int argc, char** argv) {
     MineArgs margs;
 
     FlagCursor args(argc, argv);
-    std::uint64_t u = 0;
-    int n = 0;
+    unsigned threads = 0;
     while (args.more_flags()) {
       if (args.take("--plan")) {
         plan_chain = true;
       } else if (args.take_value("--metrics", metrics_path)) {
-      } else if (args.take_u64("--gen", u)) {
-        margs.corpus.generated = static_cast<std::size_t>(u);
+      } else if (args.take_number("--gen", margs.corpus.generated)) {
         mining = true;
-      } else if (args.take_u64("--seed", margs.corpus.seed)) {
+      } else if (args.take_number("--seed", margs.corpus.seed)) {
         mining = true;
-      } else if (args.take_int("--gadget-bias", margs.corpus.gadget_bias)) {
+      } else if (args.take_number("--gadget-bias", margs.corpus.gadget_bias)) {
         mining = true;
       } else if (args.take_value("--corpus", margs.corpus_dir)) {
         mining = true;
-      } else if (args.take_u64("--threads", u)) {
-        set_thread_override(static_cast<unsigned>(u));
-      } else if (args.take_int("--max-window", n)) {
-        margs.corpus.mine.max_window = n;
+      } else if (args.take_number("--threads", threads)) {
+        set_thread_override(threads);
+      } else if (args.take_number("--max-window",
+                                  margs.corpus.mine.max_window)) {
         mining = true;
       } else if (args.take("--no-validate")) {
         no_validate = true;

@@ -15,7 +15,6 @@
 // scenario and diffs it against a checked-in reference CSV;
 // `--update-golden` regenerates all references (default dir: tests/golden).
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -128,8 +127,8 @@ int main(int argc, char** argv) {
     if (mode == "benign") {
       if (argc != 5) return usage();
       const std::string name = args.take_positional();
-      const auto scale = static_cast<std::uint64_t>(
-          std::strtoull(args.take_positional().c_str(), nullptr, 0));
+      const auto scale =
+          parse_number<std::uint64_t>("scale", args.take_positional());
       out_path = args.take_positional();
       if (!workloads::is_known_workload(name)) {
         throw Error("unknown workload '" + name + "'");
@@ -154,8 +153,8 @@ int main(int argc, char** argv) {
       if (argc != 5) return usage();
       core::ScenarioConfig sc;
       sc.host = args.take_positional();
-      sc.host_scale = static_cast<std::uint64_t>(
-          std::strtoull(args.take_positional().c_str(), nullptr, 0));
+      sc.host_scale =
+          parse_number<std::uint64_t>("scale", args.take_positional());
       out_path = args.take_positional();
       sc.rop_injected = true;
       sc.perturb = true;
