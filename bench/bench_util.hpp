@@ -45,21 +45,16 @@ class BenchIo {
   const std::string& json_path() const { return json_path_; }
 
   /// Appends `{"name":...,"wall_ms":...,"items_per_s":...,"config":{...}}`
-  /// to the JSON file; no-op when --bench-json was not given. The config
-  /// object records the process-wide defaults (threads, snapshot, exec
-  /// engine, mitigations) — benchmarks that pin a different engine per arg
-  /// encode the variant in the name, as BM_CpuThroughput does.
+  /// to the JSON file (core::append_bench_record, which throws when the
+  /// file cannot be written); no-op when --bench-json was not given. The
+  /// config object records the process-wide defaults (threads, exec engine,
+  /// mitigations) — benchmarks that pin a different engine per arg encode
+  /// the variant in the name, as BM_CpuThroughput does.
   void emit(const std::string& name, double wall_ms,
             double items_per_s) const {
-    if (json_path_.empty()) return;
-    std::FILE* f = std::fopen(json_path_.c_str(), "a");
-    if (f == nullptr) return;
-    std::fprintf(f,
-                 "{\"name\":\"%s\",\"wall_ms\":%.3f,\"items_per_s\":%.3f,"
-                 "\"config\":%s}\n",
-                 name.c_str(), wall_ms, items_per_s,
-                 core::bench_config_json().c_str());
-    std::fclose(f);
+    if (!json_path_.empty()) {
+      core::append_bench_record(json_path_, name, wall_ms, items_per_s);
+    }
   }
 
   /// One JSON line per campaign attempt with wall and simulated time — the

@@ -61,7 +61,7 @@ void BM_BlockTranslation(benchmark::State& state) {
   opt.scale = 100000;
   const auto prog = workloads::build_workload("bitcount", opt);
   sim::MachineConfig mc;
-  mc.cpu.exec_engine = sim::ExecEngine::kBlocks;  // immune to CRS_EXEC
+  mc.cpu.exec_engine = sim::ExecEngine::kBlocks;  // whatever the default
   sim::Machine machine(mc);
   sim::Kernel kernel(machine);
   kernel.register_binary("/bin/w", prog);

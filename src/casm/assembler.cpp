@@ -124,6 +124,18 @@ class AssemblerImpl {
     return finish();
   }
 
+  /// Source line of each instruction by link-time address; call after
+  /// run(). instruction_stmt() keeps every instruction in .text.
+  std::map<std::uint64_t, int> text_lines() const {
+    std::map<std::uint64_t, int> out;
+    for (const Statement& st : statements_) {
+      if (st.kind == Statement::Kind::kInstr) {
+        out.emplace(section_base_[kText] + st.offset, st.line_no);
+      }
+    }
+    return out;
+  }
+
  private:
   // ---- pass 1: labels, sizes --------------------------------------------
   void pass1() {
@@ -614,10 +626,16 @@ class AssemblerImpl {
 }  // namespace
 
 sim::Program assemble(std::string_view source, const AssembleOptions& options) {
+  return AssemblerImpl(source, options).run();
+}
+
+Listing assemble_listing(std::string_view source,
+                         const AssembleOptions& options) {
   AssemblerImpl impl(source, options);
-  sim::Program program = impl.run();
-  program.name = options.name;
-  return program;
+  Listing out;
+  out.program = impl.run();
+  out.text_lines = impl.text_lines();
+  return out;
 }
 
 std::string disassemble_text(const sim::Program& program) {

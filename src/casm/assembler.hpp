@@ -31,6 +31,8 @@
 // kernel can rebase the image under ASLR.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -47,6 +49,18 @@ struct AssembleOptions {
 /// or resolution error.
 sim::Program assemble(std::string_view source,
                       const AssembleOptions& options = {});
+
+/// A program plus where its .text instructions came from.
+struct Listing {
+  sim::Program program;
+  /// Link-time address of every .text instruction -> its 1-based source
+  /// line, read off the statements the assembly laid out.
+  std::map<std::uint64_t, int> text_lines;
+};
+
+/// assemble() that also reports the source line of each .text instruction.
+Listing assemble_listing(std::string_view source,
+                         const AssembleOptions& options = {});
 
 /// Disassembles the .text segment (debugging aid; one instruction per line
 /// prefixed with its link-time address).

@@ -29,7 +29,6 @@ constexpr int kOnlineRunAhead = 3;
 // attempt tallies. Wall time deliberately never enters either sink.
 void record_attempt_observability(const AttemptRecord& record,
                                   std::uint64_t& acc_cycles) {
-  if constexpr (!obs::kEnabled) return;
   if (obs::tracing_enabled()) {
     obs::LaneScope lane(obs::kSummaryLaneBase);
     obs::ScopedSpan span("core.campaign.attempt", acc_cycles);

@@ -128,11 +128,9 @@ ml::Dataset build_benign_corpus(const CorpusConfig& config) {
   // Only consumed quantities are published: batches over-produce by up to
   // pool.size()-1 runs, so per-run profiler counters emitted during corpus
   // construction are thread-count-dependent while these totals are not.
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::MetricsRegistry::instance();
-    reg.counter("core.corpus.benign_builds").add(1);
-    reg.counter("core.corpus.benign_windows").add(out.size());
-  }
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("core.corpus.benign_builds").add(1);
+  reg.counter("core.corpus.benign_windows").add(out.size());
   return out;
 }
 
@@ -162,11 +160,9 @@ ml::Dataset build_attack_corpus(const CorpusConfig& config) {
         [&](std::size_t i) { return run_attack_spec(batch[i]); });
     if (append_until(out, runs, 1, config.windows_per_class)) break;
   }
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::MetricsRegistry::instance();
-    reg.counter("core.corpus.attack_builds").add(1);
-    reg.counter("core.corpus.attack_windows").add(out.size());
-  }
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("core.corpus.attack_builds").add(1);
+  reg.counter("core.corpus.attack_windows").add(out.size());
   return out;
 }
 

@@ -100,8 +100,9 @@ struct Row {
   Section section;
   /// Reads `value` into the row's field of `spec`, or throws crs::Error.
   void (*read)(const Row& row, JobSpec& spec, const std::string& value);
-  /// The row's field of `spec` as text.
-  std::string (*write)(const JobSpec& spec);
+  /// The row's field of `spec` as text, or throws crs::Error when the
+  /// text would read back as a different value.
+  std::string (*write)(const Row& row, const JobSpec& spec);
   std::optional<Range> range;
   Form form = Form::kLine;
 
@@ -141,7 +142,7 @@ void read_field(const Row& row, const std::string& v, T& out) {
 }
 template <class T>
   requires std::is_arithmetic_v<T>
-std::string write_field(T v) {
+std::string write_field(const Row&, T v) {
   return std::to_string(v);
 }
 
@@ -151,9 +152,9 @@ void read_field(const Row& row, const std::string& v, bool& out) {
   }
   out = v == "1";
 }
-std::string write_field(bool v) { return v ? "1" : "0"; }
+std::string write_field(const Row&, bool v) { return v ? "1" : "0"; }
 
-std::string write_field(double v) {
+std::string write_field(const Row&, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
@@ -162,7 +163,7 @@ std::string write_field(double v) {
 void read_field(const Row&, const std::string& v, std::string& out) {
   out = v;
 }
-std::string write_field(const std::string& v) { return v; }
+std::string write_field(const Row&, const std::string& v) { return v; }
 
 template <class E>
   requires std::is_enum_v<E>
@@ -179,7 +180,7 @@ void read_field(const Row& row, const std::string& v, E& out) {
 }
 template <class E>
   requires std::is_enum_v<E>
-std::string write_field(E v) {
+std::string write_field(const Row&, E v) {
   return enum_name(v);
 }
 
@@ -195,18 +196,25 @@ void read_field(const Row& row, const std::string& v, T& out) {
 }
 template <class T>
   requires requires(const T& flags) { flags.serialize(); }
-std::string write_field(const T& v) {
+std::string write_field(const Row&, const T& v) {
   return v.serialize();
 }
 
-/// Comma lists (mx.presets); the empty list is the empty value.
+/// Comma lists (mx.presets); the empty list is the empty value, so an
+/// item can be neither empty nor hold a comma.
 void read_field(const Row&, const std::string& v,
                 std::vector<std::string>& out) {
   out = v.empty() ? std::vector<std::string>{} : split(v, ',');
 }
-std::string write_field(const std::vector<std::string>& v) {
+std::string write_field(const Row& row, const std::vector<std::string>& v) {
   std::string out;
-  for (const auto& item : v) out += (out.empty() ? "" : ",") + item;
+  for (const auto& item : v) {
+    if (item.empty() || item.find(',') != std::string::npos) {
+      throw Error(row.what() + ": list item '" + item +
+                  "' is empty or holds ','");
+    }
+    out += (out.empty() ? "" : ",") + item;
+  }
   return out;
 }
 
@@ -220,8 +228,8 @@ constexpr Row row(std::string_view key, Get,
           [](const Row& r, JobSpec& spec, const std::string& v) {
             read_field(r, v, Get{}(section_of<S>(spec)));
           },
-          [](const JobSpec& spec) {
-            return write_field(Get{}(section_of<S>(spec)));
+          [](const Row& r, const JobSpec& spec) {
+            return write_field(r, Get{}(section_of<S>(spec)));
           },
           range, form};
 }
@@ -332,8 +340,11 @@ std::string serialize_job(const JobSpec& spec) {
   std::string out = "crs-job v1\n";
   for (const Row& row : kRows) {
     if (!in_section(row.section, spec.kind)) continue;
-    const std::string value = row.write(spec);
+    const std::string value = row.write(row, spec);
     if (row.form == Form::kLine) {
+      if (value.find('\n') != std::string::npos) {
+        throw Error(row.what() + ": a line value cannot hold a newline");
+      }
       out += std::string(row.key) + "=" + value + "\n";
     } else if (row.form == Form::kBlob || !value.empty()) {
       out += std::string(row.key) + "=" + std::to_string(value.size()) +

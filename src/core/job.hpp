@@ -103,6 +103,9 @@ struct JobSpec {
 
 /// Canonical text form (key=value lines; doubles printed with %.17g so the
 /// parse is value-exact). serialize(parse(serialize(s))) == serialize(s).
+/// Throws crs::Error naming the key when a spec has no text that reads
+/// back as itself: a line value holding '\n', or a list item that is empty
+/// or holds ','.
 std::string serialize_job(const JobSpec& spec);
 
 /// Strict inverse of serialize_job; throws crs::Error on anything

@@ -1,5 +1,6 @@
 #include "core/report.hpp"
 
+#include <cstdio>
 #include <fstream>
 
 #include "hid/features.hpp"
@@ -58,11 +59,36 @@ std::string bench_config_json(const std::string& mitigations) {
   return out;
 }
 
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary);
+namespace {
+
+void write_file(const std::string& path, const std::string& content,
+                std::ios::openmode mode) {
+  std::ofstream f(path, std::ios::binary | mode);
   CRS_ENSURE(f.good(), "cannot open '" + path + "' for writing");
   f << content;
   CRS_ENSURE(f.good(), "write to '" + path + "' failed");
+}
+
+}  // namespace
+
+void write_text_file(const std::string& path, const std::string& content) {
+  write_file(path, content, std::ios::trunc);
+}
+
+void append_bench_record(const std::string& path, const std::string& name,
+                         double wall_ms, double items_per_s,
+                         const std::string& mitigations) {
+  static constexpr char kFormat[] =
+      "{\"name\":\"%s\",\"wall_ms\":%.3f,\"items_per_s\":%.3f,"
+      "\"config\":%s}\n";
+  const std::string config = bench_config_json(mitigations);
+  std::string line(static_cast<std::size_t>(std::snprintf(
+                       nullptr, 0, kFormat, name.c_str(), wall_ms,
+                       items_per_s, config.c_str())),
+                   '\0');
+  std::snprintf(line.data(), line.size() + 1, kFormat, name.c_str(), wall_ms,
+                items_per_s, config.c_str());
+  write_file(path, line, std::ios::app);
 }
 
 }  // namespace crs::core

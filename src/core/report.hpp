@@ -29,4 +29,13 @@ void write_text_file(const std::string& path, const std::string& content);
 /// mitigation set when one is armed; empty means "none".
 std::string bench_config_json(const std::string& mitigations = "");
 
+/// Appends one perf record to `path`, the line the --bench-json reporters
+/// share and tools/check_perf_smoke.py reads:
+/// `{"name":"<name>","wall_ms":%.3f,"items_per_s":%.3f,"config":{...}}`,
+/// config from bench_config_json(mitigations). Throws crs::Error when the
+/// file cannot be written.
+void append_bench_record(const std::string& path, const std::string& name,
+                         double wall_ms, double items_per_s,
+                         const std::string& mitigations = "");
+
 }  // namespace crs::core

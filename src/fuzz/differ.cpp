@@ -9,7 +9,6 @@
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
 #include "harden/config.hpp"
-#include "obs/obs.hpp"
 #include "sim/snapshot.hpp"
 #include "support/parallel.hpp"
 
@@ -75,47 +74,45 @@ std::string check_invariants(sim::Machine& machine) {
     return "taken branches exceed retired branches";
   }
 
-  if constexpr (obs::kEnabled) {
-    // The observability stats are bumped on the cache fast path itself, so
-    // they must reconcile exactly with the PMU's attribution. L1 levels map
-    // one-to-one; the L2 additionally absorbs fetch-path refills that the
-    // PMU books under kL1iMisses rather than kL2Accesses.
-    const auto& hier = machine.hierarchy();
-    const struct {
-      const sim::CacheLevelStats& stats;
-      std::uint64_t accesses, misses;
-      const char* name;
-    } kStatLevels[] = {
-        {hier.l1d().stats(), count(Event::kL1dAccesses),
-         count(Event::kL1dMisses), "l1d"},
-        {hier.l1i().stats(), count(Event::kL1iAccesses),
-         count(Event::kL1iMisses), "l1i"},
-    };
-    for (const auto& lvl : kStatLevels) {
-      if (lvl.stats.hits + lvl.stats.misses != lvl.accesses) {
-        return std::string(lvl.name) + " stats hits+misses (" +
-               std::to_string(lvl.stats.hits + lvl.stats.misses) +
-               ") != pmu accesses (" + std::to_string(lvl.accesses) + ")";
-      }
-      if (lvl.stats.misses != lvl.misses) {
-        return std::string(lvl.name) + " stats misses (" +
-               std::to_string(lvl.stats.misses) + ") != pmu misses (" +
-               std::to_string(lvl.misses) + ")";
-      }
+  // The observability stats are bumped on the cache fast path itself, so
+  // they must reconcile exactly with the PMU's attribution. L1 levels map
+  // one-to-one; the L2 additionally absorbs fetch-path refills that the
+  // PMU books under kL1iMisses rather than kL2Accesses.
+  const auto& hier = machine.hierarchy();
+  const struct {
+    const sim::CacheLevelStats& stats;
+    std::uint64_t accesses, misses;
+    const char* name;
+  } kStatLevels[] = {
+      {hier.l1d().stats(), count(Event::kL1dAccesses),
+       count(Event::kL1dMisses), "l1d"},
+      {hier.l1i().stats(), count(Event::kL1iAccesses),
+       count(Event::kL1iMisses), "l1i"},
+  };
+  for (const auto& lvl : kStatLevels) {
+    if (lvl.stats.hits + lvl.stats.misses != lvl.accesses) {
+      return std::string(lvl.name) + " stats hits+misses (" +
+             std::to_string(lvl.stats.hits + lvl.stats.misses) +
+             ") != pmu accesses (" + std::to_string(lvl.accesses) + ")";
     }
-    const auto& l2 = hier.l2().stats();
-    const std::uint64_t l2_expected =
-        count(Event::kL2Accesses) + count(Event::kL1iMisses);
-    if (l2.hits + l2.misses != l2_expected) {
-      return "l2 stats hits+misses (" + std::to_string(l2.hits + l2.misses) +
-             ") != pmu L2 accesses + L1i misses (" +
-             std::to_string(l2_expected) + ")";
+    if (lvl.stats.misses != lvl.misses) {
+      return std::string(lvl.name) + " stats misses (" +
+             std::to_string(lvl.stats.misses) + ") != pmu misses (" +
+             std::to_string(lvl.misses) + ")";
     }
-    if (l2.misses < count(Event::kL2Misses)) {
-      return "l2 stats misses (" + std::to_string(l2.misses) +
-             ") below pmu L2 misses (" +
-             std::to_string(count(Event::kL2Misses)) + ")";
-    }
+  }
+  const auto& l2 = hier.l2().stats();
+  const std::uint64_t l2_expected =
+      count(Event::kL2Accesses) + count(Event::kL1iMisses);
+  if (l2.hits + l2.misses != l2_expected) {
+    return "l2 stats hits+misses (" + std::to_string(l2.hits + l2.misses) +
+           ") != pmu L2 accesses + L1i misses (" +
+           std::to_string(l2_expected) + ")";
+  }
+  if (l2.misses < count(Event::kL2Misses)) {
+    return "l2 stats misses (" + std::to_string(l2.misses) +
+           ") below pmu L2 misses (" +
+           std::to_string(count(Event::kL2Misses)) + ")";
   }
   if (count(Event::kRsbMispredicts) > count(Event::kReturns)) {
     return "RSB mispredicts exceed retired returns";
@@ -143,7 +140,7 @@ std::vector<ExecConfig> standard_configs(bool timing_blind) {
   std::vector<ExecConfig> configs;
   {
     // Baseline: the threaded-code block engine, pinned explicitly so the
-    // cross-engine oracle below holds even when CRS_EXEC flips the process
+    // cross-engine oracle below holds even when `--exec` flips the process
     // default. Every program in every corpus is crossed against the
     // interpreter — the block translator's bit-identity gate.
     ExecConfig c;

@@ -167,7 +167,6 @@ std::uint64_t HardenSummary::total_events() const {
 }
 
 void HardenSummary::publish(const std::string& prefix) const {
-  if constexpr (!obs::kEnabled) return;
   auto& reg = obs::MetricsRegistry::instance();
   for (const HardenSummaryField& f : summary_fields()) {
     reg.counter(prefix + "." + f.name).add(this->*(f.member));

@@ -95,8 +95,7 @@ struct HardenSummary {
   /// Total hardening activity — the sweep's "did the defense engage" column.
   std::uint64_t total_events() const;
 
-  /// Adds every field into the MetricsRegistry under `<prefix>.*` (no-op
-  /// when CRS_OBS_ENABLED is 0).
+  /// Adds every field into the MetricsRegistry under `<prefix>.*`.
   void publish(const std::string& prefix) const;
 };
 

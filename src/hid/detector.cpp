@@ -86,11 +86,9 @@ void HidDetector::augment_and_refit(const ml::Dataset& new_universe_rows) {
   const std::size_t history_size = training_.size();
   training_.append_all(new_universe_rows);
   stats_.augmented_rows += new_universe_rows.size();
-  if constexpr (obs::kEnabled) {
-    obs::MetricsRegistry::instance()
-        .counter("hid.detector.augmented_rows")
-        .add(new_universe_rows.size());
-  }
+  obs::MetricsRegistry::instance()
+      .counter("hid.detector.augmented_rows")
+      .add(new_universe_rows.size());
   if (config_.online_mode == OnlineMode::kFullRetrain) {
     train();
     record_full_refit();
@@ -110,15 +108,13 @@ void HidDetector::augment_and_refit(const ml::Dataset& new_universe_rows) {
   const ml::Matrix scaled = scaler_.transform(projected.x);
   model_->partial_fit(scaled, projected.y);
   ++stats_.incremental_updates;
-  if constexpr (obs::kEnabled) {
-    obs::MetricsRegistry::instance()
-        .counter("hid.detector.incremental_updates")
-        .add(1);
-    // Timestamped by retrain ordinal: detector retrains happen between
-    // machine runs, so no machine cycle is meaningful here.
-    obs::trace_instant("hid.detector.retrain", stats_.retrain_events(),
-                       static_cast<double>(training_.size()));
-  }
+  obs::MetricsRegistry::instance()
+      .counter("hid.detector.incremental_updates")
+      .add(1);
+  // Timestamped by retrain ordinal: detector retrains happen between
+  // machine runs, so no machine cycle is meaningful here.
+  obs::trace_instant("hid.detector.retrain", stats_.retrain_events(),
+                     static_cast<double>(training_.size()));
 }
 
 void HidDetector::train() {
@@ -151,11 +147,9 @@ void HidDetector::train() {
 
 void HidDetector::record_full_refit() {
   ++stats_.full_refits;
-  if constexpr (obs::kEnabled) {
-    obs::MetricsRegistry::instance().counter("hid.detector.full_refits").add(1);
-    obs::trace_instant("hid.detector.retrain", stats_.retrain_events(),
-                       static_cast<double>(training_.size()));
-  }
+  obs::MetricsRegistry::instance().counter("hid.detector.full_refits").add(1);
+  obs::trace_instant("hid.detector.retrain", stats_.retrain_events(),
+                     static_cast<double>(training_.size()));
 }
 
 int HidDetector::predict(const sim::PmuSnapshot& window_delta) const {

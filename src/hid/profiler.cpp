@@ -125,23 +125,21 @@ struct Stream {
       return;
     }
     out.windows.push_back(sample);
-    if constexpr (obs::kEnabled) {
-      if (obs::tracing_enabled()) {
-        const auto ev = [&](sim::Event e) {
-          return static_cast<double>(
-              sample.delta[static_cast<std::size_t>(e)]);
-        };
-        obs::trace_instant("hid.profiler.window", edge.cycle,
-                           sample.injected ? 1.0 : 0.0);
-        obs::trace_counter("hid.profiler.window.instructions", edge.cycle,
-                           ev(sim::Event::kInstructions));
-        obs::trace_counter("hid.profiler.window.l1d_misses", edge.cycle,
-                           ev(sim::Event::kL1dMisses));
-        obs::trace_counter("hid.profiler.window.branch_mispredicts",
-                           edge.cycle, ev(sim::Event::kBranchMispredicts));
-        obs::trace_counter("hid.profiler.window.spec_instructions",
-                           edge.cycle, ev(sim::Event::kSpecInstructions));
-      }
+    if (obs::tracing_enabled()) {
+      const auto ev = [&](sim::Event e) {
+        return static_cast<double>(
+            sample.delta[static_cast<std::size_t>(e)]);
+      };
+      obs::trace_instant("hid.profiler.window", edge.cycle,
+                         sample.injected ? 1.0 : 0.0);
+      obs::trace_counter("hid.profiler.window.instructions", edge.cycle,
+                         ev(sim::Event::kInstructions));
+      obs::trace_counter("hid.profiler.window.l1d_misses", edge.cycle,
+                         ev(sim::Event::kL1dMisses));
+      obs::trace_counter("hid.profiler.window.branch_mispredicts",
+                         edge.cycle, ev(sim::Event::kBranchMispredicts));
+      obs::trace_counter("hid.profiler.window.spec_instructions",
+                         edge.cycle, ev(sim::Event::kSpecInstructions));
     }
   }
 
@@ -158,20 +156,18 @@ struct Stream {
 }  // namespace
 
 void record_run_metrics(const ProfileResult& out) {
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::MetricsRegistry::instance();
-    reg.counter("hid.profiler.runs").add(1);
-    reg.counter("hid.profiler.windows").add(out.windows.size());
-    reg.counter("hid.profiler.injected_windows")
-        .add(out.injected_window_count());
-    static constexpr double kWindowCycleBounds[] = {1e3, 2e3, 5e3, 1e4,
-                                                    2e4, 5e4, 1e5};
-    auto& hist = reg.histogram("hid.profiler.window_cycles",
-                               std::span<const double>(kWindowCycleBounds));
-    for (const auto& w : out.windows) {
-      hist.observe(static_cast<double>(
-          w.true_delta[static_cast<std::size_t>(sim::Event::kCycles)]));
-    }
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("hid.profiler.runs").add(1);
+  reg.counter("hid.profiler.windows").add(out.windows.size());
+  reg.counter("hid.profiler.injected_windows")
+      .add(out.injected_window_count());
+  static constexpr double kWindowCycleBounds[] = {1e3, 2e3, 5e3, 1e4,
+                                                  2e4, 5e4, 1e5};
+  auto& hist = reg.histogram("hid.profiler.window_cycles",
+                             std::span<const double>(kWindowCycleBounds));
+  for (const auto& w : out.windows) {
+    hist.observe(static_cast<double>(
+        w.true_delta[static_cast<std::size_t>(sim::Event::kCycles)]));
   }
 }
 
@@ -256,9 +252,7 @@ std::vector<ProfileResult> profile_runs(
     r.instructions = cpu.retired() - start_instr;
     out.push_back(std::move(r));
   }
-  if constexpr (obs::kEnabled) {
-    obs::MetricsRegistry::instance().counter("hid.profiler.executions").add(1);
-  }
+  obs::MetricsRegistry::instance().counter("hid.profiler.executions").add(1);
   return out;
 }
 

@@ -1,8 +1,9 @@
 #include "mine/emul.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <string_view>
+
+#include "support/strings.hpp"
 
 namespace crs::mine::detail {
 
@@ -185,6 +186,8 @@ bool in_image(const sim::Program& program, std::uint64_t addr, int width) {
   return false;
 }
 
+namespace {
+
 std::vector<std::string> split_lines(const std::string& source) {
   std::vector<std::string> lines;
   std::size_t pos = 0;
@@ -200,159 +203,44 @@ std::vector<std::string> split_lines(const std::string& source) {
   return lines;
 }
 
-namespace {
-
-std::string strip_comment_and_trim(std::string_view line) {
+/// `line` up to its comment, cut where the assembler cuts it: the first `;`
+/// or `#` outside a string literal.
+std::string_view strip_comment(std::string_view line) {
   bool in_string = false;
-  std::size_t end = line.size();
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     if (c == '"' && (i == 0 || line[i - 1] != '\\')) in_string = !in_string;
-    if (!in_string && (c == ';' || c == '#')) {
-      end = i;
-      break;
-    }
+    if (!in_string && (c == ';' || c == '#')) return line.substr(0, i);
   }
-  std::string_view s = line.substr(0, end);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return std::string(s);
+  return line;
 }
 
-/// Strips leading `ident:` label definitions from a cleaned statement.
-std::string strip_labels(std::string s) {
-  for (;;) {
-    std::size_t i = 0;
-    while (i < s.size() &&
-           (std::isalnum(static_cast<unsigned char>(s[i])) || s[i] == '_' ||
-            s[i] == '.')) {
-      ++i;
-    }
-    if (i == 0 || i >= s.size() || s[i] != ':') return s;
-    s = strip_comment_and_trim(s.substr(i + 1));
-  }
-}
-
-bool parse_i64(std::string_view s, std::int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string tmp(s);
-  const long long v = std::strtoll(tmp.c_str(), &end, 0);
-  if (end != tmp.c_str() + tmp.size()) return false;
-  *out = v;
-  return true;
-}
-
-std::vector<std::string> split_operands(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i < s.size() && s[i] == '"' && (i == 0 || s[i - 1] != '\\')) {
-      in_string = !in_string;
-    }
-    if (i == s.size() || (s[i] == ',' && !in_string)) {
-      out.push_back(strip_comment_and_trim(s.substr(start, i - start)));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-/// Byte length of a quoted `.ascii` operand (escape sequences are 1 byte).
-std::int64_t quoted_length(std::string_view s) {
-  if (s.size() < 2 || s.front() != '"' || s.back() != '"') return -1;
-  std::int64_t n = 0;
-  for (std::size_t i = 1; i + 1 < s.size(); ++i) {
-    if (s[i] == '\\' && i + 2 < s.size()) ++i;
-    ++n;
-  }
-  return n;
-}
-
-/// Size contributed to the current section by a label-stripped statement,
-/// or -1 when it cannot be determined. `*off` is updated for `.align`.
-std::int64_t statement_size(const std::string& stmt, std::uint64_t* off) {
-  if (stmt.empty()) return 0;
-  if (stmt[0] != '.') return 8;  // instruction
-  const std::size_t sp = stmt.find_first_of(" \t");
-  const std::string dir = stmt.substr(0, sp);
-  const std::string rest =
-      sp == std::string::npos ? std::string() : strip_comment_and_trim(stmt.substr(sp));
-  if (dir == ".text" || dir == ".rodata" || dir == ".data" || dir == ".equ" ||
-      dir == ".entry" || dir == ".org") {
-    return 0;
-  }
-  if (dir == ".byte" || dir == ".word") {
-    const auto ops = split_operands(rest);
-    return static_cast<std::int64_t>(ops.size()) * (dir == ".byte" ? 1 : 8);
-  }
-  if (dir == ".ascii" || dir == ".asciz") {
-    const std::int64_t n = quoted_length(rest);
-    if (n < 0) return -1;
-    return dir == ".asciz" ? n + 1 : n;
-  }
-  if (dir == ".space") {
-    const auto ops = split_operands(rest);
-    std::int64_t n = 0;
-    if (ops.empty() || !parse_i64(ops[0], &n) || n < 0) return -1;
-    return n;
-  }
-  if (dir == ".align") {
-    std::int64_t n = 0;
-    if (!parse_i64(rest, &n) || n <= 0) return -1;
-    const std::uint64_t aligned =
-        (*off + static_cast<std::uint64_t>(n) - 1) /
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
-    const std::int64_t pad = static_cast<std::int64_t>(aligned - *off);
-    return pad;
-  }
-  return -1;  // unknown directive
+bool is_label_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
 }
 
 }  // namespace
 
-int find_text_statement(const std::vector<std::string>& lines,
-                        std::uint64_t text_off) {
-  enum Section { kText, kOther } section = kText;
-  std::uint64_t off = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string cleaned = strip_comment_and_trim(lines[i]);
-    if (cleaned == ".text") {
-      section = kText;
-      continue;
-    }
-    if (cleaned == ".rodata" || cleaned == ".data") {
-      section = kOther;
-      continue;
-    }
-    if (section != kText) continue;
-    const std::string stmt = strip_labels(cleaned);
-    const std::int64_t size = statement_size(stmt, &off);
-    if (size < 0) return -1;
-    if (off == text_off && !stmt.empty() && stmt[0] != '.' && size == 8) {
-      return static_cast<int>(i);
-    }
-    off += static_cast<std::uint64_t>(size);
-    if (off > text_off) break;
-  }
-  return -1;
-}
-
 std::vector<std::string> strip_layout_directives(const std::string& source) {
-  std::vector<std::string> out;
-  for (std::string& line : split_lines(source)) {
-    const std::string cleaned = strip_comment_and_trim(line);
-    if (cleaned.rfind(".org", 0) == 0 || cleaned.rfind(".entry", 0) == 0) {
-      continue;
+  std::vector<std::string> lines = split_lines(source);
+  for (std::string& line : lines) {
+    // Read the statement as the assembler does: leading `name:` labels
+    // skipped, the directive name compared case-insensitively. The labels
+    // stay on the line; only the directive goes.
+    std::string_view body = trim(strip_comment(line));
+    std::string labels;
+    for (;;) {
+      std::size_t i = 0;
+      while (i < body.size() && is_label_char(body[i])) ++i;
+      if (i == 0 || i >= body.size() || body[i] != ':') break;
+      labels.append(body.substr(0, i + 1));
+      body = trim(body.substr(i + 1));
     }
-    out.push_back(std::move(line));
+    const std::string name =
+        to_lower(body.substr(0, body.find_first_of(" \t")));
+    if (name == ".org" || name == ".entry") line = labels;
   }
-  return out;
+  return lines;
 }
 
 std::string escape_ascii(const std::string& s) {

@@ -2,12 +2,13 @@
 // synthesizer: an affine symbolic value domain over the mined window
 // (value = anchor + base*B + val*V + addend, where B is the attacker
 // register's seed and V the transiently loaded secret value), plus the
-// source-text scanner that maps a .text byte offset back to its statement
-// line so a label can be planted at the trigger.
+// source rewrite that lets the validator embed the original text behind its
+// driver.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,18 +70,9 @@ std::optional<isa::Instruction> decode_at(const sim::Program& program,
 /// True when [addr, addr+width) lies inside a mapped segment.
 bool in_image(const sim::Program& program, std::uint64_t addr, int width);
 
-std::vector<std::string> split_lines(const std::string& source);
-
-/// Replays the assembler's .text layout over `lines` (comments stripped,
-/// labels skipped, directive sizes mirrored) and returns the index of the
-/// line whose statement starts at byte offset `text_off` from the start of
-/// .text, or -1 when no statement starts exactly there. Lines must not use
-/// `.org` (the caller strips `.org`/`.entry` before embedding).
-int find_text_statement(const std::vector<std::string>& lines,
-                        std::uint64_t text_off);
-
-/// Source lines with `.org`/`.entry` directives removed, ready to embed
-/// behind a driver that owns the entry point.
+/// The lines of `source` with every `.org`/`.entry` directive blanked,
+/// ready to embed behind a driver that owns the link base and the entry
+/// point. Line i is still source line i + 1, the numbering casm reports.
 std::vector<std::string> strip_layout_directives(const std::string& source);
 
 /// `.ascii`-safe escaping of arbitrary bytes.
@@ -94,7 +86,11 @@ struct ValidateOutcome {
   std::string reject;  ///< why the candidate was rejected (diagnostics)
 };
 
+/// `text_lines` is casm's listing of `source` + "\n" + the runtime library
+/// (casm::Listing::text_lines): it names the source line the trigger's
+/// label is planted on.
 ValidateOutcome validate_window(const std::string& source,
+                                const std::map<std::uint64_t, int>& text_lines,
                                 const WindowCandidate& candidate,
                                 const MineOptions& options);
 

@@ -16,14 +16,15 @@
 //      continuation (Spectre-RSB). A bounded taint walk down each window
 //      looks for attacker-reg -> transient load -> dependent load within the
 //      speculation window.
-//   2. validate_candidate — dynamic ground truth. The original source is
-//      re-assembled behind a generated driver that mistrains the predictor
-//      (PHT update / RSB push), plants a secret, points the attacker
-//      register at it, and fires the trigger once; the candidate survives
-//      only if the secret-dependent probe line is actually cache-resident
-//      afterwards (kLeak when the value is recoverable, kPerturb when the
-//      transient window observably disturbed the cache without being
-//      byte-recoverable).
+//   2. validate_candidate — dynamic ground truth. The original source, with
+//      a label planted on the trigger's line (casm::assemble_listing names
+//      it), is re-assembled behind a generated driver that mistrains the
+//      predictor (PHT update / RSB push), plants a secret, points the
+//      attacker register at it, and fires the trigger once; the candidate
+//      survives only if the secret-dependent probe line is actually
+//      cache-resident afterwards (kLeak when the value is recoverable,
+//      kPerturb when the transient window observably disturbed the cache
+//      without being byte-recoverable).
 //   3. synthesize_attack_source — for eligible gadgets, emit a standalone
 //      flush+reload replay program around the *verbatim mined body* (movi
 //      address immediates re-anchored onto embedded copies of the victim
@@ -33,7 +34,7 @@
 // mine_source memoizes the whole per-binary pipeline in a process-wide
 // support::LruCache; mine_corpus fans binaries out on the thread pool and
 // folds reports by index, so the mined set is byte-identical for any
-// CRS_THREADS and with memoization on or off.
+// CRS_THREADS and whether a report is built or replayed from the memo.
 #pragma once
 
 #include <compare>
@@ -183,8 +184,7 @@ BinaryReport mine_source(const std::string& name, const std::string& source,
                          const MineOptions& options = {});
 
 /// Mines generated + explicit binaries on the thread pool. Deterministic:
-/// byte-identical reports for any CRS_THREADS and with memoized recon on or
-/// off.
+/// byte-identical reports for any CRS_THREADS.
 CorpusReport mine_corpus(const CorpusOptions& options);
 
 /// One row per mined gadget:

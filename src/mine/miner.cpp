@@ -5,8 +5,8 @@
 // Determinism contract (tested in tests/test_mine.cpp): generated sources
 // are pure functions of derive_seed(seed, index); binaries are mined
 // share-nothing and folded by index; the memo key includes the binary NAME
-// as well as its source and every option field, so memoization on/off and
-// any CRS_THREADS value produce byte-identical reports.
+// as well as its source and every option field, so a replayed report and
+// any CRS_THREADS value give byte-identical reports.
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -61,14 +61,16 @@ BinaryReport build_report(const std::string& name, const std::string& source,
   BinaryReport rep;
   rep.name = name;
 
-  sim::Program program;
+  casm::Listing listing;
   try {
-    program = casm::assemble(source + "\n" + casm::runtime_library(),
-                             {.name = name, .link_base = opt.link_base});
+    listing = casm::assemble_listing(
+        source + "\n" + casm::runtime_library(),
+        {.name = name, .link_base = opt.link_base});
   } catch (const std::exception& e) {
     rep.error = e.what();
     return rep;
   }
+  const sim::Program& program = listing.program;
 
   const std::vector<WindowCandidate> candidates =
       classify_program(program, opt);
@@ -87,7 +89,7 @@ BinaryReport build_report(const std::string& name, const std::string& source,
     g.window = cand;
     if (opt.validate) {
       const detail::ValidateOutcome vo =
-          detail::validate_window(source, cand, opt);
+          detail::validate_window(source, listing.text_lines, cand, opt);
       if (vo.validation == Validation::kNone) {
         ++rep.rejected;
         continue;

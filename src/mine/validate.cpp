@@ -10,7 +10,9 @@
 // probe line is actually resident in the data caches afterwards.
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -238,6 +240,7 @@ std::uint64_t line_of(std::uint64_t addr) { return addr & ~std::uint64_t{63}; }
 }  // namespace
 
 ValidateOutcome validate_window(const std::string& source,
+                                const std::map<std::uint64_t, int>& text_lines,
                                 const WindowCandidate& cand,
                                 const MineOptions& opt) {
   ValidateOutcome out;
@@ -247,15 +250,15 @@ ValidateOutcome validate_window(const std::string& source,
     return out;
   }
   const bool branch = cand.trigger == TriggerKind::kCondBranch;
-  const std::uint64_t label_off =
-      (branch ? cand.trigger_addr : cand.window_addr) - opt.link_base;
-
-  std::vector<std::string> lines = strip_layout_directives(source);
-  const int label_line = find_text_statement(lines, label_off);
-  if (label_line < 0) {
+  const std::vector<std::string> lines = strip_layout_directives(source);
+  const auto at =
+      text_lines.find(branch ? cand.trigger_addr : cand.window_addr);
+  // Past the source's last line, the instruction is the runtime library's.
+  if (at == text_lines.end() || at->second > static_cast<int>(lines.size())) {
     out.reject = "trigger statement not found in source text";
     return out;
   }
+  const int label_line = at->second - 1;
 
   // The branch condition register doubles as the attacker register when the
   // window derefs the same value it branched on (classic bounds-check
@@ -380,7 +383,17 @@ namespace crs::mine {
 Validation validate_candidate(const std::string& source,
                               const WindowCandidate& candidate,
                               const MineOptions& options) {
-  return detail::validate_window(source, candidate, options).validation;
+  casm::Listing listing;
+  try {
+    listing = casm::assemble_listing(
+        source + "\n" + casm::runtime_library(),
+        {.name = "mine-validate", .link_base = options.link_base});
+  } catch (const std::exception&) {
+    return Validation::kNone;
+  }
+  return detail::validate_window(source, listing.text_lines, candidate,
+                                 options)
+      .validation;
 }
 
 }  // namespace crs::mine

@@ -233,7 +233,6 @@ std::uint64_t MitigationSummary::total_events() const {
 }
 
 void MitigationSummary::publish(const std::string& prefix) const {
-  if constexpr (!obs::kEnabled) return;
   auto& reg = obs::MetricsRegistry::instance();
   for (const SummaryField& f : summary_fields()) {
     reg.counter(prefix + "." + f.name).add(this->*(f.member));

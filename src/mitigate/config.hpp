@@ -104,8 +104,7 @@ struct Armed {
 Armed arm(sim::Kernel& kernel, const MitigationConfig& config);
 
 /// Everything the mitigations did in one run, folded from the CPU, kernel,
-/// cache hierarchy and fence-pass counters. Plain struct so the defense
-/// matrix stays meaningful with CRSPECTRE_OBS off.
+/// cache hierarchy and fence-pass counters.
 struct MitigationSummary {
   std::uint64_t fence_pages_scanned = 0;
   std::uint64_t fences_planted = 0;
@@ -127,8 +126,8 @@ struct MitigationSummary {
   /// engage" column.
   std::uint64_t total_events() const;
 
-  /// Adds every field into the MetricsRegistry under `<prefix>.*` (no-op
-  /// when CRS_OBS_ENABLED is 0). Call once per run, like publish_metrics.
+  /// Adds every field into the MetricsRegistry under `<prefix>.*`. Call
+  /// once per run, like publish_metrics.
   void publish(const std::string& prefix) const;
 };
 

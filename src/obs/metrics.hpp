@@ -23,14 +23,12 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/obs.hpp"
-
 namespace crs::obs {
 
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    if constexpr (kEnabled) value_.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -43,9 +41,7 @@ class Counter {
 
 class Gauge {
  public:
-  void set(double v) {
-    if constexpr (kEnabled) value_.store(v, std::memory_order_relaxed);
-  }
+  void set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
@@ -61,11 +57,7 @@ class Histogram {
   explicit Histogram(std::span<const double> upper_bounds);
 
   void observe(double v) {
-    if constexpr (kEnabled) {
-      buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
+    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Index of the bucket `v` falls into: the first bound with v <= bound,

@@ -1,12 +1,9 @@
-// Observability core: compile-time enable switch, runtime tracing toggle,
-// and the logical-lane mechanism that makes traces deterministic under the
-// thread pool.
+// Observability core: runtime tracing toggle and the logical-lane mechanism
+// that makes traces deterministic under the thread pool.
 //
 // Design contract (see docs/OBSERVABILITY.md):
-//  * `CRS_OBS_ENABLED` (CMake option CRSPECTRE_OBS, default ON) selects
-//    between the real instrumentation types and no-op stand-ins. With the
-//    option OFF every instrumentation call compiles to nothing.
-//  * Trace emission is additionally gated at runtime by `tracing_enabled()`
+//  * Metrics are compiled into every build and always live.
+//  * Trace emission is gated at runtime by `tracing_enabled()`
 //    (default off) so the default build pays only a relaxed atomic load on
 //    the rare paths that emit, and nothing at all on hot paths.
 //  * A "lane" is a logical thread id: the work-item index inside a
@@ -17,16 +14,10 @@
 
 #include <cstdint>
 
-#ifndef CRS_OBS_ENABLED
-#define CRS_OBS_ENABLED 1
-#endif
-
 namespace crs::obs {
 
-inline constexpr bool kEnabled = CRS_OBS_ENABLED != 0;
-
-/// Runtime switch for trace emission. Metrics counters are always live when
-/// the subsystem is compiled in; traces are opt-in per process.
+/// Runtime switch for trace emission. Metrics counters are always live;
+/// traces are opt-in per process.
 bool tracing_enabled();
 void set_tracing_enabled(bool on);
 

@@ -77,14 +77,11 @@ class TraceSink {
   std::atomic<std::uint64_t> generation_{1};
 };
 
-/// Free-function emission helpers; all compile to nothing when the
-/// subsystem is disabled and to a single predicted-untaken branch when
-/// tracing is off at runtime.
+/// Free-function emission helpers; each compiles to a single
+/// predicted-untaken branch when tracing is off at runtime.
 inline void trace_event(TraceKind kind, const char* name, std::uint64_t cycle,
                         double value = 0.0) {
-  if constexpr (kEnabled) {
-    if (tracing_enabled()) TraceSink::instance().emit(kind, name, cycle, value);
-  }
+  if (tracing_enabled()) TraceSink::instance().emit(kind, name, cycle, value);
 }
 
 inline void trace_instant(const char* name, std::uint64_t cycle,
@@ -102,12 +99,9 @@ inline void trace_counter(const char* name, std::uint64_t cycle, double value) {
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, std::uint64_t begin_cycle)
-      : name_(name), begin_(begin_cycle) {
-    if constexpr (kEnabled) {
-      open_ = tracing_enabled();
-      if (open_) {
-        TraceSink::instance().emit(TraceKind::kSpanBegin, name_, begin_, 0.0);
-      }
+      : name_(name), begin_(begin_cycle), open_(tracing_enabled()) {
+    if (open_) {
+      TraceSink::instance().emit(TraceKind::kSpanBegin, name_, begin_, 0.0);
     }
   }
   ~ScopedSpan() { close(begin_); }
@@ -115,34 +109,17 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   void close(std::uint64_t end_cycle) {
-    if constexpr (kEnabled) {
-      if (open_) {
-        TraceSink::instance().emit(TraceKind::kSpanEnd, name_, end_cycle, 0.0);
-        open_ = false;
-      }
+    if (open_) {
+      TraceSink::instance().emit(TraceKind::kSpanEnd, name_, end_cycle, 0.0);
+      open_ = false;
     }
   }
 
  private:
   const char* name_;
   std::uint64_t begin_;
-  bool open_ = false;
+  bool open_;
 };
-
-/// No-op stand-in with identical surface; guaranteed empty (sizeof == 1) so
-/// the disabled build carries no per-span state.
-class NullScopedSpan {
- public:
-  NullScopedSpan(const char*, std::uint64_t) {}
-  void close(std::uint64_t) {}
-};
-
-/// The span type instrumentation sites should use.
-#if CRS_OBS_ENABLED
-using TraceSpan = ScopedSpan;
-#else
-using TraceSpan = NullScopedSpan;
-#endif
 
 /// Validates Chrome trace_event JSON produced by chrome_json() (and, more
 /// loosely, anything structurally compatible): a traceEvents array whose

@@ -23,7 +23,7 @@ bool PatternHistoryTable::predict_taken(std::uint64_t pc) const {
 }
 
 void PatternHistoryTable::update(std::uint64_t pc, bool taken) {
-  if constexpr (obs::kEnabled) ++updates_;
+  ++updates_;
   std::uint8_t& c = counters_[index(pc)];
   if (taken) {
     if (c < 3) ++c;
@@ -64,7 +64,7 @@ std::optional<std::uint64_t> BranchTargetBuffer::predict(
 }
 
 void BranchTargetBuffer::update(std::uint64_t pc, std::uint64_t target) {
-  if constexpr (obs::kEnabled) ++updates_;
+  ++updates_;
   Entry& e = entries_[index(pc)];
   e.valid = true;
   e.pc = pc;
@@ -88,10 +88,8 @@ ReturnStackBuffer::ReturnStackBuffer(std::uint32_t entries) {
 }
 
 void ReturnStackBuffer::push(std::uint64_t return_address) {
-  if constexpr (obs::kEnabled) {
-    ++pushes_;
-    if (depth_ == ring_.size()) ++wraps_;
-  }
+  ++pushes_;
+  if (depth_ == ring_.size()) ++wraps_;
   ring_[top_] = return_address;
   top_ = (top_ + 1) % ring_.size();
   if (depth_ < ring_.size()) ++depth_;
@@ -99,10 +97,10 @@ void ReturnStackBuffer::push(std::uint64_t return_address) {
 
 std::optional<std::uint64_t> ReturnStackBuffer::pop() {
   if (depth_ == 0) {
-    if constexpr (obs::kEnabled) ++underflows_;
+    ++underflows_;
     return std::nullopt;
   }
-  if constexpr (obs::kEnabled) ++pops_;
+  ++pops_;
   top_ = (top_ + ring_.size() - 1) % ring_.size();
   --depth_;
   return ring_[top_];
@@ -125,7 +123,6 @@ std::uint64_t BranchPredictor::flush_all() {
 }
 
 void BranchPredictor::publish_metrics(const std::string& prefix) const {
-  if constexpr (!obs::kEnabled) return;
   auto& reg = obs::MetricsRegistry::instance();
   reg.counter(prefix + ".pht.updates").add(pht_.updates());
   reg.counter(prefix + ".btb.updates").add(btb_.updates());

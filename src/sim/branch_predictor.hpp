@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.hpp"
 
 namespace crs::sim {
 

@@ -61,7 +61,7 @@ bool CacheLevel::access_search(std::uint64_t addr) {
       way.lru = use_counter_;
       mru_line_ = line;
       mru_way_ = &way;
-      if constexpr (obs::kEnabled) ++stats_.hits;
+      ++stats_.hits;
       return true;
     }
   }
@@ -86,10 +86,8 @@ bool CacheLevel::access_search(std::uint64_t addr) {
       ++stats_.partition_blocked;
     }
   }
-  if constexpr (obs::kEnabled) {
-    ++stats_.misses;
-    if (victim->valid) ++stats_.evictions;
-  }
+  ++stats_.misses;
+  if (victim->valid) ++stats_.evictions;
   victim->valid = true;
   victim->tag = tag;
   victim->lru = use_counter_;
@@ -209,7 +207,6 @@ void MemoryHierarchy::clear() {
 }
 
 void MemoryHierarchy::publish_metrics(const std::string& prefix) const {
-  if constexpr (!obs::kEnabled) return;
   auto& reg = obs::MetricsRegistry::instance();
   const auto publish = [&](const char* level, const CacheLevelStats& s) {
     const std::string base = prefix + "." + level;

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.hpp"
 
 namespace crs::sim {
 
@@ -68,7 +67,7 @@ class CacheLevel {
     if (line == mru_line_ && mru_way_ != nullptr && mru_way_->valid &&
         mru_way_->tag == (line >> sets_shift_)) {
       mru_way_->lru = ++use_counter_;
-      if constexpr (obs::kEnabled) ++stats_.hits;
+      ++stats_.hits;
       return true;
     }
     return access_search(addr);
@@ -86,7 +85,7 @@ class CacheLevel {
   void access_repeat_hits(std::uint64_t n) {
     use_counter_ += n;
     if (mru_way_ != nullptr) mru_way_->lru = use_counter_;
-    if constexpr (obs::kEnabled) stats_.hits += n;
+    stats_.hits += n;
   }
 
   /// True when the line is resident. No state change (for tests/debug).
@@ -121,7 +120,7 @@ class CacheLevel {
   }
   bool partition_armed() const { return partition_armed_; }
 
-  /// Cumulative access statistics (all zero when CRS_OBS_ENABLED is 0).
+  /// Cumulative access statistics.
   const CacheLevelStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 

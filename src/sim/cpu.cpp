@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "sim/block_cache.hpp"
@@ -18,28 +17,18 @@ using isa::OpClass;
 
 namespace {
 
-int initial_exec_engine() {
-  const char* env = std::getenv("CRS_EXEC");
-  if (env != nullptr && std::strcmp(env, "interp") == 0) return 0;
-  return 1;
-}
-
-std::atomic<int>& exec_engine_state() {
-  static std::atomic<int> s{initial_exec_engine()};
-  return s;
-}
+// Constant-initialized, so a config built during static initialization
+// already sees it.
+std::atomic<ExecEngine> g_default_exec_engine{ExecEngine::kBlocks};
 
 }  // namespace
 
 ExecEngine default_exec_engine() {
-  return exec_engine_state().load(std::memory_order_relaxed) == 0
-             ? ExecEngine::kInterp
-             : ExecEngine::kBlocks;
+  return g_default_exec_engine.load(std::memory_order_relaxed);
 }
 
 void set_default_exec_engine(ExecEngine engine) {
-  exec_engine_state().store(engine == ExecEngine::kInterp ? 0 : 1,
-                            std::memory_order_relaxed);
+  g_default_exec_engine.store(engine, std::memory_order_relaxed);
 }
 
 const char* exec_engine_name(ExecEngine engine) {
@@ -50,6 +39,15 @@ std::optional<ExecEngine> parse_exec_engine(std::string_view name) {
   if (name == "interp") return ExecEngine::kInterp;
   if (name == "blocks") return ExecEngine::kBlocks;
   return std::nullopt;
+}
+
+void apply_exec_flag(std::string_view value) {
+  const std::optional<ExecEngine> engine = parse_exec_engine(value);
+  if (!engine) {
+    throw Error("--exec wants 'interp' or 'blocks', got '" +
+                std::string(value) + "'");
+  }
+  set_default_exec_engine(*engine);
 }
 
 Cpu::Cpu(Memory& memory, MemoryHierarchy& hierarchy,
@@ -636,16 +634,11 @@ class SpecMemoryView {
 }  // namespace
 
 void Cpu::run_wrong_path(std::uint64_t spec_pc, std::uint64_t budget) {
-  if constexpr (obs::kEnabled) {
-    ++spec_episodes_;
-    // The episode runs entirely at the checkpointed cycle_, so enter and
-    // squash are instants (a zero-width span would render invisibly).
-    obs::trace_instant("cpu.spec_enter", cycle_, static_cast<double>(budget));
-  }
-  std::uint64_t spec_before = 0;
-  if constexpr (obs::kEnabled) {
-    spec_before = pmu_.count(Event::kSpecInstructions);
-  }
+  ++spec_episodes_;
+  // The episode runs entirely at the checkpointed cycle_, so enter and
+  // squash are instants (a zero-width span would render invisibly).
+  obs::trace_instant("cpu.spec_enter", cycle_, static_cast<double>(budget));
+  const std::uint64_t spec_before = pmu_.count(Event::kSpecInstructions);
   std::uint64_t spec_regs[isa::kNumRegisters];
   std::copy(std::begin(regs_), std::end(regs_), std::begin(spec_regs));
   SpecMemoryView view(memory_);
@@ -817,12 +810,10 @@ void Cpu::run_wrong_path(std::uint64_t spec_pc, std::uint64_t budget) {
   }
   // Episode ends: spec_regs and the store buffer are discarded. Cache and
   // predictor-adjacent PMU effects remain — that is the covert channel.
-  if constexpr (obs::kEnabled) {
-    obs::trace_instant(
-        "cpu.spec_squash", cycle_,
-        static_cast<double>(pmu_.count(Event::kSpecInstructions) -
-                            spec_before));
-  }
+  obs::trace_instant(
+      "cpu.spec_squash", cycle_,
+      static_cast<double>(pmu_.count(Event::kSpecInstructions) -
+                          spec_before));
 }
 
 }  // namespace crs::sim

@@ -52,9 +52,8 @@ enum class ExecEngine : std::uint8_t {
 };
 
 /// Process-wide default for `CpuConfig::exec_engine`, the value every
-/// default-constructed config picks up. Wired to the tools' `--exec` flag
-/// (beats the `CRS_EXEC=interp|blocks` env var); set it before building
-/// machines.
+/// default-constructed config picks up: blocks, unless the tools' `--exec`
+/// flag says otherwise. Set it before building machines.
 ExecEngine default_exec_engine();
 void set_default_exec_engine(ExecEngine engine);
 
@@ -63,6 +62,10 @@ const char* exec_engine_name(ExecEngine engine);
 
 /// Parses the `--exec` flag spelling; nullopt when unknown.
 std::optional<ExecEngine> parse_exec_engine(std::string_view name);
+
+/// The tools' `--exec` flag: sets the process default to the named engine,
+/// or throws crs::Error("--exec wants 'interp' or 'blocks', got '<value>'").
+void apply_exec_flag(std::string_view value);
 
 struct CpuConfig {
   /// Maximum wrong-path instructions per misprediction episode (ROB-ish).
@@ -88,8 +91,8 @@ struct CpuConfig {
   bool decode_cache = true;
   /// Execution engine for `run`/`run_until_cycle`. Defaults to the
   /// process-wide `default_exec_engine()` (blocks unless overridden by
-  /// `--exec=interp` / CRS_EXEC). `step()` always interprets — the block
-  /// engine falls back to it for serialising and unaligned fetches.
+  /// `--exec interp`). `step()` always interprets — the block engine falls
+  /// back to it for serialising and unaligned fetches.
   ExecEngine exec_engine = default_exec_engine();
 
   // --- speculative-execution mitigations (src/mitigate) ------------------
@@ -186,7 +189,7 @@ class Cpu {
   std::uint64_t retired() const { return retired_; }
 
   /// Wrong-path episodes entered (mispredicted branch/jump/return with a
-  /// non-zero speculation budget). Always zero when CRS_OBS_ENABLED is 0.
+  /// non-zero speculation budget).
   std::uint64_t spec_episodes() const { return spec_episodes_; }
 
   /// Activity of the armed CPU-side mitigations (all zero by default).

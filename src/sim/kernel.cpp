@@ -518,7 +518,6 @@ SyscallOutcome Kernel::do_execve(Cpu& cpu) {
 }
 
 void Machine::publish_metrics(const std::string& prefix) const {
-  if constexpr (!obs::kEnabled) return;
   auto& reg = obs::MetricsRegistry::instance();
   const PmuSnapshot& snap = pmu_.snapshot();
   for (std::size_t e = 0; e < kEventCount; ++e) {

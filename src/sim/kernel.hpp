@@ -105,7 +105,6 @@ class Machine {
   /// per-level cache stats, predictor traffic and speculation episodes —
   /// into the process-wide MetricsRegistry under `<prefix>.*`. Call exactly
   /// once per machine, after its run completes (counters are cumulative).
-  /// No-op when CRS_OBS_ENABLED is 0.
   void publish_metrics(const std::string& prefix) const;
 
  private:

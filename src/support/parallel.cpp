@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "obs/obs.hpp"
+#include "support/strings.hpp"
 
 namespace crs {
 
@@ -22,8 +23,10 @@ unsigned resolve_thread_count(unsigned requested) {
   const unsigned overridden = g_thread_override.load(std::memory_order_relaxed);
   if (overridden > 0) return overridden;
   if (const char* env = std::getenv("CRS_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<unsigned>(parsed);
+    // Empty and 0 mean "hardware count", as `--threads 0` does.
+    const unsigned parsed =
+        *env == '\0' ? 0 : parse_number<unsigned>("CRS_THREADS", env);
+    if (parsed > 0) return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -28,7 +28,9 @@
 namespace crs {
 
 /// Resolves a worker count; always >= 1. `requested == 0` means "pick for
-/// me" (override, then CRS_THREADS, then hardware concurrency).
+/// me" (override, then CRS_THREADS, then hardware concurrency). An unset,
+/// empty or `0` CRS_THREADS falls through to the hardware count; any other
+/// value that is not an unsigned integer throws crs::Error naming it.
 unsigned resolve_thread_count(unsigned requested = 0);
 
 /// Installs a process-wide thread-count override (0 clears it). Wired to the

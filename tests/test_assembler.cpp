@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
 #include "isa/isa.hpp"
@@ -247,6 +251,29 @@ TEST(Assembler, RuntimeLibraryAssembles) {
   EXPECT_GT(p.symbol("restore_r0"), 0u);
   EXPECT_GT(p.symbol("syscall_fn"), 0u);
   EXPECT_GT(p.symbol("__canary"), 0u);
+}
+
+TEST(Assembler, ListingNamesTheLineOfEachTextInstruction) {
+  // Upper-case directives and an empty .word operand lay out as their
+  // plain spellings: 8 + 4 + 16 bytes, then .align pads to 32.
+  const std::string source =
+      "_start:\n"
+      "  nop\n"
+      "  .BYTE 1, 2, 3, 4\n"
+      "  .word 0,,0\n"
+      "  .align 8\n"
+      "x: halt ; the line's label and comment do not move it\n"
+      ".data\n"
+      "  .word 7\n";
+  const Listing listing = assemble_listing(source);
+  EXPECT_EQ(listing.text_lines,
+            (std::map<std::uint64_t, int>{{0x10000, 2}, {0x10020, 6}}));
+  EXPECT_EQ(listing.program.symbol("x"), 0x10020u);
+  const sim::Program plain = assemble(source);
+  ASSERT_EQ(listing.program.segments.size(), plain.segments.size());
+  for (std::size_t i = 0; i < plain.segments.size(); ++i) {
+    EXPECT_EQ(listing.program.segments[i].bytes, plain.segments[i].bytes);
+  }
 }
 
 TEST(Assembler, DisassembleTextListsInstructions) {

@@ -12,7 +12,6 @@
 #include "core/scenario.hpp"
 #include "hid/features.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 
@@ -128,7 +127,6 @@ TEST(Corpus, AttackCorpusHasRequestedShape) {
 }
 
 TEST(Corpus, BenignBuildProfilesOnlyTheWindowsItKeeps) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   // One thread draws one run per batch, and each run is capped at the
   // windows the corpus still lacks, so the profiler closes exactly the
   // windows the corpus keeps. An uncapped last run overshoots.

@@ -16,7 +16,6 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/minimize.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "sim/kernel.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -91,7 +90,6 @@ TEST(FuzzCorpus, ReplayAllEntriesCleanly) {
 // also checks the raw identities on every run — this test additionally
 // pins the publish_metrics plumbing.)
 TEST(FuzzCorpus, CacheStatsReconcileWithPmuForAllEntries) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
   for (const auto& path : corpus_files()) {
     SCOPED_TRACE(path.filename().string());
     const auto entry = load_corpus_file(path);

@@ -269,7 +269,6 @@ TEST(Profiler, StreamsOfOneRunEqualTheirSoloRuns) {
 }
 
 TEST(Profiler, SharedRunLeavesPerRunMetricsToTheCaller) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
   auto& reg = obs::MetricsRegistry::instance();
   const auto counted = [&](const char* name) {
     return reg.counter(name).value();
@@ -732,7 +731,6 @@ std::string exact_records(const core::CampaignResult& result) {
 }
 
 TEST(DetectorMemo, CampaignsColdAndWarmAreByteIdentical) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
   core::CorpusConfig cc;
   cc.windows_per_class = 24;
   cc.host_scale = 300;

@@ -28,18 +28,24 @@
 #ifndef CRS_FUZZ_CORPUS_DIR
 #define CRS_FUZZ_CORPUS_DIR "tests/fuzz_corpus"
 #endif
+#ifndef CRS_GOLDEN_DIR
+#define CRS_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace {
 
 using namespace crs;
 
-std::string read_seed(const std::string& name) {
-  const std::string path = std::string(CRS_FUZZ_CORPUS_DIR) + "/" + name;
+std::string read_file(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+std::string read_seed(const std::string& name) {
+  return read_file(std::string(CRS_FUZZ_CORPUS_DIR) + "/" + name);
 }
 
 sim::Program assemble_seed(const std::string& source,
@@ -161,6 +167,44 @@ TEST(MineProperties, MinedSetByteIdenticalWhenReplayedFromMemo) {
   EXPECT_EQ(memoized, replayed);
   const auto stats_after = mine::mine_memo_stats();
   EXPECT_GT(stats_after.hits, stats_before.hits);
+}
+
+// --- the trigger's line comes from casm --------------------------------------
+
+TEST(MineLayout, SameProgramInOtherSpellingsMinesTheSameGadgets) {
+  // The validator plants its trigger label on the line casm's listing names,
+  // so two spellings the assembler lays out alike mine alike. A copy of the
+  // assembler's layout rules in the miner once rejected mine_g0's gadget
+  // when `.byte` was spelled `.BYTE` (a directive unknown to the copy) or
+  // when `.word 0,,0` (16 bytes to the assembler, 24 to the copy) stood in
+  // for `.byte 0, 0, 0, 0`.
+  const std::string as_is =
+      read_file(std::string(CRS_GOLDEN_DIR) + "/mine_corpus/mine_g0.casm");
+  const std::string byte_line = "  .byte 0, 0, 0, 0\n";
+  const std::size_t at = as_is.find(byte_line);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(as_is.find(byte_line, at + 1), std::string::npos);
+  const auto respelled = [&](const std::string& line) {
+    std::string s = as_is;
+    return s.replace(at, byte_line.size(), line);
+  };
+  const auto expect_same_gadgets = [](const std::string& a,
+                                      const std::string& b) {
+    const mine::BinaryReport ra = mine::mine_source("mine_g0", a);
+    const mine::BinaryReport rb = mine::mine_source("mine_g0", b);
+    EXPECT_TRUE(ra.error.empty() && rb.error.empty()) << ra.error << rb.error;
+    const std::string csv = mine::corpus_csv({.binaries = {ra}});
+    EXPECT_NE(csv.find(",leak,77,yes\n"), std::string::npos) << csv;
+    EXPECT_EQ(mine::corpus_csv({.binaries = {rb}}), csv);
+    if (ra.gadgets.size() == rb.gadgets.size()) {
+      for (std::size_t i = 0; i < ra.gadgets.size(); ++i) {
+        EXPECT_TRUE(ra.gadgets[i].attack_source == rb.gadgets[i].attack_source)
+            << "gadget " << i << "'s replay program differs";
+      }
+    }
+  };
+  expect_same_gadgets(as_is, respelled("  .BYTE 0, 0, 0, 0\n"));
+  expect_same_gadgets(respelled("  .word 0, 0\n"), respelled("  .word 0,,0\n"));
 }
 
 // --- class split -----------------------------------------------------------

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -14,6 +16,7 @@
 #include "hid/features.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/error.hpp"
 #include "support/parallel.hpp"
 
 namespace crs {
@@ -80,6 +83,38 @@ TEST(ResolveThreadCount, PrecedenceIsArgOverrideEnvHardware) {
   unsetenv("CRS_THREADS");
 }
 
+TEST(ResolveThreadCount, MalformedEnvIsAnErrorNamingIt) {
+  // Read with strtol and narrowed, 8x gave 8 threads, 4294967298 gave 2,
+  // 4294967296 gave 0 and -3 the hardware count.
+  const char* env = std::getenv("CRS_THREADS");
+  const std::optional<std::string> saved =
+      env ? std::optional<std::string>(env) : std::nullopt;
+  set_thread_override(0);
+  unsetenv("CRS_THREADS");
+  const unsigned hardware = resolve_thread_count();
+  for (const char* bad : {"8x", "4294967298", "4294967296", "-3", " 4", "x"}) {
+    setenv("CRS_THREADS", bad, 1);
+    try {
+      resolve_thread_count();
+      ADD_FAILURE() << "CRS_THREADS=" << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CRS_THREADS"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* hardware_count : {"", "0"}) {
+    setenv("CRS_THREADS", hardware_count, 1);
+    EXPECT_EQ(resolve_thread_count(), hardware) << "'" << hardware_count << "'";
+  }
+  setenv("CRS_THREADS", "3", 1);
+  EXPECT_EQ(resolve_thread_count(), 3u);
+  if (saved) {
+    setenv("CRS_THREADS", saved->c_str(), 1);
+  } else {
+    unsetenv("CRS_THREADS");
+  }
+}
+
 std::string corpus_fingerprint(const ml::Dataset& d) {
   std::ostringstream ss;
   ss.precision(17);
@@ -142,7 +177,6 @@ TEST(ParallelDeterminism, CorpusAndCampaignAreThreadCountInvariant) {
 // scenario plus a small offline campaign are byte-identical for 1, 2 and 8
 // worker threads.
 TEST(ParallelDeterminism, TracesAndMetricsAreThreadCountInvariant) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
 
   // Corpora are built once, untraced: corpus batches over-produce by up to
   // pool.size()-1 runs (see corpus.cpp), so their per-run emission volume is

@@ -494,6 +494,46 @@ TEST(ServeJobSpec, SerializedSpecsMatchGolden) {
   }
 }
 
+void expect_serialize_refused(const core::JobSpec& spec,
+                              const std::string& key) {
+  try {
+    core::serialize_job(spec);
+    ADD_FAILURE() << key << " serialized";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("job spec: " + key + ":", 0), 0u) << what;
+  }
+}
+
+TEST(ServeJobSpec, SerializeRefusesNewlineInLineValue) {
+  // Written verbatim, secret="AB\nseed=5" read back as secret=AB: the
+  // newline ended the line and the later seed= line won.
+  core::JobSpec spec = scenario_spec(1);
+  spec.scenario.config.secret = "AB\nseed=5";
+  expect_serialize_refused(spec, "secret");
+  core::JobSpec matrix = matrix_spec(2);
+  matrix.matrix.config.secret = "MX\n";
+  expect_serialize_refused(matrix, "mx.secret");
+  core::JobSpec campaign = campaign_spec(3);
+  campaign.campaign.config.detector.classifier = "\nLR";
+  expect_serialize_refused(campaign, "det.classifier");
+}
+
+TEST(ServeJobSpec, SerializeRefusesEmptyOrCommaListItem) {
+  // {""} once wrote `mx.presets=`, which reads back as the empty list:
+  // every preset.
+  core::JobSpec spec = matrix_spec(1);
+  for (const std::vector<std::string>& presets :
+       {std::vector<std::string>{""}, {"slh", ""}, {"", "none"},
+        {"slh,none"}}) {
+    spec.matrix.config.presets = presets;
+    expect_serialize_refused(spec, "mx.presets");
+  }
+  spec.matrix.config.presets = {"slh", "none"};
+  EXPECT_EQ(core::parse_job(core::serialize_job(spec)).matrix.config.presets,
+            spec.matrix.config.presets);
+}
+
 TEST(ServeJobSpec, MutatedSpecsAreRejectedOrRoundTrip) {
   // Reject-or-round-trip: a mutated spec either throws crs::Error or parses
   // to a spec whose text reads back to the same text. Any other exception

@@ -204,13 +204,11 @@ TEST(ServeSoak, CountersReconcileUnderChurnAndCancels) {
 
   // The mirrored observability counters tell the same story.
   auto& reg = obs::MetricsRegistry::instance();
-  if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("serve.received").value(), stats.received);
-    EXPECT_EQ(reg.counter("serve.accepted").value(), stats.accepted);
-    EXPECT_EQ(reg.counter("serve.rejected").value(), stats.rejected);
-    EXPECT_EQ(reg.counter("serve.completed").value(), stats.completed);
-    EXPECT_EQ(reg.counter("serve.cancelled").value(), stats.cancelled);
-  }
+  EXPECT_EQ(reg.counter("serve.received").value(), stats.received);
+  EXPECT_EQ(reg.counter("serve.accepted").value(), stats.accepted);
+  EXPECT_EQ(reg.counter("serve.rejected").value(), stats.rejected);
+  EXPECT_EQ(reg.counter("serve.completed").value(), stats.completed);
+  EXPECT_EQ(reg.counter("serve.cancelled").value(), stats.cancelled);
 
   if (const char* dir = std::getenv("CRS_SOAK_ARTIFACTS")) {
     core::write_text_file(std::string(dir) + "/soak_metrics.csv", reg.csv());

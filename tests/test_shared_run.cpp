@@ -361,16 +361,14 @@ TEST(SharedRun, OnlineCampaignThatMutatesMatchesSoloRuns) {
   int mutations = 0;
   for (const auto& a : result.attempts) mutations += a.mutated_after ? 1 : 0;
   EXPECT_GT(mutations, 0);
-  if (obs::kEnabled) {
-    // Runs held ahead and dropped on a mutation count nowhere: the
-    // per-run metrics are those of one solo run per attempt.
-    EXPECT_EQ(shared.runs, static_cast<std::uint64_t>(cfg.attempts));
-    EXPECT_EQ(shared.runs, unshared.runs);
-    EXPECT_EQ(shared.windows, unshared.windows);
-    EXPECT_EQ(shared.injected_windows, unshared.injected_windows);
-    EXPECT_EQ(unshared.executions, static_cast<std::uint64_t>(cfg.attempts));
-    EXPECT_LT(shared.executions, unshared.executions);
-  }
+  // Runs held ahead and dropped on a mutation count nowhere: the
+  // per-run metrics are those of one solo run per attempt.
+  EXPECT_EQ(shared.runs, static_cast<std::uint64_t>(cfg.attempts));
+  EXPECT_EQ(shared.runs, unshared.runs);
+  EXPECT_EQ(shared.windows, unshared.windows);
+  EXPECT_EQ(shared.injected_windows, unshared.injected_windows);
+  EXPECT_EQ(unshared.executions, static_cast<std::uint64_t>(cfg.attempts));
+  EXPECT_LT(shared.executions, unshared.executions);
 }
 
 TEST(SharedRun, ZeroAttemptCampaignIsRefusedBeforeAnyRun) {
@@ -409,7 +407,6 @@ TEST(SharedRun, TracedAndUntracedCampaignRecordsAreEqual) {
 }
 
 TEST(SharedRun, OfflineCampaignIsOneExecution) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with CRSPECTRE_OBS=OFF";
   const core::CampaignConfig cfg = campaign_config(false);
   const Corpus& data = corpus();
   auto& reg = obs::MetricsRegistry::instance();

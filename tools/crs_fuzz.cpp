@@ -114,9 +114,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       } else if (args.take_value("--exec", value)) {
         // Sets the default engine for machines the differ does not pin
         // explicitly (golden traces, scenario replay, the attack-leak base).
-        const auto engine = sim::parse_exec_engine(value);
-        if (!engine) throw Error("--exec wants 'interp' or 'blocks'");
-        sim::set_default_exec_engine(*engine);
+        sim::apply_exec_flag(value);
       } else if (args.take("--no-smc")) {
         opt.allow_smc = false;
       } else if (args.take("--no-pivot")) {

@@ -104,14 +104,6 @@ std::vector<core::AttackSpec> mined_attacks(
   return out;
 }
 
-void apply_exec_flag(const std::string& value) {
-  if (const auto engine = sim::parse_exec_engine(value)) {
-    sim::set_default_exec_engine(*engine);
-  } else {
-    throw Error("--exec wants 'interp' or 'blocks', got '" + value + "'");
-  }
-}
-
 /// Tallies a --check story. A check whose column the grid lacks (a
 /// --presets subset) is skipped and named on stderr, in both stories.
 struct Story {
@@ -307,7 +299,7 @@ int main(int argc, char** argv) {
       } else if (args.take_number("--threads", threads)) {
         set_thread_override(threads);
       } else if (args.take_value("--exec", value)) {
-        apply_exec_flag(value);
+        sim::apply_exec_flag(value);
       } else if (args.take("--help")) {
         return help(argv[0]);
       } else {
@@ -342,24 +334,19 @@ int main(int argc, char** argv) {
     if (!json_path.empty()) write_output(json_path, core::matrix_json(result));
     write_output(metrics_path, mode.metrics_csv(result));
     if (!bench_json_path.empty()) {
-      if (std::FILE* f = std::fopen(bench_json_path.c_str(), "a")) {
-        // The sweep spans presets, so the config's mitigation field records
-        // the sweep set rather than a single armed preset.
-        std::string presets;
-        for (const auto& p : result.presets) {
-          if (!presets.empty()) presets += ',';
-          presets += p;
-        }
-        std::fprintf(f,
-                     "{\"name\":\"crs_matrix:%s%s\",\"wall_ms\":%.3f,"
-                     "\"items_per_s\":%.3f,\"config\":%s}\n",
-                     mode.bench_prefix, config.quick ? "quick" : "full",
-                     wall_ms,
-                     static_cast<double>(result.cells.size()) /
-                         (wall_ms / 1e3),
-                     core::bench_config_json(presets).c_str());
-        std::fclose(f);
+      // The sweep spans presets, so the config's mitigation field records
+      // the sweep set rather than a single armed preset.
+      std::string presets;
+      for (const auto& p : result.presets) {
+        if (!presets.empty()) presets += ',';
+        presets += p;
       }
+      core::append_bench_record(
+          bench_json_path,
+          std::string("crs_matrix:") + mode.bench_prefix +
+              (config.quick ? "quick" : "full"),
+          wall_ms, static_cast<double>(result.cells.size()) / (wall_ms / 1e3),
+          presets);
     }
     if (!check) return 0;
     Story story{result};

@@ -94,11 +94,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "crs_top: %s\n", e.what());
     return usage();
   }
-  if (!obs::kEnabled) {
-    std::fprintf(stderr,
-                 "crs_top: built with CRSPECTRE_OBS=OFF — the registry stays "
-                 "empty\n");
-  }
   if (opt.threads != 0) set_thread_override(opt.threads);
 
   std::atomic<bool> done{false};

@@ -56,14 +56,6 @@
 
 namespace {
 
-void apply_exec_flag(const std::string& value) {
-  if (const auto engine = crs::sim::parse_exec_engine(value)) {
-    crs::sim::set_default_exec_engine(*engine);
-  } else {
-    throw crs::Error("--exec wants 'interp' or 'blocks', got '" + value + "'");
-  }
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
   if (!f.good()) {
@@ -107,7 +99,7 @@ int main(int argc, char** argv) {
       } else if (args.take_value("--harden", value)) {
         harden = harden::HardenConfig::parse(value);
       } else if (args.take_value("--exec", value)) {
-        apply_exec_flag(value);
+        sim::apply_exec_flag(value);
       } else if (args.take_number("--threads", threads)) {
         set_thread_override(threads);
       } else if (args.take_value("--bench-json", json_path)) {
@@ -134,11 +126,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> prog_args{path};
     while (args.more()) prog_args.push_back(args.take_positional());
 
-    if ((!trace_path.empty() || !metrics_path.empty()) && !obs::kEnabled) {
-      std::fprintf(stderr,
-                   "crsim: built with CRSPECTRE_OBS=OFF — trace/metrics "
-                   "output will be empty\n");
-    }
     if (!trace_path.empty()) obs::set_tracing_enabled(true);
 
     sim::MachineConfig mcfg;
@@ -150,7 +137,7 @@ int main(int argc, char** argv) {
     const mitigate::Armed armed = mitigate::arm(kernel, mitigations);
     kernel.register_binary(path, program);
     kernel.start_with_strings(path, prog_args);
-    obs::TraceSpan run_span("crsim.run", machine.cpu().cycle());
+    obs::ScopedSpan run_span("crsim.run", machine.cpu().cycle());
     const auto t0 = std::chrono::steady_clock::now();
     const auto reason = kernel.run(2'000'000'000);
     run_span.close(machine.cpu().cycle());
@@ -233,19 +220,10 @@ int main(int argc, char** argv) {
                    metrics_path.c_str());
     }
     if (!json_path.empty()) {
-      if (std::FILE* f = std::fopen(json_path.c_str(), "a")) {
-        std::fprintf(f,
-                     "{\"name\":\"crsim:%s\",\"wall_ms\":%.3f,"
-                     "\"items_per_s\":%.3f,\"config\":%s}\n",
-                     path.c_str(), wall_ms,
-                     static_cast<double>(machine.cpu().retired()) /
-                         (wall_ms / 1e3),
-                     core::bench_config_json(mitigations.any()
-                                                 ? mitigations.serialize()
-                                                 : "")
-                         .c_str());
-        std::fclose(f);
-      }
+      core::append_bench_record(
+          json_path, "crsim:" + path, wall_ms,
+          static_cast<double>(machine.cpu().retired()) / (wall_ms / 1e3),
+          mitigations.any() ? mitigations.serialize() : "");
     }
     return reason == sim::StopReason::kHalted
                ? static_cast<int>(kernel.exit_code())

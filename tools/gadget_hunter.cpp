@@ -202,12 +202,10 @@ int run_mine(const MineArgs& margs) {
     std::printf("wrote %s\n", margs.mine_json.c_str());
   }
   if (!margs.scenario_dir.empty()) emit_scenarios(report, margs.scenario_dir);
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::MetricsRegistry::instance();
-    reg.counter("mine.candidates").add(report.candidates);
-    reg.counter("mine.gadgets").add(report.gadgets);
-    reg.counter("mine.scenarios").add(report.scenarios);
-  }
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("mine.candidates").add(report.candidates);
+  reg.counter("mine.gadgets").add(report.gadgets);
+  reg.counter("mine.scenarios").add(report.scenarios);
   return 0;
 }
 
@@ -277,22 +275,18 @@ int run_single(const std::string& path, bool plan_chain,
   std::printf("\nexecve chain constructible: %s\n",
               builder.can_build_execve() ? "yes" : "NO");
 
-  if constexpr (obs::kEnabled) {
-    auto& reg = obs::MetricsRegistry::instance();
-    reg.counter("rop.gadgets_found").add(gadgets.size());
-    reg.gauge("rop.chain_constructible")
-        .set(builder.can_build_execve() ? 1.0 : 0.0);
-  }
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.counter("rop.gadgets_found").add(gadgets.size());
+  reg.gauge("rop.chain_constructible")
+      .set(builder.can_build_execve() ? 1.0 : 0.0);
 
   if (plan_chain && builder.can_build_execve()) {
     rop::ReconSpec spec;
     spec.path = path;
     const auto plan = rop::plan_injection(program, spec, "/bin/cr_spectre");
-    if constexpr (obs::kEnabled) {
-      obs::MetricsRegistry::instance()
-          .counter("rop.payload_bytes")
-          .add(plan.payload.bytes.size());
-    }
+    obs::MetricsRegistry::instance()
+        .counter("rop.payload_bytes")
+        .add(plan.payload.bytes.size());
     std::printf("frame: buffer %s, return slot %s, filler %llu bytes\n",
                 hex(plan.frame.buffer_address).c_str(),
                 hex(plan.frame.return_slot).c_str(),
@@ -306,11 +300,6 @@ int run_single(const std::string& path, bool plan_chain,
     if (plan.payload.bytes.size() % 16 != 0) std::printf("\n");
   }
   if (!metrics_path.empty()) {
-    if (!obs::kEnabled) {
-      std::fprintf(stderr,
-                   "gadget_hunter: built with CRSPECTRE_OBS=OFF — metrics "
-                   "output will be empty\n");
-    }
     crs::core::write_text_file(metrics_path,
                                obs::MetricsRegistry::instance().csv());
     std::printf("wrote %zu metrics to %s\n",

@@ -104,11 +104,6 @@ int main(int argc, char** argv) {
       if (!args.more()) return usage();
       const std::string out = args.take_positional();
       if (args.more()) return usage();
-      if (!obs::kEnabled) {
-        std::fprintf(stderr,
-                     "trace_export: built with CRSPECTRE_OBS=OFF — the trace "
-                     "will be empty\n");
-      }
       obs::set_tracing_enabled(true);
       fuzz::golden_csv(value);  // runs the canonical scenario, traced
       obs::set_tracing_enabled(false);
