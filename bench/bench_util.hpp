@@ -9,6 +9,7 @@
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
 #include "core/report.hpp"
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
@@ -27,9 +28,9 @@ class BenchIo {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--threads" && i + 1 < argc) {
-        set_thread_override(threads(argv[++i]));
+        set_threads(argv[++i]);
       } else if (arg.rfind("--threads=", 0) == 0) {
-        set_thread_override(threads(arg.substr(10)));
+        set_threads(arg.substr(10));
       } else if (arg == "--bench-json" && i + 1 < argc) {
         json_path_ = argv[++i];
       } else if (arg.rfind("--bench-json=", 0) == 0) {
@@ -59,30 +60,29 @@ class BenchIo {
 
   /// One JSON line per campaign attempt with wall and simulated time — the
   /// only surface AttemptRecord::wall_ms ever reaches (the obs registry and
-  /// traces stay wall-clock-free by contract).
+  /// traces stay wall-clock-free by contract). Throws crs::Error when the
+  /// file cannot be written, as emit does.
   void emit_attempts(const std::string& name,
                      const core::CampaignResult& result) const {
     if (json_path_.empty()) return;
-    std::FILE* f = std::fopen(json_path_.c_str(), "a");
-    if (f == nullptr) return;
+    const std::string prefix = "{\"name\":\"" + obs::json_escape(name);
     const std::string config = core::bench_config_json();
+    std::string lines;
     for (const auto& a : result.attempts) {
-      std::fprintf(f,
-                   "{\"name\":\"%s:attempt%d\",\"wall_ms\":%.3f,"
-                   "\"sim_cycles\":%llu,\"detection_rate\":%.6f,"
-                   "\"config\":%s}\n",
-                   name.c_str(), a.attempt, a.wall_ms,
-                   static_cast<unsigned long long>(a.sim_cycles),
-                   a.detection_rate, config.c_str());
+      lines += prefix + ":attempt" + std::to_string(a.attempt) +
+               "\",\"wall_ms\":" + fixed(a.wall_ms, 3) +
+               ",\"sim_cycles\":" + std::to_string(a.sim_cycles) +
+               ",\"detection_rate\":" + fixed(a.detection_rate, 6) +
+               ",\"config\":" + config + "}\n";
     }
-    std::fclose(f);
+    core::append_text_file(json_path_, lines);
   }
 
  private:
   /// A bad count is a usage error: the benches' mains catch nothing.
-  static unsigned threads(const std::string& value) {
+  static void set_threads(const std::string& value) {
     try {
-      return parse_number<unsigned>("--threads", value);
+      set_thread_override(parse_number<unsigned>("--threads", value));
     } catch (const Error& e) {
       std::fprintf(stderr, "%s\n", e.what());
       std::exit(2);

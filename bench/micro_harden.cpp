@@ -27,7 +27,8 @@ namespace {
 using namespace crs;
 
 const char* preset_for_arg(std::int64_t arg) {
-  // Stable arg -> preset map (mirrors harden::preset_names() display order).
+  // Stable arg -> preset map, not harden::preset_names() display order: the
+  // perf-smoke gates read arg 1 as canary and arg 3 as full.
   switch (arg) {
     case 0: return "none";
     case 1: return "canary";

@@ -655,4 +655,31 @@ std::string disassemble_text(const sim::Program& program) {
   return out;
 }
 
+std::string escape_ascii(std::string_view text) {
+  std::string out;
+  for (const char ch : text) {
+    switch (ch) {
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\0':
+        out += "\\0";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      default:
+        out += ch;
+        break;
+    }
+  }
+  return out;
+}
+
 }  // namespace crs::casm

@@ -66,4 +66,8 @@ Listing assemble_listing(std::string_view source,
 /// prefixed with its link-time address).
 std::string disassemble_text(const sim::Program& program);
 
+/// `text` escaped for the inside of an `.ascii "..."` string: newline, tab,
+/// NUL, `\` and `"` become the escapes the assembler decodes back.
+std::string escape_ascii(std::string_view text);
+
 }  // namespace crs::casm

@@ -21,22 +21,24 @@ struct DefenseColumn {
 };
 
 /// The grid's up-front preset check, shared by both grids: resolves the
-/// requested names (empty = `all`) through `arm`, which throws with the
-/// preset listing on a typo, and rejects a name listed twice — a repeated
-/// column would run twice and be double-counted by preset_summary.
-template <typename Arm>
+/// requested names (empty = every preset of the layer) through the layer's
+/// table, which throws with the preset listing on a typo, into the column
+/// member `layer`, and rejects a name listed twice — a repeated column
+/// would run twice and be double-counted by preset_summary.
+template <typename Config>
 std::vector<DefenseColumn> preset_columns(
-    const std::vector<std::string>& requested,
-    const std::vector<std::string>& all, Arm arm) {
+    const std::vector<std::string>& requested, const FlagTable<Config>& table,
+    Config DefenseColumn::*layer) {
   std::vector<DefenseColumn> columns;
-  for (const std::string& name : requested.empty() ? all : requested) {
+  for (const std::string& name :
+       requested.empty() ? table.preset_names() : requested) {
     for (const DefenseColumn& c : columns) {
       if (c.name == name) {
         throw Error("preset '" + name + "' is listed more than once");
       }
     }
     DefenseColumn column{name, {}, {}};
-    arm(column, name);
+    column.*layer = table.preset(name);
     columns.push_back(column);
   }
   return columns;
@@ -216,18 +218,18 @@ double cell_overhead(const DefenseMatrixResult& result, std::size_t i) {
 }
 
 /// `preset,metric,value` rows of one layer's summary, plus its total.
-template <typename Summary, typename Field>
+template <typename Summary>
 std::string metrics_csv(const DefenseMatrixResult& result,
                         Summary DefenseSummary::*layer,
-                        const std::vector<Field>& fields) {
+                        const CounterTable<Summary>& fields) {
   std::ostringstream os;
   os << "preset,metric,value\n";
   for (const auto& preset : result.presets) {
     const Summary sum = result.preset_summary(preset).*layer;
-    for (const Field& f : fields) {
+    for (const auto& f : fields) {
       os << preset << ',' << f.name << ',' << sum.*(f.member) << '\n';
     }
-    os << preset << ",total," << sum.total_events() << '\n';
+    os << preset << ",total," << fields.total(sum) << '\n';
   }
   return os.str();
 }
@@ -344,10 +346,7 @@ DefenseMatrixResult run_defense_matrix(
     const DefenseMatrixConfig& config,
     const std::vector<AttackSpec>& extra_attacks) {
   const std::vector<DefenseColumn> columns = preset_columns(
-      config.presets, mitigate::preset_names(),
-      [](DefenseColumn& c, const std::string& name) {
-        c.mitigation = mitigate::preset(name);
-      });
+      config.presets, mitigate::flag_table(), &DefenseColumn::mitigation);
   std::vector<AttackSpec> attacks = default_attacks(config);
   attacks.insert(attacks.end(), extra_attacks.begin(), extra_attacks.end());
 
@@ -371,10 +370,7 @@ DefenseMatrixResult run_defense_matrix(
 
 DefenseMatrixResult run_harden_matrix(const DefenseMatrixConfig& config) {
   const std::vector<DefenseColumn> columns = preset_columns(
-      config.presets, harden::preset_names(),
-      [](DefenseColumn& c, const std::string& name) {
-        c.harden = harden::preset(name);
-      });
+      config.presets, harden::flag_table(), &DefenseColumn::harden);
   return run_grid(config, default_harden_attacks(config), columns, nullptr);
 }
 

@@ -201,18 +201,22 @@ std::string write_field(const Row&, const T& v) {
 }
 
 /// Comma lists (mx.presets); the empty list is the empty value, so an
-/// item can be neither empty nor hold a comma.
-void read_field(const Row&, const std::string& v,
+/// item can be neither empty nor hold a comma, read or written.
+void check_list_item(const Row& row, const std::string& item) {
+  if (item.empty() || item.find(',') != std::string::npos) {
+    throw Error(row.what() + ": list item '" + item +
+                "' is empty or holds ','");
+  }
+}
+void read_field(const Row& row, const std::string& v,
                 std::vector<std::string>& out) {
   out = v.empty() ? std::vector<std::string>{} : split(v, ',');
+  for (const auto& item : out) check_list_item(row, item);
 }
 std::string write_field(const Row& row, const std::vector<std::string>& v) {
   std::string out;
   for (const auto& item : v) {
-    if (item.empty() || item.find(',') != std::string::npos) {
-      throw Error(row.what() + ": list item '" + item +
-                  "' is empty or holds ','");
-    }
+    check_list_item(row, item);
     out += (out.empty() ? "" : ",") + item;
   }
   return out;

@@ -1,9 +1,10 @@
 #include "core/report.hpp"
 
-#include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "hid/features.hpp"
+#include "obs/trace.hpp"
 #include "sim/cpu.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -71,24 +72,30 @@ void write_file(const std::string& path, const std::string& content,
 
 }  // namespace
 
+std::string read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot read '" + path + "'");
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 void write_text_file(const std::string& path, const std::string& content) {
   write_file(path, content, std::ios::trunc);
+}
+
+void append_text_file(const std::string& path, const std::string& content) {
+  write_file(path, content, std::ios::app);
 }
 
 void append_bench_record(const std::string& path, const std::string& name,
                          double wall_ms, double items_per_s,
                          const std::string& mitigations) {
-  static constexpr char kFormat[] =
-      "{\"name\":\"%s\",\"wall_ms\":%.3f,\"items_per_s\":%.3f,"
-      "\"config\":%s}\n";
-  const std::string config = bench_config_json(mitigations);
-  std::string line(static_cast<std::size_t>(std::snprintf(
-                       nullptr, 0, kFormat, name.c_str(), wall_ms,
-                       items_per_s, config.c_str())),
-                   '\0');
-  std::snprintf(line.data(), line.size() + 1, kFormat, name.c_str(), wall_ms,
-                items_per_s, config.c_str());
-  write_file(path, line, std::ios::app);
+  append_text_file(path, "{\"name\":\"" + obs::json_escape(name) +
+                             "\",\"wall_ms\":" + fixed(wall_ms, 3) +
+                             ",\"items_per_s\":" + fixed(items_per_s, 3) +
+                             ",\"config\":" + bench_config_json(mitigations) +
+                             "}\n");
 }
 
 }  // namespace crs::core

@@ -11,16 +11,11 @@
 #include "harden/config.hpp"
 #include "sim/snapshot.hpp"
 #include "support/parallel.hpp"
+#include "support/strings.hpp"
 
 namespace crs::fuzz {
 
 namespace {
-
-std::string hex(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::uint64_t fnv1a(const sim::PmuSnapshot& s) {
   std::uint64_t h = 1469598103934665603ull;

@@ -1,6 +1,5 @@
 #include "fuzz/golden.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -142,14 +141,6 @@ std::string diff_csv(const std::string& name, const std::string& golden,
   out << "  (regenerate intentionally changed goldens with `crs_fuzz "
          "--update-golden`)\n";
   return out.str();
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 }  // namespace crs::fuzz

@@ -23,7 +23,4 @@ std::string golden_csv(const std::string& name);
 std::string diff_csv(const std::string& name, const std::string& golden,
                      const std::string& live);
 
-/// Reads a whole file; throws crs::Error on I/O failure.
-std::string read_text_file(const std::string& path);
-
 }  // namespace crs::fuzz

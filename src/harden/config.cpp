@@ -1,116 +1,31 @@
 #include "harden/config.hpp"
 
-#include "obs/metrics.hpp"
-#include "support/error.hpp"
-#include "support/strings.hpp"
-
 namespace crs::harden {
 
-namespace {
-
-struct FlagSpec {
-  const char* token;
-  bool HardenConfig::* member;
-};
-
-constexpr FlagSpec kFlags[] = {
-    {"aslr", &HardenConfig::aslr},
-    {"canary", &HardenConfig::canary},
-    {"heap-guard", &HardenConfig::heap_guard},
-};
-
-struct PresetSpec {
-  const char* name;
-  HardenConfig config;
-};
-
-const std::vector<PresetSpec>& presets() {
-  static const std::vector<PresetSpec> kPresets = [] {
-    std::vector<PresetSpec> p;
-    p.push_back({"none", {}});
-    {
-      HardenConfig c;
-      c.aslr = true;
-      p.push_back({"aslr", c});
-    }
-    {
-      HardenConfig c;
-      c.canary = true;
-      p.push_back({"canary", c});
-    }
-    {
-      HardenConfig c;
-      c.heap_guard = true;
-      p.push_back({"heap-guard", c});
-    }
-    {
-      HardenConfig c;
-      for (const auto& f : kFlags) c.*(f.member) = true;
-      p.push_back({"full", c});
-    }
-    return p;
-  }();
-  return kPresets;
+const FlagTable<HardenConfig>& flag_table() {
+  static const FlagTable<HardenConfig> kTable{
+      "hardening",
+      {
+          {"aslr", &HardenConfig::aslr},
+          {"canary", &HardenConfig::canary},
+          {"heap-guard", &HardenConfig::heap_guard},
+      },
+      {
+          {"aslr", {.aslr = true}},
+          {"canary", {.canary = true}},
+          {"heap-guard", {.heap_guard = true}},
+      }};
+  return kTable;
 }
 
-std::string valid_tokens_message() {
-  std::string msg = "valid presets: ";
-  for (std::size_t i = 0; i < presets().size(); ++i) {
-    if (i != 0) msg += ", ";
-    msg += presets()[i].name;
-  }
-  msg += "; valid flags: ";
-  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
-    if (i != 0) msg += ", ";
-    msg += kFlags[i].token;
-  }
-  return msg;
-}
-
-}  // namespace
-
-bool HardenConfig::any() const {
-  for (const auto& f : kFlags) {
-    if (this->*(f.member)) return true;
-  }
-  return false;
-}
+bool HardenConfig::any() const { return flag_table().any(*this); }
 
 std::string HardenConfig::serialize() const {
-  for (const auto& p : presets()) {
-    if (p.config == *this) return p.name;
-  }
-  std::string out;
-  for (const auto& f : kFlags) {
-    if (!(this->*(f.member))) continue;
-    if (!out.empty()) out += ',';
-    out += f.token;
-  }
-  return out.empty() ? "none" : out;
+  return flag_table().serialize(*this);
 }
 
 HardenConfig HardenConfig::parse(const std::string& text) {
-  const std::string trimmed{trim(text)};
-  for (const auto& p : presets()) {
-    if (trimmed == p.name) return p.config;
-  }
-  HardenConfig config;
-  for (const std::string& raw : split(trimmed, ',')) {
-    const std::string token{trim(raw)};
-    bool known = false;
-    for (const auto& f : kFlags) {
-      if (token == f.token) {
-        config.*(f.member) = true;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw Error("unknown hardening '" + token + "' (" +
-                  valid_tokens_message() + ")");
-    }
-  }
-  return config;
+  return flag_table().parse(text);
 }
 
 void HardenConfig::apply(sim::KernelConfig& kernel) const {
@@ -122,24 +37,15 @@ void HardenConfig::apply(sim::KernelConfig& kernel) const {
 }
 
 const std::vector<std::string>& preset_names() {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    for (const auto& p : presets()) names.emplace_back(p.name);
-    return names;
-  }();
-  return kNames;
+  return flag_table().preset_names();
 }
 
 HardenConfig preset(const std::string& name) {
-  for (const auto& p : presets()) {
-    if (name == p.name) return p.config;
-  }
-  throw Error("unknown hardening preset '" + name + "' (" +
-              valid_tokens_message() + ")");
+  return flag_table().preset(name);
 }
 
-const std::vector<HardenSummaryField>& summary_fields() {
-  static const std::vector<HardenSummaryField> kFields = {
+const CounterTable<HardenSummary>& summary_fields() {
+  static const CounterTable<HardenSummary> kFields{{
       {"aslr.images_randomized", &HardenSummary::images_randomized},
       {"aslr.stacks_randomized", &HardenSummary::stacks_randomized},
       {"canary.planted", &HardenSummary::canaries_planted},
@@ -148,29 +54,16 @@ const std::vector<HardenSummaryField>& summary_fields() {
       {"heap.frees", &HardenSummary::heap_frees},
       {"heap.redzone_bytes_checked", &HardenSummary::redzone_bytes_checked},
       {"heap.redzone_violations", &HardenSummary::redzone_violations},
-  };
+  }};
   return kFields;
 }
 
 void accumulate(HardenSummary& into, const HardenSummary& from) {
-  for (const HardenSummaryField& f : summary_fields()) {
-    into.*(f.member) += from.*(f.member);
-  }
+  summary_fields().accumulate(into, from);
 }
 
 std::uint64_t HardenSummary::total_events() const {
-  std::uint64_t total = 0;
-  for (const HardenSummaryField& f : summary_fields()) {
-    total += this->*(f.member);
-  }
-  return total;
-}
-
-void HardenSummary::publish(const std::string& prefix) const {
-  auto& reg = obs::MetricsRegistry::instance();
-  for (const HardenSummaryField& f : summary_fields()) {
-    reg.counter(prefix + "." + f.name).add(this->*(f.member));
-  }
+  return summary_fields().total(*this);
 }
 
 HardenSummary summarize(const sim::Kernel& kernel,

@@ -20,11 +20,12 @@
 //                 verifies them, faulting on a torn redzone
 //                 (FaultKind::kHeapRedzone).
 //
-// HardenConfig mirrors MitigationConfig exactly: a plain flag set with named
-// presets {none, aslr, canary, heap-guard, full}, a parse/serialize
-// round-trip, and an `apply` lowering onto sim::KernelConfig. The summary
-// side folds sim::KernelHardenStats, masked by the active flags so a
-// hardened-off run reports zero engagement.
+// HardenConfig is a plain flag set with named presets {none, aslr, canary,
+// heap-guard, full}. Its parse/serialize round-trip and its counter folds
+// come from the flag table it shares with MitigationConfig
+// (support/flag_table.hpp); this layer adds an `apply` lowering onto
+// sim::KernelConfig and a summary that folds sim::KernelHardenStats, masked
+// by the active flags so a hardened-off run reports zero engagement.
 //
 // Determinism contract: every randomized quantity is drawn from the kernel
 // RNG in a FIXED order per run — [stack delta][image delta][canary value] —
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "support/flag_table.hpp"
 
 namespace crs::harden {
 
@@ -71,6 +73,10 @@ struct HardenConfig {
   void apply(sim::KernelConfig& kernel) const;
 };
 
+/// The layer's flag tokens and presets, behind parse, serialize, any,
+/// preset and preset_names.
+const FlagTable<HardenConfig>& flag_table();
+
 /// Named presets, in display order: none, aslr, canary, heap-guard, full.
 const std::vector<std::string>& preset_names();
 
@@ -94,19 +100,12 @@ struct HardenSummary {
 
   /// Total hardening activity — the sweep's "did the defense engage" column.
   std::uint64_t total_events() const;
-
-  /// Adds every field into the MetricsRegistry under `<prefix>.*`.
-  void publish(const std::string& prefix) const;
 };
 
-/// name → member table over every HardenSummary counter, in publish order —
-/// the single source of truth shared by publish(), total_events(),
-/// accumulate() and the harden sweep's metrics CSV.
-struct HardenSummaryField {
-  const char* name;
-  std::uint64_t HardenSummary::* member;
-};
-const std::vector<HardenSummaryField>& summary_fields();
+/// name → member table over every HardenSummary counter, in publish order:
+/// the one field list behind total_events(), accumulate(), crsim's report
+/// and the harden sweep's metrics CSV.
+const CounterTable<HardenSummary>& summary_fields();
 
 /// Adds every counter of `from` into `into` (sweep-cell aggregation).
 void accumulate(HardenSummary& into, const HardenSummary& from);

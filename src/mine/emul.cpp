@@ -188,21 +188,6 @@ bool in_image(const sim::Program& program, std::uint64_t addr, int width) {
 
 namespace {
 
-std::vector<std::string> split_lines(const std::string& source) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos <= source.size()) {
-    const std::size_t nl = source.find('\n', pos);
-    if (nl == std::string::npos) {
-      lines.push_back(source.substr(pos));
-      break;
-    }
-    lines.push_back(source.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
-
 /// `line` up to its comment, cut where the assembler cuts it: the first `;`
 /// or `#` outside a string literal.
 std::string_view strip_comment(std::string_view line) {
@@ -222,7 +207,7 @@ bool is_label_char(char c) {
 }  // namespace
 
 std::vector<std::string> strip_layout_directives(const std::string& source) {
-  std::vector<std::string> lines = split_lines(source);
+  std::vector<std::string> lines = split(source, '\n');
   for (std::string& line : lines) {
     // Read the statement as the assembler does: leading `name:` labels
     // skipped, the directive name compared case-insensitively. The labels
@@ -241,33 +226,6 @@ std::vector<std::string> strip_layout_directives(const std::string& source) {
     if (name == ".org" || name == ".entry") line = labels;
   }
   return lines;
-}
-
-std::string escape_ascii(const std::string& s) {
-  std::string out;
-  for (const char ch : s) {
-    switch (ch) {
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\0':
-        out += "\\0";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      default:
-        out += ch;
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace crs::mine::detail

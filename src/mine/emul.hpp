@@ -75,9 +75,6 @@ bool in_image(const sim::Program& program, std::uint64_t addr, int width);
 /// point. Line i is still source line i + 1, the numbering casm reports.
 std::vector<std::string> strip_layout_directives(const std::string& source);
 
-/// `.ascii`-safe escaping of arbitrary bytes.
-std::string escape_ascii(const std::string& s);
-
 /// Rich validation entry point used by the mining pipeline (the public
 /// validate_candidate wraps it).
 struct ValidateOutcome {

@@ -18,11 +18,13 @@
 #include "fuzz/generator.hpp"
 #include "mine/emul.hpp"
 #include "mine/mine.hpp"
+#include "obs/trace.hpp"
 #include "rop/gadget.hpp"
 #include "sim/kernel.hpp"
 #include "support/memo.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace crs::mine {
 namespace {
@@ -114,42 +116,6 @@ BinaryReport build_report(const std::string& name, const std::string& source,
   return rep;
 }
 
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 BinaryReport mine_source(const std::string& name, const std::string& source,
@@ -225,11 +191,11 @@ std::string corpus_json(const CorpusReport& report) {
   std::string out = "{\n  \"binaries\": [\n";
   for (std::size_t i = 0; i < report.binaries.size(); ++i) {
     const BinaryReport& rep = report.binaries[i];
-    out += "    {\"name\": \"" + json_escape(rep.name) + "\", ";
+    out += "    {\"name\": \"" + obs::json_escape(rep.name) + "\", ";
     out += "\"candidates\": " + std::to_string(rep.candidates) + ", ";
     out += "\"rejected\": " + std::to_string(rep.rejected) + ", ";
     if (!rep.error.empty()) {
-      out += "\"error\": \"" + json_escape(rep.error) + "\", ";
+      out += "\"error\": \"" + obs::json_escape(rep.error) + "\", ";
     }
     out += "\"gadgets\": [";
     for (std::size_t j = 0; j < rep.gadgets.size(); ++j) {

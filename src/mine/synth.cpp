@@ -577,7 +577,7 @@ std::string wrap_attack_standalone(const std::string& attack_source,
   s += ".data\n";
   s += ".align 64\n";
   s += "mine_secret_base:\n";
-  s += "  .ascii \"" + detail::escape_ascii(secret.substr(0, len)) + "\"\n";
+  s += "  .ascii \"" + casm::escape_ascii(secret.substr(0, len)) + "\"\n";
   return s;
 }
 

@@ -226,7 +226,7 @@ std::string build_combined_source(const std::vector<std::string>& body_lines,
   s += "  .word " + std::to_string(branch ? slot_value : 0) + "\n";
   s += ".align 64\n";
   s += "mine_secret:\n";
-  s += "  .ascii \"" + escape_ascii(kValidationSecret) + "\"\n";
+  s += "  .ascii \"" + casm::escape_ascii(kValidationSecret) + "\"\n";
   s += ".align 64\n";
   s += "mine_scratch:\n";
   s += "  .space 4096, 0\n";

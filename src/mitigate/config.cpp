@@ -1,143 +1,42 @@
 #include "mitigate/config.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "mitigate/fence_pass.hpp"
-#include "obs/metrics.hpp"
-#include "support/error.hpp"
-#include "support/strings.hpp"
 
 namespace crs::mitigate {
 
-namespace {
-
-struct FlagSpec {
-  const char* token;
-  bool MitigationConfig::* member;
-};
-
-constexpr FlagSpec kFlags[] = {
-    {"fence-bounds", &MitigationConfig::fence_bounds},
-    {"slh", &MitigationConfig::slh},
-    {"retpoline", &MitigationConfig::retpoline},
-    {"flush-predictors", &MitigationConfig::flush_predictors},
-    {"flush-l1", &MitigationConfig::flush_l1},
-    {"partition", &MitigationConfig::partition_cache},
-    {"ward", &MitigationConfig::ward_split},
-};
-
-struct PresetSpec {
-  const char* name;
-  MitigationConfig config;
-};
-
-const std::vector<PresetSpec>& presets() {
-  static const std::vector<PresetSpec> kPresets = [] {
-    std::vector<PresetSpec> p;
-    p.push_back({"none", {}});
-    {
-      MitigationConfig c;
-      c.fence_bounds = true;
-      p.push_back({"lfence-bounds", c});
-    }
-    {
-      MitigationConfig c;
-      c.slh = true;
-      p.push_back({"slh", c});
-    }
-    {
-      MitigationConfig c;
-      c.retpoline = true;
-      p.push_back({"retpoline", c});
-    }
-    {
-      MitigationConfig c;
-      c.flush_predictors = true;
-      c.flush_l1 = true;
-      p.push_back({"flush-on-switch", c});
-    }
-    {
-      MitigationConfig c;
-      c.partition_cache = true;
-      p.push_back({"partition", c});
-    }
-    {
-      // Ward's design: secrets unmapped while untrusted code runs, plus
-      // predictor hygiene on every kernel crossing.
-      MitigationConfig c;
-      c.ward_split = true;
-      c.flush_predictors = true;
-      p.push_back({"ward-split", c});
-    }
-    {
-      MitigationConfig c;
-      for (const auto& f : kFlags) c.*(f.member) = true;
-      p.push_back({"full", c});
-    }
-    return p;
-  }();
-  return kPresets;
+const FlagTable<MitigationConfig>& flag_table() {
+  static const FlagTable<MitigationConfig> kTable{
+      "mitigation",
+      {
+          {"fence-bounds", &MitigationConfig::fence_bounds},
+          {"slh", &MitigationConfig::slh},
+          {"retpoline", &MitigationConfig::retpoline},
+          {"flush-predictors", &MitigationConfig::flush_predictors},
+          {"flush-l1", &MitigationConfig::flush_l1},
+          {"partition", &MitigationConfig::partition_cache},
+          {"ward", &MitigationConfig::ward_split},
+      },
+      {
+          {"lfence-bounds", {.fence_bounds = true}},
+          {"slh", {.slh = true}},
+          {"retpoline", {.retpoline = true}},
+          {"flush-on-switch", {.flush_predictors = true, .flush_l1 = true}},
+          {"partition", {.partition_cache = true}},
+          // Ward's design: secrets unmapped while untrusted code runs, plus
+          // predictor hygiene on every kernel crossing.
+          {"ward-split", {.flush_predictors = true, .ward_split = true}},
+      }};
+  return kTable;
 }
 
-std::string valid_tokens_message() {
-  std::string msg = "valid presets: ";
-  for (std::size_t i = 0; i < presets().size(); ++i) {
-    if (i != 0) msg += ", ";
-    msg += presets()[i].name;
-  }
-  msg += "; valid flags: ";
-  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
-    if (i != 0) msg += ", ";
-    msg += kFlags[i].token;
-  }
-  return msg;
-}
-
-}  // namespace
-
-bool MitigationConfig::any() const {
-  for (const auto& f : kFlags) {
-    if (this->*(f.member)) return true;
-  }
-  return false;
-}
+bool MitigationConfig::any() const { return flag_table().any(*this); }
 
 std::string MitigationConfig::serialize() const {
-  for (const auto& p : presets()) {
-    if (p.config == *this) return p.name;
-  }
-  std::string out;
-  for (const auto& f : kFlags) {
-    if (!(this->*(f.member))) continue;
-    if (!out.empty()) out += ',';
-    out += f.token;
-  }
-  return out.empty() ? "none" : out;
+  return flag_table().serialize(*this);
 }
 
 MitigationConfig MitigationConfig::parse(const std::string& text) {
-  const std::string trimmed{trim(text)};
-  for (const auto& p : presets()) {
-    if (trimmed == p.name) return p.config;
-  }
-  MitigationConfig config;
-  for (const std::string& raw : split(trimmed, ',')) {
-    const std::string token{trim(raw)};
-    bool known = false;
-    for (const auto& f : kFlags) {
-      if (token == f.token) {
-        config.*(f.member) = true;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw Error("unknown mitigation '" + token + "' (" +
-                  valid_tokens_message() + ")");
-    }
-  }
-  return config;
+  return flag_table().parse(text);
 }
 
 void MitigationConfig::apply(sim::MachineConfig& machine,
@@ -156,20 +55,11 @@ void MitigationConfig::apply(sim::MachineConfig& machine,
 }
 
 const std::vector<std::string>& preset_names() {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    for (const auto& p : presets()) names.emplace_back(p.name);
-    return names;
-  }();
-  return kNames;
+  return flag_table().preset_names();
 }
 
 MitigationConfig preset(const std::string& name) {
-  for (const auto& p : presets()) {
-    if (name == p.name) return p.config;
-  }
-  throw Error("unknown mitigation preset '" + name + "' (" +
-              valid_tokens_message() + ")");
+  return flag_table().preset(name);
 }
 
 Armed arm(sim::Kernel& kernel, const MitigationConfig& config) {
@@ -197,8 +87,8 @@ Armed arm(sim::Kernel& kernel, const MitigationConfig& config) {
   return armed;
 }
 
-const std::vector<SummaryField>& summary_fields() {
-  static const std::vector<SummaryField> kFields = {
+const CounterTable<MitigationSummary>& summary_fields() {
+  static const CounterTable<MitigationSummary> kFields{{
       {"fence.pages_scanned", &MitigationSummary::fence_pages_scanned},
       {"fence.planted", &MitigationSummary::fences_planted},
       {"fence.stalls", &MitigationSummary::fence_stalls},
@@ -216,27 +106,16 @@ const std::vector<SummaryField>& summary_fields() {
        &MitigationSummary::partition_blocked_evictions},
       {"ward.lockouts", &MitigationSummary::ward_lockouts},
       {"ward.pages_locked", &MitigationSummary::ward_pages_locked},
-  };
+  }};
   return kFields;
 }
 
 void accumulate(MitigationSummary& into, const MitigationSummary& from) {
-  for (const SummaryField& f : summary_fields()) {
-    into.*(f.member) += from.*(f.member);
-  }
+  summary_fields().accumulate(into, from);
 }
 
 std::uint64_t MitigationSummary::total_events() const {
-  std::uint64_t total = 0;
-  for (const SummaryField& f : summary_fields()) total += this->*(f.member);
-  return total;
-}
-
-void MitigationSummary::publish(const std::string& prefix) const {
-  auto& reg = obs::MetricsRegistry::instance();
-  for (const SummaryField& f : summary_fields()) {
-    reg.counter(prefix + "." + f.name).add(this->*(f.member));
-  }
+  return summary_fields().total(*this);
 }
 
 MitigationSummary summarize(const sim::Machine& machine,

@@ -30,10 +30,11 @@
 //                       are unmapped, so even a transient read of the host
 //                       secret faults and squashes without a cache fill.
 //
-// A MitigationConfig is a plain flag set with named presets, a parse /
-// serialize round-trip, an `apply` that lowers the flags onto the sim-layer
-// configs, and an `arm` that installs the runtime pieces (the fence pass and
-// the partition boundary) on a Kernel via its load hook.
+// A MitigationConfig is a plain flag set whose named presets and parse /
+// serialize round-trip come from the flag table both defense layers share
+// (support/flag_table.hpp), plus an `apply` that lowers the flags onto the
+// sim-layer configs and an `arm` that installs the runtime pieces (the fence
+// pass and the partition boundary) on a Kernel via its load hook.
 #pragma once
 
 #include <compare>
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "sim/kernel.hpp"
+#include "support/flag_table.hpp"
 
 namespace crs::mitigate {
 
@@ -74,6 +76,10 @@ struct MitigationConfig {
   /// constructing the Machine/Kernel.
   void apply(sim::MachineConfig& machine, sim::KernelConfig& kernel) const;
 };
+
+/// The layer's flag tokens and presets, behind parse, serialize, any,
+/// preset and preset_names.
+const FlagTable<MitigationConfig>& flag_table();
 
 /// Named presets, in display order: none, lfence-bounds, slh, retpoline,
 /// flush-on-switch, partition, ward-split, full.
@@ -125,20 +131,12 @@ struct MitigationSummary {
   /// Total mitigation activity — the matrix's "did the defense actually
   /// engage" column.
   std::uint64_t total_events() const;
-
-  /// Adds every field into the MetricsRegistry under `<prefix>.*`. Call
-  /// once per run, like publish_metrics.
-  void publish(const std::string& prefix) const;
 };
 
 /// name → member table over every MitigationSummary counter, in publish
-/// order. Shared by publish(), total_events(), accumulate() and the defense
-/// matrix's metrics CSV, so the field list exists in exactly one place.
-struct SummaryField {
-  const char* name;
-  std::uint64_t MitigationSummary::* member;
-};
-const std::vector<SummaryField>& summary_fields();
+/// order: the one field list behind total_events(), accumulate(), crsim's
+/// report and the defense matrix's metrics CSV.
+const CounterTable<MitigationSummary>& summary_fields();
 
 /// Adds every counter of `from` into `into` (matrix-cell aggregation).
 void accumulate(MitigationSummary& into, const MitigationSummary& from);

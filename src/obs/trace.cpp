@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -37,36 +38,6 @@ char kind_letter(TraceKind kind) {
 // Shared deterministic number rendering (integers print without a
 // fractional part, everything else as %.17g).
 std::string format_number(double v) { return format_metric_number(v); }
-
-std::string escape_json(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 bool event_less(const TraceEvent& a, const TraceEvent& b) {
   if (a.cycle != b.cycle) return a.cycle < b.cycle;
@@ -127,6 +98,35 @@ std::vector<TraceEvent> TraceSink::merged() const {
   return all;
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string TraceSink::chrome_json() const {
   const auto events = merged();
   std::ostringstream out;
@@ -135,7 +135,7 @@ std::string TraceSink::chrome_json() const {
   for (const auto& ev : events) {
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":\"" << escape_json(ev.name)
+    out << "\n{\"name\":\"" << json_escape(ev.name)
         << "\",\"cat\":\"crs\",\"ph\":\"" << kind_letter(ev.kind)
         << "\",\"ts\":" << ev.cycle << ",\"pid\":1,\"tid\":" << ev.lane;
     if (ev.kind == TraceKind::kInstant) {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -120,6 +121,11 @@ class ScopedSpan {
   std::uint64_t begin_;
   bool open_;
 };
+
+/// `s` escaped for the inside of a JSON string literal: `"`, `\` and every
+/// control character. Shared by the Chrome trace, the miner's JSON report
+/// and the --bench-json perf records.
+std::string json_escape(std::string_view s);
 
 /// Validates Chrome trace_event JSON produced by chrome_json() (and, more
 /// loosely, anything structurally compatible): a traceEvents array whose

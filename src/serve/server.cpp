@@ -7,6 +7,7 @@
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 
 namespace crs::serve {
 
@@ -71,6 +72,7 @@ class Connection {
 
 Server::Server(const ServeConfig& config) : config_(config) {
   CRS_ENSURE(config_.shards >= 1, "server needs at least one shard");
+  check_thread_count("shards", static_cast<std::uint64_t>(config_.shards));
   CRS_ENSURE(config_.queue_capacity >= 1, "queue capacity must be >= 1");
 }
 

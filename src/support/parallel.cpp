@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 
 #include "obs/obs.hpp"
+#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace crs {
@@ -14,7 +16,15 @@ std::atomic<unsigned> g_thread_override{0};
 
 }  // namespace
 
+void check_thread_count(std::string_view source, std::uint64_t count) {
+  if (count > kMaxThreads) {
+    throw Error(std::string(source) + " asks for " + std::to_string(count) +
+                " threads; the limit is " + std::to_string(kMaxThreads));
+  }
+}
+
 void set_thread_override(unsigned threads) {
+  check_thread_count("--threads", threads);
   g_thread_override.store(threads, std::memory_order_relaxed);
 }
 
@@ -26,6 +36,7 @@ unsigned resolve_thread_count(unsigned requested) {
     // Empty and 0 mean "hardware count", as `--threads 0` does.
     const unsigned parsed =
         *env == '\0' ? 0 : parse_number<unsigned>("CRS_THREADS", env);
+    check_thread_count("CRS_THREADS", parsed);
     if (parsed > 0) return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -22,19 +22,33 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace crs {
 
+/// The most threads a count from outside the program may ask for:
+/// CRS_THREADS, the tools' `--threads` and crs_serve's `--shards`. Far above
+/// any count the CI or the docs use, it keeps a typo from spawning
+/// thousands of OS threads.
+inline constexpr unsigned kMaxThreads = 256;
+
+/// Throws crs::Error naming `source` when `count` exceeds kMaxThreads. Call
+/// it before starting any thread.
+void check_thread_count(std::string_view source, std::uint64_t count);
+
 /// Resolves a worker count; always >= 1. `requested == 0` means "pick for
 /// me" (override, then CRS_THREADS, then hardware concurrency). An unset,
 /// empty or `0` CRS_THREADS falls through to the hardware count; any other
-/// value that is not an unsigned integer throws crs::Error naming it.
+/// value that is not an unsigned integer up to kMaxThreads throws
+/// crs::Error naming it.
 unsigned resolve_thread_count(unsigned requested = 0);
 
 /// Installs a process-wide thread-count override (0 clears it). Wired to the
-/// `--threads` CLI flag of the tools and benches; beats CRS_THREADS.
+/// `--threads` CLI flag of the tools and benches; beats CRS_THREADS. Throws
+/// crs::Error naming `--threads`, and leaves the override as it was, for a
+/// count above kMaxThreads.
 void set_thread_override(unsigned threads);
 
 /// Mixes (base_seed, index) into an independent per-item stream seed

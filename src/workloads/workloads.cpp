@@ -466,21 +466,6 @@ std::string body_crc32(std::uint64_t scale) {
   return s;
 }
 
-/// Escapes a corpus for embedding in an `.ascii "..."` directive.
-std::string escape_for_ascii(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    switch (c) {
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 // The static text corpus used by stringsearch and wordcount.
 std::string text_corpus() {
   std::string text;
@@ -545,7 +530,7 @@ std::string body_stringsearch(std::uint64_t scale) {
   s += "    store [r6], r4\n";
   s += "    ret\n";
   s += ".data\n";
-  s += "ss_text: .ascii \"" + escape_for_ascii(corpus) + "\"\n";
+  s += "ss_text: .ascii \"" + casm::escape_ascii(corpus) + "\"\n";
   s += ".byte 0, 0, 0, 0, 0, 0, 0, 0\n";  // guard tail
   s += "ss_p0: .asciz \"quick\"\n";
   s += "ss_p1: .asciz \"jump\"\n";
@@ -836,7 +821,7 @@ std::string body_wordcount(std::uint64_t scale) {
   s += "    store [r6], r4\n";
   s += "    ret\n";
   s += ".data\n";
-  s += "wc_text: .ascii \"" + escape_for_ascii(corpus) + "\"\n";
+  s += "wc_text: .ascii \"" + casm::escape_ascii(corpus) + "\"\n";
   s += ".byte 0\n";
   s += ".text\n";
   return s;
@@ -1264,7 +1249,7 @@ std::string generate_workload_source(const std::string& name,
   s += "result: .word 0\n";
   if (!options.secret.empty()) {
     s += ".align 64\n";
-    s += "host_secret: .ascii \"" + escape_for_ascii(options.secret) + "\"\n";
+    s += "host_secret: .ascii \"" + casm::escape_ascii(options.secret) + "\"\n";
     s += ".byte 0\n";
   }
   s += ".text\n";

@@ -10,6 +10,7 @@
 
 #include "core/defense_matrix.hpp"
 #include "core/harden_matrix.hpp"
+#include "core/report.hpp"
 #include "fuzz/golden.hpp"
 #include "support/error.hpp"
 
@@ -27,7 +28,7 @@ TEST_P(GoldenTrace, MatchesCheckedInReference) {
   const auto& name = GetParam();
   const auto path = std::string(CRS_GOLDEN_DIR) + "/" + name + ".csv";
   std::string golden;
-  ASSERT_NO_THROW(golden = fuzz::read_text_file(path))
+  ASSERT_NO_THROW(golden = core::read_text_file(path))
       << "missing reference — run `crs_fuzz --update-golden`";
   const auto live = fuzz::golden_csv(name);
   const auto diff = fuzz::diff_csv(name, golden, live);
@@ -52,7 +53,7 @@ Config quick_grid_config() {
 void expect_grid_golden(const std::string& file, const std::string& live) {
   const auto path = std::string(CRS_GOLDEN_DIR) + "/grid/" + file;
   std::string golden;
-  ASSERT_NO_THROW(golden = fuzz::read_text_file(path)) << "missing " << path;
+  ASSERT_NO_THROW(golden = core::read_text_file(path)) << "missing " << path;
   EXPECT_EQ(golden, live) << file << " moved; see docs/TESTING.md";
 }
 

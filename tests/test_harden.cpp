@@ -35,35 +35,6 @@ namespace {
 
 using test::SimHarness;
 
-TEST(HardenConfig, PresetRoundTrip) {
-  for (const std::string& name : harden::preset_names()) {
-    const harden::HardenConfig c = harden::preset(name);
-    EXPECT_EQ(c.serialize(), name);
-    EXPECT_EQ(harden::HardenConfig::parse(name), c);
-  }
-  EXPECT_FALSE(harden::preset("none").any());
-  EXPECT_TRUE(harden::preset("full").any());
-}
-
-TEST(HardenConfig, FlagListRoundTrip) {
-  const harden::HardenConfig c = harden::HardenConfig::parse("aslr,canary");
-  EXPECT_TRUE(c.aslr);
-  EXPECT_TRUE(c.canary);
-  EXPECT_FALSE(c.heap_guard);
-  EXPECT_EQ(harden::HardenConfig::parse(c.serialize()), c);
-}
-
-TEST(HardenConfig, UnknownTokenThrowsWithListing) {
-  try {
-    harden::HardenConfig::parse("aslr,bogus");
-    FAIL() << "expected crs::Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bogus"), std::string::npos);
-    EXPECT_NE(msg.find("heap-guard"), std::string::npos);
-  }
-}
-
 TEST(HardenConfig, ApplyLowersOntoKernelConfig) {
   sim::KernelConfig kcfg;
   harden::preset("full").apply(kcfg);

@@ -12,14 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
 #include "core/job.hpp"
+#include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "mine/mine.hpp"
 #include "mitigate/fence_pass.hpp"
@@ -36,16 +35,8 @@ namespace {
 
 using namespace crs;
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 std::string read_seed(const std::string& name) {
-  return read_file(std::string(CRS_FUZZ_CORPUS_DIR) + "/" + name);
+  return core::read_text_file(std::string(CRS_FUZZ_CORPUS_DIR) + "/" + name);
 }
 
 sim::Program assemble_seed(const std::string& source,
@@ -179,7 +170,8 @@ TEST(MineLayout, SameProgramInOtherSpellingsMinesTheSameGadgets) {
   // when `.word 0,,0` (16 bytes to the assembler, 24 to the copy) stood in
   // for `.byte 0, 0, 0, 0`.
   const std::string as_is =
-      read_file(std::string(CRS_GOLDEN_DIR) + "/mine_corpus/mine_g0.casm");
+      core::read_text_file(std::string(CRS_GOLDEN_DIR) +
+                           "/mine_corpus/mine_g0.casm");
   const std::string byte_line = "  .byte 0, 0, 0, 0\n";
   const std::size_t at = as_is.find(byte_line);
   ASSERT_NE(at, std::string::npos);

@@ -1,7 +1,8 @@
-// Tests for the mitigation subsystem: MitigationConfig round-trips, the
-// fence-insertion pass (including its decode-cache coherence obligations),
-// per-mitigation hardware semantics, and the end-to-end attack-vs-defense
-// story the evaluation matrix depends on.
+// Tests for the mitigation subsystem: the fence-insertion pass (including
+// its decode-cache coherence obligations), per-mitigation hardware
+// semantics, and the end-to-end attack-vs-defense story the evaluation
+// matrix depends on. MitigationConfig's text form and counter folds are
+// tested with HardenConfig's in test_flag_table.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -29,7 +30,7 @@ using mitigate::MitigationConfig;
 using sim::StopReason;
 using test::SimHarness;
 
-/// Flag set from a 7-bit mask, in kFlags order (for exhaustive sweeps).
+/// Flag set from a 7-bit mask, in flag-table order (for random sweeps).
 MitigationConfig config_from_mask(unsigned mask) {
   MitigationConfig c;
   c.fence_bounds = (mask & 1) != 0;
@@ -40,72 +41,6 @@ MitigationConfig config_from_mask(unsigned mask) {
   c.partition_cache = (mask & 32) != 0;
   c.ward_split = (mask & 64) != 0;
   return c;
-}
-
-// --- MitigationConfig parse/serialize ------------------------------------
-
-TEST(MitigationConfig, EveryFlagCombinationRoundTrips) {
-  for (unsigned mask = 0; mask < 128; ++mask) {
-    const MitigationConfig c = config_from_mask(mask);
-    const std::string text = c.serialize();
-    EXPECT_EQ(MitigationConfig::parse(text), c) << "mask=" << mask
-                                                << " text=" << text;
-  }
-}
-
-TEST(MitigationConfig, PresetsAreCompleteAndCanonical) {
-  const auto& names = mitigate::preset_names();
-  ASSERT_FALSE(names.empty());
-  EXPECT_EQ(names.front(), "none");
-  EXPECT_EQ(names.back(), "full");
-  for (const std::string& name : names) {
-    const MitigationConfig c = mitigate::preset(name);
-    // A preset name parses to its flag set and serializes back to itself.
-    EXPECT_EQ(MitigationConfig::parse(name), c);
-    EXPECT_EQ(c.serialize(), name);
-  }
-  EXPECT_FALSE(mitigate::preset("none").any());
-  const MitigationConfig full = mitigate::preset("full");
-  EXPECT_EQ(full, config_from_mask(127)) << "'full' must set every flag";
-}
-
-TEST(MitigationConfig, ParsesFlagListsWithWhitespace) {
-  const MitigationConfig c = MitigationConfig::parse(" slh , retpoline ");
-  EXPECT_TRUE(c.slh);
-  EXPECT_TRUE(c.retpoline);
-  EXPECT_FALSE(c.fence_bounds);
-  EXPECT_EQ(c.serialize(), "slh,retpoline");
-}
-
-TEST(MitigationConfig, UnknownTokenThrowsWithListing) {
-  try {
-    MitigationConfig::parse("bogus-defense");
-    FAIL() << "expected crs::Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bogus-defense"), std::string::npos);
-    EXPECT_NE(msg.find("valid presets"), std::string::npos);
-    // Every preset must appear in the listing the CLI shows the user.
-    for (const std::string& name : mitigate::preset_names()) {
-      EXPECT_NE(msg.find(name), std::string::npos) << name;
-    }
-  }
-  EXPECT_THROW(mitigate::preset("nope"), Error);
-}
-
-TEST(MitigationSummary, FieldTableCoversAccumulateAndTotal) {
-  mitigate::MitigationSummary a, b;
-  std::uint64_t expect = 0;
-  std::uint64_t v = 1;
-  for (const auto& f : mitigate::summary_fields()) {
-    a.*(f.member) = v;
-    b.*(f.member) = 2 * v;
-    expect += 3 * v;
-    ++v;
-  }
-  mitigate::accumulate(a, b);
-  EXPECT_EQ(a.total_events(), expect);
-  EXPECT_EQ(mitigate::MitigationSummary{}.total_events(), 0u);
 }
 
 // --- fence-insertion pass -------------------------------------------------

@@ -115,6 +115,45 @@ TEST(ResolveThreadCount, MalformedEnvIsAnErrorNamingIt) {
   }
 }
 
+TEST(ResolveThreadCount, OutsideCountsAreBoundedBeforeAnyThreadStarts) {
+  // Unbounded, CRS_THREADS=100000 or --threads 100000 made the next pool
+  // spawn that many OS threads. Only counts are resolved here; no pool is
+  // built.
+  const char* env = std::getenv("CRS_THREADS");
+  const std::optional<std::string> saved =
+      env ? std::optional<std::string>(env) : std::nullopt;
+  set_thread_override(0);
+  const std::string over = std::to_string(kMaxThreads + 1);
+  for (const std::string& bad : {over, std::string("100000")}) {
+    setenv("CRS_THREADS", bad.c_str(), 1);
+    try {
+      resolve_thread_count();
+      ADD_FAILURE() << "CRS_THREADS=" << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CRS_THREADS"), std::string::npos)
+          << e.what();
+    }
+  }
+  setenv("CRS_THREADS", std::to_string(kMaxThreads).c_str(), 1);
+  EXPECT_EQ(resolve_thread_count(), kMaxThreads);
+  unsetenv("CRS_THREADS");
+
+  // `--threads` is refused as it is installed, and the override stays.
+  set_thread_override(2);
+  try {
+    set_thread_override(kMaxThreads + 1);
+    ADD_FAILURE() << "--threads " << over << " accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(resolve_thread_count(), 2u);
+  set_thread_override(kMaxThreads);
+  EXPECT_EQ(resolve_thread_count(), kMaxThreads);
+  set_thread_override(0);
+  if (saved) setenv("CRS_THREADS", saved->c_str(), 1);
+}
+
 std::string corpus_fingerprint(const ml::Dataset& d) {
   std::ostringstream ss;
   ss.precision(17);

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
+#include "bench_util.hpp"
 #include "core/report.hpp"
 #include "hid/features.hpp"
 #include "support/error.hpp"
@@ -78,6 +80,91 @@ TEST(Report, WriteTextFileRoundTrip) {
 
 TEST(Report, WriteToBadPathThrows) {
   EXPECT_THROW(write_text_file("/nonexistent-dir/x.csv", "data"), Error);
+}
+
+/// The JSON string whose opening quote ends at `at`, unescaped; fails the
+/// test when it is not terminated.
+std::string read_json_string(const std::string& text, std::size_t at) {
+  std::string out;
+  for (std::size_t i = at; i < text.size(); ++i) {
+    if (text[i] == '"') return out;
+    if (text[i] == '\\' && ++i < text.size()) {
+      switch (text[i]) {
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'u':
+          out += static_cast<char>(std::stoi(text.substr(i + 1, 4), nullptr,
+                                             16));
+          i += 4;
+          break;
+        default: out += text[i];
+      }
+    } else {
+      out += text[i];
+    }
+  }
+  ADD_FAILURE() << "unterminated JSON string in " << text;
+  return out;
+}
+
+TEST(Report, BenchRecordNameIsJsonEscaped) {
+  // `crsim --bench-json rec.json 'a"b.s'` once wrote
+  // {"name":"crsim:a"b.s",...}, which no JSON reader accepts.
+  const std::string path = ::testing::TempDir() + "crs_bench_record.json";
+  std::remove(path.c_str());
+  const std::string name = "crsim:a\"b\\c\n.s";
+  append_bench_record(path, name, 1.5, 2.0);
+  append_bench_record(path, "fig5_offline_hid", 3.0, 4.0);
+  const auto lines = split(read_text_file(path), '\n');
+  ASSERT_EQ(lines.size(), 3u);  // two records + trailing empty
+  const std::string head = "{\"name\":\"";
+  ASSERT_EQ(lines[0].rfind(head, 0), 0u) << lines[0];
+  EXPECT_EQ(read_json_string(lines[0], head.size()), name);
+  EXPECT_EQ(lines[0].rfind(R"({"name":"crsim:a\"b\\c\n.s","wall_ms":1.500,)"
+                           R"("items_per_s":2.000,"config":{)",
+                           0),
+            0u)
+      << lines[0];
+  // A plain name is written as it is.
+  EXPECT_EQ(lines[1].rfind(R"({"name":"fig5_offline_hid","wall_ms":3.000,)"
+                           R"("items_per_s":4.000,"config":{)",
+                           0),
+            0u)
+      << lines[1];
+  std::remove(path.c_str());
+  EXPECT_THROW(append_bench_record("/nonexistent-dir/x.json", name, 1, 1),
+               Error);
+}
+
+TEST(Report, AttemptRecordsEscapeTheNameAndRaise) {
+  // BenchIo::emit_attempts printed the name with %s and dropped every
+  // record when the file could not be opened.
+  const std::string path = ::testing::TempDir() + "crs_attempt_records.json";
+  std::remove(path.c_str());
+  const auto bench_io = [](std::string json_path) {
+    std::string prog = "bench", flag = "--bench-json";
+    char* argv[] = {prog.data(), flag.data(), json_path.data()};
+    int argc = 3;
+    return bench::BenchIo(argc, argv);
+  };
+  CampaignResult result;
+  result.attempts.resize(2);
+  result.attempts[0].attempt = 1;
+  result.attempts[1].attempt = 2;
+  const std::string name = "fig\"5\\b";
+  bench_io(path).emit_attempts(name, result);
+  const auto lines = split(read_text_file(path), '\n');
+  ASSERT_EQ(lines.size(), 3u);  // two records + trailing empty
+  const std::string head = "{\"name\":\"";
+  for (int a = 1; a <= 2; ++a) {
+    const std::string& line = lines[static_cast<std::size_t>(a - 1)];
+    ASSERT_EQ(line.rfind(head, 0), 0u) << line;
+    EXPECT_EQ(read_json_string(line, head.size()),
+              name + ":attempt" + std::to_string(a));
+  }
+  std::remove(path.c_str());
+  EXPECT_THROW(bench_io("/nonexistent-dir/x.json").emit_attempts(name, result),
+               Error);
 }
 
 TEST(Report, EmptyInputsProduceHeadersOnly) {

@@ -534,6 +534,22 @@ TEST(ServeJobSpec, SerializeRefusesEmptyOrCommaListItem) {
             spec.matrix.config.presets);
 }
 
+TEST(ServeJobSpec, ParseRefusesEmptyListItem) {
+  // `mx.presets=slh,,none` once parsed, and the run then failed with
+  // "unknown mitigation preset ''".
+  core::JobSpec spec = matrix_spec(1);
+  spec.matrix.config.presets = {"slh", "none"};
+  const std::string text = core::serialize_job(spec);
+  const std::string line = "mx.presets=slh,none\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos) << text;
+  for (const char* presets : {"slh,,none", ",slh", "slh,", ","}) {
+    std::string bad = text;
+    bad.replace(at, line.size(), "mx.presets=" + std::string(presets) + "\n");
+    expect_job_rejected(bad, "mx.presets: list item '' is empty or holds ','");
+  }
+}
+
 TEST(ServeJobSpec, MutatedSpecsAreRejectedOrRoundTrip) {
   // Reject-or-round-trip: a mutated spec either throws crs::Error or parses
   // to a spec whose text reads back to the same text. Any other exception
@@ -749,6 +765,24 @@ TEST(ServeIdentity, ProgramJobOverWireMatchesDirect) {
 }
 
 // --- Scheduling & lifecycle ----------------------------------------------
+
+TEST(ServeServer, ShardCountIsBoundedBeforeAnyThreadStarts) {
+  // Unbounded, `crs_serve --shards 100000` spawned one OS thread per shard.
+  // The constructor refuses the count; no test here calls start().
+  ServeConfig scfg;
+  scfg.shards = static_cast<int>(kMaxThreads) + 1;
+  try {
+    Server server(scfg);
+    ADD_FAILURE() << scfg.shards << " shards accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos)
+        << e.what();
+  }
+  scfg.shards = 0;
+  EXPECT_THROW(Server server(scfg), Error);
+  scfg.shards = static_cast<int>(kMaxThreads);
+  EXPECT_NO_THROW(Server server(scfg));
+}
 
 TEST(ServeServer, QueueFullBackpressure) {
   ServeConfig scfg;

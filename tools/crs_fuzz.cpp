@@ -186,7 +186,7 @@ int run_golden(const Options& opt) {
     }
     std::string golden;
     try {
-      golden = fuzz::read_text_file(path);
+      golden = core::read_text_file(path);
     } catch (const Error& e) {
       std::fprintf(stderr, "crs_fuzz: %s (run --update-golden first?)\n",
                    e.what());
@@ -205,7 +205,7 @@ int run_golden(const Options& opt) {
 }
 
 int run_check_trace(const std::string& path) {
-  const auto json = fuzz::read_text_file(path);
+  const auto json = core::read_text_file(path);
   const auto diag = obs::validate_chrome_trace(json);
   if (diag.empty()) {
     std::printf("crs_fuzz: trace %s OK (%zu bytes)\n", path.c_str(),

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -49,15 +48,11 @@ volatile std::sig_atomic_t g_signal = 0;
 
 void on_signal(int) { g_signal = 1; }
 
+/// The whole of `path`, or of stdin when `path` is `-`.
 std::string read_file_or_stdin(const std::string& path) {
+  if (path != "-") return crs::core::read_text_file(path);
   std::ostringstream ss;
-  if (path == "-") {
-    ss << std::cin.rdbuf();
-  } else {
-    std::ifstream f(path);
-    if (!f.good()) throw crs::Error("cannot read '" + path + "'");
-    ss << f.rdbuf();
-  }
+  ss << std::cin.rdbuf();
   return ss.str();
 }
 

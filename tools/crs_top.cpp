@@ -90,11 +90,11 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     if (!parse_args(argc, argv, opt)) return usage();
+    if (opt.threads != 0) set_thread_override(opt.threads);
   } catch (const Error& e) {
     std::fprintf(stderr, "crs_top: %s\n", e.what());
     return usage();
   }
-  if (opt.threads != 0) set_thread_override(opt.threads);
 
   std::atomic<bool> done{false};
   std::exception_ptr failure;

@@ -35,8 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,14 +54,22 @@
 
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good()) {
-    throw crs::Error("cannot read '" + path + "'");
+/// Prints one armed defense layer's summary to stderr — its `setting` and
+/// event total, then each nonzero counter tagged `[layer]` — and publishes
+/// the counters under `layer`.
+template <typename Summary>
+void report_layer(const std::string& setting, const char* layer,
+                  const crs::CounterTable<Summary>& fields,
+                  const Summary& sum) {
+  std::fprintf(stderr, "[crsim] %s events=%llu\n", setting.c_str(),
+               static_cast<unsigned long long>(fields.total(sum)));
+  for (const auto& f : fields) {
+    if (sum.*(f.member) != 0) {
+      std::fprintf(stderr, "[%s] %-28s %llu\n", layer, f.name,
+                   static_cast<unsigned long long>(sum.*(f.member)));
+    }
   }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
+  fields.publish(sum, layer);
 }
 
 }  // namespace
@@ -114,9 +120,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string path = args.take_positional();
-    const sim::Program program =
-        casm::assemble(read_file(path) + casm::runtime_library(),
-                       {.name = path, .link_base = 0x10000});
+    const sim::Program program = casm::assemble(
+        core::read_text_file(path) + casm::runtime_library(),
+        {.name = path, .link_base = 0x10000});
 
     if (disasm) {
       std::fputs(casm::disassemble_text(program).c_str(), stdout);
@@ -185,31 +191,13 @@ int main(int argc, char** argv) {
                    trace_path.c_str());
     }
     if (mitigations.any()) {
-      const mitigate::MitigationSummary sum =
-          mitigate::summarize(machine, kernel, armed);
-      std::fprintf(stderr, "[crsim] mitigations=%s events=%llu\n",
-                   mitigations.serialize().c_str(),
-                   static_cast<unsigned long long>(sum.total_events()));
-      for (const auto& f : mitigate::summary_fields()) {
-        if (sum.*(f.member) != 0) {
-          std::fprintf(stderr, "[mitigate] %-28s %llu\n", f.name,
-                       static_cast<unsigned long long>(sum.*(f.member)));
-        }
-      }
-      sum.publish("mitigate");
+      report_layer("mitigations=" + mitigations.serialize(), "mitigate",
+                   mitigate::summary_fields(),
+                   mitigate::summarize(machine, kernel, armed));
     }
     if (harden.any()) {
-      const harden::HardenSummary hsum = harden::summarize(kernel, harden);
-      std::fprintf(stderr, "[crsim] harden=%s events=%llu\n",
-                   harden.serialize().c_str(),
-                   static_cast<unsigned long long>(hsum.total_events()));
-      for (const auto& f : harden::summary_fields()) {
-        if (hsum.*(f.member) != 0) {
-          std::fprintf(stderr, "[harden] %-28s %llu\n", f.name,
-                       static_cast<unsigned long long>(hsum.*(f.member)));
-        }
-      }
-      hsum.publish("harden");
+      report_layer("harden=" + harden.serialize(), "harden",
+                   harden::summary_fields(), harden::summarize(kernel, harden));
     }
     if (!metrics_path.empty()) {
       machine.publish_metrics("sim");

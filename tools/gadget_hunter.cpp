@@ -35,8 +35,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,14 +64,6 @@ using namespace crs;
 // in; these only matter when regenerating it.
 constexpr std::uint64_t kGoldenSeed = 2026;
 constexpr std::size_t kGoldenGenerated = 6;
-
-std::string read_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good()) throw crs::Error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
 
 void print_usage(std::FILE* out) {
   std::fprintf(
@@ -118,7 +108,7 @@ std::vector<std::pair<std::string, std::string>> load_corpus_dir(
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(names.size());
   for (const auto& name : names) {
-    out.emplace_back(name, read_file(dir + "/" + name));
+    out.emplace_back(name, core::read_text_file(dir + "/" + name));
   }
   return out;
 }
@@ -249,7 +239,7 @@ int run_golden(const std::string& dir, bool update) {
                 live.size());
     return 0;
   }
-  const std::string golden = fuzz::read_text_file(csv_path);
+  const std::string golden = core::read_text_file(csv_path);
   const std::string diff = fuzz::diff_csv("mine", golden, live);
   if (diff.empty()) {
     std::printf("gadget_hunter: golden 'mine' OK (%zu gadget(s))\n",
@@ -262,9 +252,9 @@ int run_golden(const std::string& dir, bool update) {
 
 int run_single(const std::string& path, bool plan_chain,
                const std::string& metrics_path) {
-  const sim::Program program =
-      casm::assemble(read_file(path) + casm::runtime_library(),
-                     {.name = path, .link_base = 0x10000});
+  const sim::Program program = casm::assemble(
+      core::read_text_file(path) + casm::runtime_library(),
+      {.name = path, .link_base = 0x10000});
 
   const auto gadgets = rop::GadgetScanner().scan(program);
   std::printf("%zu gadgets in executable pages of %s:\n", gadgets.size(),
