@@ -52,7 +52,7 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
 /// benchmark::Initialize, and mirrors every run into the JSON file when one
 /// was requested.
 inline int run_micro_benchmarks(int argc, char** argv) {
-  BenchIo io(argc, argv);
+  BenchIo io = BenchIo::strip(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   if (io.json_enabled()) {

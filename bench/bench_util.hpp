@@ -11,35 +11,30 @@
 #include "core/report.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/flags.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 
 namespace crs::bench {
 
-/// Common bench CLI flags, stripped from argv before anything else parses
-/// it: `--threads N` installs a process-wide worker-count override (beats
-/// CRS_THREADS) and `--bench-json <path>` enables machine-readable perf
-/// records — one JSON line per benchmark appended to <path>, so future PRs
-/// can track the trajectory in BENCH_*.json files.
+/// Common bench CLI flags: `--threads N` installs a process-wide
+/// worker-count override (beats CRS_THREADS) and `--bench-json <path>`
+/// enables machine-readable perf records — one JSON line per benchmark
+/// appended to <path>, so future PRs can track the trajectory in
+/// BENCH_*.json files. A bad command line (a bad count, a flag without its
+/// value, an argument nobody parses) exits 2 before the bench does any work.
 class BenchIo {
  public:
-  BenchIo(int& argc, char** argv) {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--threads" && i + 1 < argc) {
-        set_threads(argv[++i]);
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        set_threads(arg.substr(10));
-      } else if (arg == "--bench-json" && i + 1 < argc) {
-        json_path_ = argv[++i];
-      } else if (arg.rfind("--bench-json=", 0) == 0) {
-        json_path_ = arg.substr(13);
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
+  /// A figure bench's whole command line: the two flags and nothing else.
+  BenchIo(int argc, char** argv) { parse(argc, argv, /*keep_rest=*/false); }
+
+  /// For a binary with a parser of its own (google-benchmark's, the load
+  /// driver's): strips the two flags and leaves every other argument, in
+  /// order, in argv[1, argc).
+  static BenchIo strip(int& argc, char** argv) {
+    BenchIo io;
+    argc = io.parse(argc, argv, /*keep_rest=*/true);
+    return io;
   }
 
   bool json_enabled() const { return !json_path_.empty(); }
@@ -79,14 +74,30 @@ class BenchIo {
   }
 
  private:
-  /// A bad count is a usage error: the benches' mains catch nothing.
-  static void set_threads(const std::string& value) {
+  BenchIo() = default;
+
+  /// Returns the new argc: 1 plus the arguments kept. A usage error exits
+  /// here, as the benches' mains catch nothing.
+  int parse(int argc, char** argv, bool keep_rest) {
+    FlagCursor args(argc, argv);
+    int kept = 1;
     try {
-      set_thread_override(parse_number<unsigned>("--threads", value));
+      while (args.more()) {
+        unsigned threads = 0;
+        if (args.take_number("--threads", threads)) {
+          set_thread_override(threads);
+        } else if (args.take_value("--bench-json", json_path_)) {
+        } else if (keep_rest) {
+          argv[kept++] = args.take_raw();
+        } else {
+          args.unknown();
+        }
+      }
     } catch (const Error& e) {
       std::fprintf(stderr, "%s\n", e.what());
       std::exit(2);
     }
+    return kept;
   }
 
   std::string json_path_;

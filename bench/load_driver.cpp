@@ -138,7 +138,7 @@ LoadResult run_load(const ConfigSet& set, int requests, int shards,
 
 int main(int argc, char** argv) {
   try {
-    bench::BenchIo io(argc, argv);
+    bench::BenchIo io = bench::BenchIo::strip(argc, argv);
     int requests = 400;
     int configs = 9;
     int shards = 2;

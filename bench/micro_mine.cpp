@@ -1,7 +1,7 @@
 // Micro-benchmarks of the speculation-aware gadget miner: how fast the
 // static classifier walks a decoded image, what a full per-binary pipeline
-// (classify + dynamic validation + replay synthesis) costs cold, and what
-// the memoized recon path sustains — the numbers that size a corpus-scale
+// (classify + dynamic validation + replay synthesis) costs, and what a
+// corpus fan-out sustains — the numbers that size a corpus-scale
 // `gadget_hunter --corpus` sweep against a CI time budget.
 #include <benchmark/benchmark.h>
 
@@ -46,17 +46,14 @@ void BM_MineClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_MineClassify)->Unit(benchmark::kMicrosecond);
 
-// Cold full pipeline per binary: classify, mistrain-and-validate every
-// candidate, synthesize + self-check the replay programs. The varying name
-// defeats the recon memo, so every iteration pays the real cost — this is
-// the per-binary rate of a first-pass corpus sweep.
+// Full pipeline per binary: assemble, classify, mistrain-and-validate every
+// candidate, synthesize + self-check the replay programs — the per-binary
+// rate of a corpus sweep.
 void BM_MineSourceCold(benchmark::State& state) {
   const std::string src = biased_source(2026);
-  std::uint64_t i = 0;
   std::size_t gadgets = 0;
   for (auto _ : state) {
-    const auto report =
-        mine::mine_source("bench-cold-" + std::to_string(i++), src);
+    const auto report = mine::mine_source("bench-cold", src);
     gadgets += report.gadgets.size();
     benchmark::DoNotOptimize(report);
   }
@@ -66,20 +63,6 @@ void BM_MineSourceCold(benchmark::State& state) {
 }
 BENCHMARK(BM_MineSourceCold)->Unit(benchmark::kMillisecond);
 
-// Memoized recon path: re-mining an already-seen binary is a cache lookup.
-// The cold/warm gap is what per-binary memoization buys repeated sweeps
-// (golden checks, scenario re-emission, CI re-runs).
-void BM_MineSourceMemoized(benchmark::State& state) {
-  const std::string src = biased_source(2026);
-  mine::mine_source("bench-warm", src);  // prime the cache
-  for (auto _ : state) {
-    const auto report = mine::mine_source("bench-warm", src);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MineSourceMemoized)->Unit(benchmark::kMicrosecond);
-
 // Corpus fan-out on the thread pool, fresh binaries every iteration:
 // items/s is directly the `gadget_hunter --gen N` binaries-per-second rate.
 void BM_MineCorpus(benchmark::State& state) {
@@ -88,7 +71,7 @@ void BM_MineCorpus(benchmark::State& state) {
   for (auto _ : state) {
     mine::CorpusOptions opt;
     opt.generated = kBinaries;
-    opt.seed = 3000 + round++;  // fresh seeds: no memo hits across rounds
+    opt.seed = 3000 + round++;
     const auto report = mine::mine_corpus(opt);
     benchmark::DoNotOptimize(report);
   }

@@ -476,17 +476,8 @@ std::string generate_attack_source(const AttackConfig& c) {
       // signal. Park it on set ~301 (> 255 = outside the probed range) —
       // the placement freedom a real prime+probe attacker also needs.
       s += ".align 64\n";
-      s += "embedded_secret: .ascii \"";
-      for (char ch : c.embed_secret) {
-        switch (ch) {
-          case '\n': s += "\\n"; break;
-          case '\t': s += "\\t"; break;
-          case '"': s += "\\\""; break;
-          case '\\': s += "\\\\"; break;
-          default: s += ch;
-        }
-      }
-      s += "\"\n.byte 0\n";
+      s += "embedded_secret: .ascii \"" +
+           casm::escape_ascii(c.embed_secret) + "\"\n.byte 0\n";
     }
     s += ".align " + num(l2_way_stride) + "\n";
     s += "probe: .space 16384\n";
@@ -521,17 +512,8 @@ std::string generate_attack_source(const AttackConfig& c) {
   }
   if (!c.embed_secret.empty() && !prime_probe) {
     s += ".align 64\n";
-    s += "embedded_secret: .ascii \"";
-    for (char ch : c.embed_secret) {
-      switch (ch) {
-        case '\n': s += "\\n"; break;
-        case '\t': s += "\\t"; break;
-        case '"': s += "\\\""; break;
-        case '\\': s += "\\\\"; break;
-        default: s += ch;
-      }
-    }
-    s += "\"\n.byte 0\n";
+    s += "embedded_secret: .ascii \"" +
+         casm::escape_ascii(c.embed_secret) + "\"\n.byte 0\n";
   }
   return s;
 }

@@ -145,17 +145,8 @@ std::string generate_spectre11_source(const Spectre11Config& c) {
   s += "recovered: .space " + num(c.secret_length + 8) + "\n";
   if (!c.embed_secret.empty()) {
     s += ".align 64\n";
-    s += "embedded_secret: .ascii \"";
-    for (char ch : c.embed_secret) {
-      switch (ch) {
-        case '\n': s += "\\n"; break;
-        case '\t': s += "\\t"; break;
-        case '"': s += "\\\""; break;
-        case '\\': s += "\\\\"; break;
-        default: s += ch;
-      }
-    }
-    s += "\"\n.byte 0\n";
+    s += "embedded_secret: .ascii \"" +
+         casm::escape_ascii(c.embed_secret) + "\"\n.byte 0\n";
   }
   return s;
 }

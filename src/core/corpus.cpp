@@ -3,6 +3,7 @@
 #include "core/scenario.hpp"
 #include "hid/features.hpp"
 #include "obs/metrics.hpp"
+#include "sim/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -22,10 +23,11 @@ struct BenignSpec {
   std::string arg;
 };
 
-/// Executes one benign run on its own machine and returns the feature rows
-/// of its windows. Share-nothing: safe to run concurrently.
+/// Executes one benign run on its own fork of the default machine and
+/// returns the feature rows of its windows. Share-nothing: safe to run
+/// concurrently.
 std::vector<std::vector<double>> run_benign_spec(const BenignSpec& spec) {
-  sim::Machine machine;
+  sim::Machine machine(*sim::shared_baseline({}));
   sim::KernelConfig kcfg;
   kcfg.seed = spec.kernel_seed;
   sim::Kernel kernel(machine, kcfg);

@@ -556,11 +556,7 @@ JobOutcome run_program_job(const ProgramJob& job,
       casm::assemble(job.source + casm::runtime_library(),
                      {.name = kPath, .link_base = 0x10000});
 
-  // Same discipline as the fuzz differ: a per-thread machine pool hands
-  // back a pristine fork instead of constructing 16 MB of zeroed memory per
-  // program.
-  thread_local sim::MachinePool pool;
-  sim::Machine& machine = pool.acquire(sim::MachineConfig{});
+  sim::Machine machine(*sim::shared_baseline({}));
   sim::Kernel kernel(machine, {});
   kernel.register_binary(kPath, program);
   kernel.start_with_strings(kPath, {kPath});

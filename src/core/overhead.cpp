@@ -29,11 +29,8 @@ double benign_ipc(const std::string& host, std::uint64_t scale,
   kcfg.seed = rng.next_u64();
   mitigations.apply(mcfg, kcfg);
   harden.apply(kcfg);
-  // Machines come from a per-thread pool (keyed by the post-mitigation
-  // machine config), rolled back to pristine on acquire. The kernel is
-  // rebuilt per run — it is cheap, and holds all per-run state.
-  thread_local sim::MachinePool pool;
-  sim::Kernel kernel(pool.acquire(mcfg), kcfg);
+  sim::Machine machine(*sim::shared_baseline(mcfg));
+  sim::Kernel kernel(machine, kcfg);
   const mitigate::Armed armed = mitigate::arm(kernel, mitigations);
   kernel.register_binary("/bin/app", workloads::build_workload(host, wopt));
   const auto profile = hid::profile_run_strings(

@@ -207,13 +207,11 @@ bool arch_comparable_event(sim::Event e) {
 ExecResult run_under_config(const sim::Program& program,
                             const ExecConfig& config, const RunLimits& limits,
                             bool writable_text, sim::Machine* fresh_machine) {
-  // A per-thread pool hands back a fork rolled back to pristine state for
-  // this config instead of constructing 16 MB of zeroed memory per
-  // candidate — the differ runs every program under up to five configs, so
-  // the pool stays warm across the whole corpus.
-  thread_local sim::MachinePool pool;
+  std::optional<sim::Machine> fork;
   sim::Machine& machine =
-      fresh_machine != nullptr ? *fresh_machine : pool.acquire(config.machine);
+      fresh_machine != nullptr
+          ? *fresh_machine
+          : fork.emplace(*sim::shared_baseline(config.machine));
   sim::Kernel kernel(machine, config.kernel);
   if (config.prepare) config.prepare(kernel);
   kernel.register_binary("/bin/fuzz", program);

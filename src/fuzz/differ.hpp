@@ -84,9 +84,9 @@ struct ExecResult {
 /// sampling the stream every `limits.stream_chunk` retired instructions.
 /// `writable_text` maps the whole image RWX after load (required for
 /// self-modifying programs; applied identically across configs). The run
-/// uses a per-thread pooled machine, or `fresh_machine` when given — a
-/// `Machine(config.machine)` the caller built, the reference a pooled run
-/// must match.
+/// uses a fork of `sim::shared_baseline(config.machine)`, or `fresh_machine`
+/// when given — a `Machine(config.machine)` the caller built, the reference
+/// a forked run must match.
 ExecResult run_under_config(const sim::Program& program,
                             const ExecConfig& config, const RunLimits& limits,
                             bool writable_text,

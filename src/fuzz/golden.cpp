@@ -7,7 +7,9 @@
 #include "core/scenario.hpp"
 #include "hid/profiler.hpp"
 #include "sim/kernel.hpp"
+#include "sim/snapshot.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace crs::fuzz {
@@ -20,7 +22,7 @@ namespace {
 constexpr std::uint64_t kGoldenSeed = 7;
 
 std::string benign_csv() {
-  sim::Machine machine;
+  sim::Machine machine(*sim::shared_baseline({}));
   sim::Kernel kernel(machine);
   workloads::WorkloadOptions opt;
   opt.scale = 4000;
@@ -47,33 +49,12 @@ std::string scenario_csv(bool injected) {
   return core::windows_to_csv(core::run_scenario(sc).profile.windows);
 }
 
+/// The text's lines; a final '\n' ends the last line rather than opening
+/// an empty one, and empty text has no lines.
 std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const auto eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      out.push_back(text.substr(pos));
-      break;
-    }
-    out.push_back(text.substr(pos, eol - pos));
-    pos = eol + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  for (;;) {
-    const auto comma = line.find(',', pos);
-    if (comma == std::string::npos) {
-      out.push_back(line.substr(pos));
-      return out;
-    }
-    out.push_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
+  std::vector<std::string> lines = split(text, '\n');
+  if (lines.back().empty()) lines.pop_back();
+  return lines;
 }
 
 }  // namespace
@@ -105,7 +86,7 @@ std::string diff_csv(const std::string& name, const std::string& golden,
     return out.str();
   }
 
-  const auto header = split_fields(glines[0]);
+  const auto header = split(glines[0], ',');
   if (glines[0] != llines[0]) {
     out << "  header changed:\n    golden: " << glines[0]
         << "\n    live:   " << llines[0] << "\n";
@@ -120,8 +101,8 @@ std::string diff_csv(const std::string& name, const std::string& golden,
   const auto rows = std::min(glines.size(), llines.size());
   for (std::size_t r = 1; r < rows && reported < 5; ++r) {
     if (glines[r] == llines[r]) continue;
-    const auto gf = split_fields(glines[r]);
-    const auto lf = split_fields(llines[r]);
+    const auto gf = split(glines[r], ',');
+    const auto lf = split(llines[r], ',');
     out << "  row " << r << ":";
     if (gf.size() != lf.size()) {
       out << " field count " << gf.size() << " vs " << lf.size() << "\n";

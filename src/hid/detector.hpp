@@ -4,9 +4,11 @@
 // the paper's zoo. Two deployment modes reproduce §III-B:
 //  - offline: trained once on clean benign/Spectre traces, never updated
 //    (the [22]/CloudRadar-style static detector of Fig. 5);
-//  - online: after every attack attempt the newly profiled windows are
-//    added to the training set with their (defender-assigned) labels and
-//    the model is retrained from scratch (Fig. 6).
+//  - online: after every attack attempt the newly profiled windows, with
+//    their (defender-assigned) labels, update the model (Fig. 6). The
+//    default OnlineMode::kIncremental is a partial_fit-style update on the
+//    new batch only; kFullRetrain retrains from scratch on everything
+//    accumulated so far.
 #pragma once
 
 #include <compare>

@@ -75,8 +75,7 @@ bool in_image(const sim::Program& program, std::uint64_t addr, int width);
 /// point. Line i is still source line i + 1, the numbering casm reports.
 std::vector<std::string> strip_layout_directives(const std::string& source);
 
-/// Rich validation entry point used by the mining pipeline (the public
-/// validate_candidate wraps it).
+/// Dynamic validation of one candidate, the mining pipeline's stage 2.
 struct ValidateOutcome {
   Validation validation = Validation::kNone;
   int leaked_byte = -1;

@@ -16,9 +16,9 @@
 //      continuation (Spectre-RSB). A bounded taint walk down each window
 //      looks for attacker-reg -> transient load -> dependent load within the
 //      speculation window.
-//   2. validate_candidate — dynamic ground truth. The original source, with
-//      a label planted on the trigger's line (casm::assemble_listing names
-//      it), is re-assembled behind a generated driver that mistrains the
+//   2. detail::validate_window — dynamic ground truth. The original source,
+//      with a label planted on the trigger's line (casm::assemble_listing
+//      names it), is re-assembled behind a generated driver that mistrains the
 //      predictor (PHT update / RSB push), plants a secret, points the
 //      attacker register at it, and fires the trigger once; the candidate
 //      survives only if the secret-dependent probe line is actually
@@ -31,13 +31,12 @@
 //      image). The synthesized program is self-checked by running it against
 //      a planted secret before it is declared scenario-eligible.
 //
-// mine_source memoizes the whole per-binary pipeline in a process-wide
-// support::LruCache; mine_corpus fans binaries out on the thread pool and
-// folds reports by index, so the mined set is byte-identical for any
-// CRS_THREADS and whether a report is built or replayed from the memo.
+// mine_source assembles each binary once and runs the whole pipeline on
+// that assembly; mine_corpus fans binaries out on the thread pool and folds
+// reports by index, so the mined set is byte-identical for any CRS_THREADS.
+// Nothing is cached: every tool mines a corpus once per process.
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -87,8 +86,6 @@ struct MineOptions {
   int train_iterations = 4;
   /// Deterministic per-binary candidate cap (address order).
   std::size_t max_candidates = 64;
-
-  auto operator<=>(const MineOptions&) const = default;
 };
 
 /// One classified candidate window, in the original image's link-time
@@ -156,17 +153,13 @@ struct CorpusReport {
 std::vector<WindowCandidate> classify_program(const sim::Program& program,
                                               const MineOptions& options = {});
 
-/// Dynamic validation of one candidate against the original source text
-/// (the text is re-assembled behind a generated mistrain driver).
-Validation validate_candidate(const std::string& source,
-                              const WindowCandidate& candidate,
-                              const MineOptions& options = {});
-
 /// Standalone replay-program synthesis; empty when the gadget is not
 /// expressible as a safe architectural program (see DESIGN.md §13).
-/// The returned source references `mine_secret_base`/`mine_secret_len`,
-/// provided by wrap_attack_standalone or by the scenario layer.
-std::string synthesize_attack_source(const std::string& source,
+/// `program` is the binary (source + runtime) linked at options.link_base,
+/// the image `candidate` was classified in. The returned source references
+/// `mine_secret_base`/`mine_secret_len`, provided by wrap_attack_standalone
+/// or by the scenario layer.
+std::string synthesize_attack_source(const sim::Program& program,
                                      const WindowCandidate& candidate,
                                      const MineOptions& options = {});
 
@@ -177,9 +170,8 @@ std::string synthesize_attack_source(const std::string& source,
 std::string wrap_attack_standalone(const std::string& attack_source,
                                    const std::string& secret);
 
-/// Full per-binary pipeline: assemble source + runtime, classify, validate,
-/// classify-upgrade via the classic ROP pool, synthesize. Memoized
-/// process-wide on (name, source, options).
+/// Full per-binary pipeline: assemble source + runtime once, classify,
+/// validate, classify-upgrade via the classic ROP pool, synthesize.
 BinaryReport mine_source(const std::string& name, const std::string& source,
                          const MineOptions& options = {});
 
@@ -201,17 +193,5 @@ std::string corpus_json(const CorpusReport& report);
 /// injected binary reads the host secret through the mined window).
 core::ScenarioConfig mined_scenario(const MinedGadget& g,
                                     const std::string& secret, bool injected);
-
-/// Entries the per-binary recon memo holds, least recently used evicted. A
-/// constant, so mining corpus after corpus at fresh seeds cannot grow it.
-inline constexpr std::size_t kMineMemoCapacity = 64;
-
-/// Hit/miss counters and live entries of the per-binary recon memo cache.
-struct MineMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t size = 0;  ///< at most kMineMemoCapacity
-};
-MineMemoStats mine_memo_stats();
 
 }  // namespace crs::mine

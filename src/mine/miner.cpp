@@ -1,16 +1,12 @@
 // Corpus-scale mining driver: per-binary pipeline (assemble -> classify ->
 // validate -> class-upgrade via the classic ROP pool -> synthesize +
-// self-check), memoized process-wide, fanned out on the thread pool.
+// self-check), fanned out on the thread pool.
 //
 // Determinism contract (tested in tests/test_mine.cpp): generated sources
 // are pure functions of derive_seed(seed, index); binaries are mined
-// share-nothing and folded by index; the memo key includes the binary NAME
-// as well as its source and every option field, so a replayed report and
-// any CRS_THREADS value give byte-identical reports.
-#include <cstdio>
+// share-nothing and folded by index, so any CRS_THREADS value gives
+// byte-identical reports.
 #include <exception>
-#include <memory>
-#include <tuple>
 #include <utility>
 
 #include "casm/assembler.hpp"
@@ -21,21 +17,13 @@
 #include "obs/trace.hpp"
 #include "rop/gadget.hpp"
 #include "sim/kernel.hpp"
-#include "support/memo.hpp"
+#include "sim/snapshot.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace crs::mine {
 namespace {
-
-/// Inputs of one binary's report: its name, its source and the options.
-using ReportKey = std::tuple<std::string, std::string, MineOptions>;
-
-LruCache<ReportKey, const BinaryReport>& report_cache() {
-  static LruCache<ReportKey, const BinaryReport> cache(kMineMemoCapacity);
-  return cache;
-}
 
 /// Runs the synthesized replay program against a planted secret; only a
 /// byte-exact recovery earns scenario eligibility.
@@ -50,7 +38,7 @@ bool self_check(const std::string& attack_source, const MineOptions& opt) {
   } catch (const std::exception&) {
     return false;
   }
-  sim::Machine machine{sim::MachineConfig{}};
+  sim::Machine machine(*sim::shared_baseline({}));
   sim::Kernel kernel(machine, sim::KernelConfig{});
   kernel.register_binary("/bin/mined_replay", program);
   kernel.start("/bin/mined_replay");
@@ -58,8 +46,10 @@ bool self_check(const std::string& attack_source, const MineOptions& opt) {
   return kernel.output_string() == secret;
 }
 
-BinaryReport build_report(const std::string& name, const std::string& source,
-                          const MineOptions& opt) {
+}  // namespace
+
+BinaryReport mine_source(const std::string& name, const std::string& source,
+                         const MineOptions& opt) {
   BinaryReport rep;
   rep.name = name;
 
@@ -106,7 +96,7 @@ BinaryReport build_report(const std::string& name, const std::string& source,
                             ((pops >> cand.attacker_reg) & 1u) != 0;
       g.cls = drivable ? GadgetClass::kCrSpectre : GadgetClass::kRsb;
     }
-    std::string attack = synthesize_attack_source(source, cand, opt);
+    std::string attack = synthesize_attack_source(program, cand, opt);
     if (!attack.empty() && self_check(attack, opt)) {
       g.scenario_eligible = true;
       g.attack_source = std::move(attack);
@@ -114,16 +104,6 @@ BinaryReport build_report(const std::string& name, const std::string& source,
     rep.gadgets.push_back(std::move(g));
   }
   return rep;
-}
-
-}  // namespace
-
-BinaryReport mine_source(const std::string& name, const std::string& source,
-                         const MineOptions& options) {
-  const auto report = report_cache().get_or_build(
-      {name, source, options},
-      [&] { return build_report(name, source, options); });
-  return *report;
 }
 
 CorpusReport mine_corpus(const CorpusOptions& options) {
@@ -237,11 +217,6 @@ core::ScenarioConfig mined_scenario(const MinedGadget& g,
   cfg.mined_attack_source =
       injected ? g.attack_source : wrap_attack_standalone(g.attack_source, secret);
   return cfg;
-}
-
-MineMemoStats mine_memo_stats() {
-  return {report_cache().hits(), report_cache().misses(),
-          report_cache().size()};
 }
 
 }  // namespace crs::mine

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "casm/assembler.hpp"
-#include "casm/runtime.hpp"
 #include "isa/isa.hpp"
 #include "mine/emul.hpp"
 #include "mine/mine.hpp"
@@ -375,17 +374,9 @@ void emit_aim(std::string* s, const BodyPlan& plan,
 
 }  // namespace
 
-std::string synthesize_attack_source(const std::string& source,
+std::string synthesize_attack_source(const sim::Program& orig,
                                      const WindowCandidate& cand,
                                      const MineOptions& options) {
-  sim::Program orig;
-  try {
-    orig = casm::assemble(source + "\n" + casm::runtime_library(),
-                          {.name = "mine-synth", .link_base = options.link_base});
-  } catch (const std::exception&) {
-    return {};
-  }
-
   std::vector<Anchor> anchors;
   for (std::size_t i = 0; i < orig.segments.size(); ++i) {
     anchors.push_back({.label = "mine_img" + std::to_string(i),

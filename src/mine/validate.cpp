@@ -23,6 +23,7 @@
 #include "mine/emul.hpp"
 #include "mine/mine.hpp"
 #include "sim/kernel.hpp"
+#include "sim/snapshot.hpp"
 
 namespace crs::mine::detail {
 namespace {
@@ -304,7 +305,7 @@ ValidateOutcome validate_window(const std::string& source,
   }
 
   // Fire it on the simulator.
-  sim::Machine machine{sim::MachineConfig{}};
+  sim::Machine machine(*sim::shared_baseline({}));
   sim::Kernel kernel(machine, sim::KernelConfig{});
   kernel.register_binary("/bin/mined", cp.program);
   kernel.start("/bin/mined");
@@ -377,23 +378,3 @@ ValidateOutcome validate_window(const std::string& source,
 }
 
 }  // namespace crs::mine::detail
-
-namespace crs::mine {
-
-Validation validate_candidate(const std::string& source,
-                              const WindowCandidate& candidate,
-                              const MineOptions& options) {
-  casm::Listing listing;
-  try {
-    listing = casm::assemble_listing(
-        source + "\n" + casm::runtime_library(),
-        {.name = "mine-validate", .link_base = options.link_base});
-  } catch (const std::exception&) {
-    return Validation::kNone;
-  }
-  return detail::validate_window(source, listing.text_lines, candidate,
-                                 options)
-      .validation;
-}
-
-}  // namespace crs::mine

@@ -25,22 +25,6 @@ bool body_class(OpClass cls) {
   }
 }
 
-/// Control-flow classes that terminate a block but execute inside it, via
-/// the interpreter's own exec_* helpers.
-bool tail_class(OpClass cls) {
-  switch (cls) {
-    case OpClass::kCondBranch:
-    case OpClass::kJump:
-    case OpClass::kIndirectJump:
-    case OpClass::kCall:
-    case OpClass::kIndirectCall:
-    case OpClass::kRet:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 BlockCache::BlockCache(const Memory& memory, std::uint32_t mul_latency,
@@ -118,7 +102,9 @@ bool BlockCache::translate_into(TranslatedBlock& block, std::uint64_t pc,
     }
     const DecodedSlot decoded = decode_slot(memory_, cur);
     if (decoded.state != DecodedSlot::kValid) break;
-    if (tail_class(decoded.cls)) {
+    // Control flow terminates a block but executes inside it, via the
+    // interpreter's own exec_* helpers.
+    if (isa::is_control_flow(decoded.instr.op)) {
       block.tail = decoded;
       block.has_tail = true;
       break;

@@ -3,26 +3,14 @@
 #include "sim/block_cache.hpp"
 #include "support/error.hpp"
 
-// Computed-goto dispatch needs the GNU labels-as-values extension; a dense
-// switch over the opcode is the portable fallback (and can be forced with
-// -DCRS_BLOCK_SWITCH_DISPATCH to compile-test that path on GCC/Clang).
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(CRS_BLOCK_SWITCH_DISPATCH)
-#define CRS_BLOCK_THREADED 1
-#else
-#define CRS_BLOCK_THREADED 0
-#endif
+// Dispatch is computed goto (the GNU labels-as-values extension, which GCC
+// and Clang — the only compilers the tree builds with — both provide).
 
 // The per-op exits (budget, cycle target, fetch-line turnover) fire at most
 // once per ~dozens of ops; telling the compiler keeps the fall-through hot
 // path straight-line.
-#if defined(__GNUC__) || defined(__clang__)
 #define CRS_LIKELY(x) __builtin_expect(!!(x), 1)
 #define CRS_UNLIKELY(x) __builtin_expect(!!(x), 0)
-#else
-#define CRS_LIKELY(x) (x)
-#define CRS_UNLIKELY(x) (x)
-#endif
 
 namespace crs::sim {
 
@@ -59,13 +47,11 @@ StopReason BlockExecutor::run(Cpu& cpu, std::uint64_t cycle_target,
 // pc/cycle live in locals so the compiler can keep them in registers across
 // handlers; they are synced back to the Cpu members at every exit.
 
-// Handler epilogue. In threaded mode the whole per-op prologue (limit
-// checks, fetch, dispatch) is replicated into every handler so each opcode
-// transition gets its own indirect-branch site — the branch predictor then
-// learns per-predecessor successor patterns instead of sharing one
-// unpredictable dispatch site (the standard direct-threading layout). The
-// switch build keeps the shared loop head.
-#if CRS_BLOCK_THREADED
+// Handler epilogue. The whole per-op prologue (limit checks, fetch,
+// dispatch) is replicated into every handler so each opcode transition gets
+// its own indirect-branch site — the branch predictor then learns
+// per-predecessor successor patterns instead of sharing one unpredictable
+// dispatch site (the standard direct-threading layout).
 #define CRS_NEXT()                             \
   do {                                         \
     ++op;                                      \
@@ -75,13 +61,6 @@ StopReason BlockExecutor::run(Cpu& cpu, std::uint64_t cycle_target,
     ++n_instr;                                 \
     goto* op->handler;                         \
   } while (0)
-#else
-#define CRS_NEXT() \
-  do {             \
-    ++op;          \
-    goto loop_top; \
-  } while (0)
-#endif
 
 // Cpu::set_ready, against the local cycle.
 #define CRS_SET_READY(r, c)                                  \
@@ -200,18 +179,7 @@ StopReason BlockExecutor::run(Cpu& cpu, std::uint64_t cycle_target,
   }                                                     \
   CRS_NEXT();
 
-#if CRS_BLOCK_THREADED
 #define CRS_OP(name) op_##name:
-#define CRS_DISPATCH_BEGIN() goto* op->handler;
-#define CRS_DISPATCH_END()
-#else
-#define CRS_OP(name) case Opcode::name:
-#define CRS_DISPATCH_BEGIN() \
-  switch (op->op) {          \
-    default:                 \
-      goto op_bad;
-#define CRS_DISPATCH_END() }
-#endif
 
 void BlockExecutor::exec_chain(Cpu& cpu, BlockCache& cache,
                                TranslatedBlock* block,
@@ -249,7 +217,6 @@ void BlockExecutor::exec_chain(Cpu& cpu, BlockCache& cache,
   std::uint64_t span_first = block->first_page;
   std::uint64_t span_last = block->last_page;
 
-#if CRS_BLOCK_THREADED
   // Indexed by Opcode value; entries MUST follow the isa::Opcode order.
   // Non-body opcodes can never appear in a translated body.
   static const void* const kDispatch[] = {
@@ -281,15 +248,13 @@ void BlockExecutor::exec_chain(Cpu& cpu, BlockCache& cache,
     }
     block->dispatch_ready = true;
   }
-#endif
 
-  goto loop_top;  // threaded handlers re-dispatch themselves past this head
-loop_top:
+loop_top:  // handlers re-dispatch themselves past this head
   if (op == stop) goto body_stop;
   if (cycle >= cycle_target) goto sync_exit;
   CRS_FETCH();
   ++n_instr;
-  CRS_DISPATCH_BEGIN()
+  goto* op->handler;
 
   CRS_OP(kNop) {
     ++n_nonalu;
@@ -459,8 +424,6 @@ loop_top:
   }
   CRS_NEXT();
 
-  CRS_DISPATCH_END()
-
 op_bad:
   CRS_ENSURE(false, "non-body opcode in translated block");
 
@@ -517,14 +480,12 @@ body_stop:
     if ((next_pc % isa::kInstructionSize) != 0) goto pmu_sync;
     TranslatedBlock* next = cache.acquire(next_pc);
     if (next == nullptr || next->empty()) goto pmu_sync;
-#if CRS_BLOCK_THREADED
     if (!next->dispatch_ready) {
       for (MicroOp& o : next->body) {
         o.handler = kDispatch[static_cast<std::size_t>(o.op)];
       }
       next->dispatch_ready = true;
     }
-#endif
     block = next;
     op = next->body.data();
     end = op + next->body.size();
@@ -558,8 +519,6 @@ pmu_sync:
 }
 
 #undef CRS_OP
-#undef CRS_DISPATCH_BEGIN
-#undef CRS_DISPATCH_END
 #undef CRS_ALU_IMM
 #undef CRS_ALU_R1
 #undef CRS_ALU_RR

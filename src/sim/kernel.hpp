@@ -60,6 +60,10 @@ class MachineBaseline;
 /// Bundles the hardware: memory, caches, predictor, PMU and core.
 class Machine {
  public:
+  /// A machine with its own zero-filled flat store: the build inside
+  /// sim::shared_baseline, the reference the replication tests compare
+  /// forks against, and the direct runs of tools, benches and examples.
+  /// Library code forks sim::shared_baseline(config) instead.
   explicit Machine(const MachineConfig& config = {});
 
   /// Copy-on-write fork: replicates `base` (a frozen machine from

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 #include "support/memo.hpp"
 
@@ -134,15 +135,6 @@ void Kernel::reset_for_attempt(std::uint64_t seed) {
   heap_bump_ = config_.heap_base;
   heap_chunks_.clear();
   ward_locks_.clear();
-}
-
-Machine& MachinePool::acquire(const MachineConfig& config) {
-  Fork& fork = *forks_.get_or_build(config, [&] {
-    return std::make_unique<Fork>(shared_baseline(config));
-  });
-  // A fresh fork already matches its baseline; the restore is then a no-op.
-  fork.machine.restore(fork.snapshot);
-  return fork.machine;
 }
 
 std::uint64_t hash_machine_config(const MachineConfig& config) {

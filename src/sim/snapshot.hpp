@@ -26,11 +26,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/kernel.hpp"
-#include "support/memo.hpp"
 
 namespace crs::sim {
 
@@ -107,38 +105,11 @@ class MachineSnapshot {
 /// distinct config (thread-safe, built at most once) and hands out the
 /// shared baseline. Because machine construction is deterministic, a fork
 /// of this baseline is bit-identical to Machine(config) — the property the
-/// replication tests pin.
+/// replication tests pin. It is the library's one way to a clean machine:
+/// `Machine machine(*shared_baseline(config));` costs the O(metadata) fork
+/// where Machine(config) would zero-fill the whole address space.
 std::shared_ptr<const MachineBaseline> shared_baseline(
     const MachineConfig& config);
-
-/// Per-thread pool of reusable machines keyed by config. `acquire` returns
-/// a fork of `shared_baseline(config)` rolled back to that baseline —
-/// indistinguishable from `Machine(config)` — paying the O(metadata) fork
-/// only on first use per config. Bounded LRU: least-recently-used entries
-/// are dropped when `capacity` distinct configs are live. The returned
-/// reference stays valid until the next acquire() evicts it, so use one
-/// machine at a time.
-class MachinePool {
- public:
-  explicit MachinePool(std::size_t capacity = 6) : forks_(capacity) {}
-
-  Machine& acquire(const MachineConfig& config);
-
-  std::size_t size() const { return forks_.size(); }
-  std::uint64_t hits() const { return forks_.hits(); }
-  std::uint64_t misses() const { return forks_.misses(); }
-
- private:
-  /// A fork and its rollback point.
-  struct Fork {
-    explicit Fork(std::shared_ptr<const MachineBaseline> base)
-        : machine(*base), snapshot(std::move(base)) {}
-    Machine machine;
-    MachineSnapshot snapshot;
-  };
-
-  LruCache<MachineConfig, Fork> forks_;
-};
 
 /// FNV-1a digests for shard routing (core::job_affinity_key) and content
 /// checks. Neither decides a cache hit.

@@ -89,6 +89,10 @@ class FlagCursor {
   /// Consumes and returns the current positional argument.
   std::string take_positional() { return argv_[index_++]; }
 
+  /// Consumes the current argument and returns argv's own pointer to it,
+  /// for a caller that leaves it in argv for another parser.
+  char* take_raw() { return argv_[index_++]; }
+
   /// Throws the uniform unknown-flag error for the current argument.
   [[noreturn]] void unknown() const {
     throw Error("unknown flag '" + current() + "'");

@@ -5,10 +5,11 @@
 // from a freshly constructed Machine(config), and rolling it back leaves
 // nothing behind. These tests pin that promise on raw machine runs (fork ≡
 // fresh, restore ≡ fresh fork, sibling isolation, a resident footprint that
-// stays flat across run+restore cycles) and on the MachinePool's LRU under
-// fork churn (bounded entries, bounded shared-image refcounts).
+// stays flat across run+restore cycles) and under fork churn (every dropped
+// fork gives its shared-image reference back).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -110,41 +111,30 @@ TEST(MachineFork, ResidentBytesStableAcrossRunRestoreCycles) {
   EXPECT_EQ(fork.memory().resident_bytes(), after_first);
 }
 
-// --- MachinePool under fork churn -----------------------------------------
+// --- fork churn -----------------------------------------------------------
 
-TEST(MachinePoolFork, PoolAndImageRefcountsStayBoundedUnderChurn) {
+TEST(MachineFork, ImageRefcountsReturnToIdleUnderChurn) {
   sim::MachineConfig configs[3];
   configs[1].cpu.decode_cache = false;
   configs[2].memory_size = 8 * 1024 * 1024;
-  const auto base0 = sim::shared_baseline(configs[0]);
-  // Steady-state references: registry + our handle here. Live forks add
-  // one each; evicted/destroyed forks must give theirs back.
-  const long idle = base0->image_use_count();
-
-  sim::MachinePool pool(2);  // smaller than the config set → constant churn
+  std::shared_ptr<const sim::MachineBaseline> bases[3];
+  long idle[3];
+  for (int c = 0; c < 3; ++c) {
+    bases[c] = sim::shared_baseline(configs[c]);
+    // Steady-state references: the registry + our handle here. A live fork
+    // adds one; a dropped fork must give it back.
+    idle[c] = bases[c]->image_use_count();
+  }
   for (int cycle = 0; cycle < 3000; ++cycle) {
-    sim::Machine& m = pool.acquire(configs[cycle % 3]);
-    // Dirty a page so forks allocate (and must release) private frames.
-    m.memory().write_u64(64, static_cast<std::uint64_t>(cycle));
-    ASSERT_LE(pool.size(), 2u);
-    // At most `capacity` pooled forks of this baseline can be live.
-    ASSERT_LE(base0->image_use_count(), idle + 2);
+    const int c = cycle % 3;
+    sim::Machine fork(*sim::shared_baseline(configs[c]));
+    // Dirty a page so the fork allocates (and must release) a private frame.
+    fork.memory().write_u64(64, static_cast<std::uint64_t>(cycle));
+    ASSERT_EQ(bases[c]->image_use_count(), idle[c] + 1);
   }
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.hits(), 0u);
-  // Round-robin over capacity+1 configs evicts every time; re-acquiring the
-  // most recent config is the pooled-fork hit path (restore, not re-fork).
-  const std::uint64_t misses_before = pool.misses();
-  (void)pool.acquire(configs[2]);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), misses_before);
-  // Pool death releases every fork's image reference.
-  {
-    sim::MachinePool ephemeral(4);
-    (void)ephemeral.acquire(configs[0]);
-    EXPECT_EQ(base0->image_use_count(), idle + 1);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(bases[c]->image_use_count(), idle[c]) << "config " << c;
   }
-  EXPECT_EQ(base0->image_use_count(), idle);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // Property contract of the miner:
 //   * every mined gadget validates dynamically — the transient replay either
 //     leaks a planted secret byte or observably perturbs the probe set;
-//   * mined sets are byte-identical for any CRS_THREADS and when replayed
-//     from the memoized per-binary recon;
+//   * mined sets are byte-identical for any CRS_THREADS and when the same
+//     corpus is mined twice;
 //   * hand-written true seeds are found, hand-written false seeds (fenced,
 //     fence-in-window, out-of-window, clean) are rejected;
 //   * every scenario-eligible gadget replays as a real leak through
@@ -139,25 +139,10 @@ TEST(MineProperties, MinedSetByteIdenticalForAnyThreadCount) {
   EXPECT_NE(csvs[0].find("leak"), std::string::npos);
 }
 
-TEST(MineProperties, MemoStaysAtCapacityUnderFreshCorpora) {
-  // Every generated binary of a fresh corpus is a new key; the memo keeps
-  // the most recent kMineMemoCapacity reports.
-  mine::CorpusOptions opt;
-  opt.generated = mine::kMineMemoCapacity + 6;
-  opt.seed = 4242;
-  (void)mine::mine_corpus(opt);
-  EXPECT_EQ(mine::mine_memo_stats().size, mine::kMineMemoCapacity);
-}
-
-TEST(MineProperties, MinedSetByteIdenticalWhenReplayedFromMemo) {
+TEST(MineProperties, MinedSetByteIdenticalWhenMinedTwice) {
   const auto opt = small_corpus();
-  const std::string memoized = mine::corpus_csv(mine::mine_corpus(opt));
-  const auto stats_before = mine::mine_memo_stats();
-  // Re-mining the same corpus is pure cache hits, with identical bytes.
-  const std::string replayed = mine::corpus_csv(mine::mine_corpus(opt));
-  EXPECT_EQ(memoized, replayed);
-  const auto stats_after = mine::mine_memo_stats();
-  EXPECT_GT(stats_after.hits, stats_before.hits);
+  const std::string first = mine::corpus_csv(mine::mine_corpus(opt));
+  EXPECT_EQ(first, mine::corpus_csv(mine::mine_corpus(opt)));
 }
 
 // --- the trigger's line comes from casm --------------------------------------

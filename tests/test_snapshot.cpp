@@ -4,10 +4,10 @@
 // before every attempt, so the subsystem hangs on one promise — a restored
 // machine is indistinguishable from a fresh fork, and a session's later
 // attempts are bit-identical to run_scenario at the same seed. These tests
-// pin that promise from every angle: restore page mechanics, MachinePool
-// reuse and LRU, scenario sessions over every default grid row, campaign
-// results across thread counts, fuzz-corpus differential runs of pooled
-// machines against a fresh Machine(config), and LruCache semantics.
+// pin that promise from every angle: restore page mechanics, scenario
+// sessions over every default grid row, campaign results across thread
+// counts, fuzz-corpus differential runs of forked machines against a fresh
+// Machine(config), and LruCache semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,7 +65,7 @@ std::string run_fingerprint(const core::ScenarioRun& run) {
   return os.str();
 }
 
-// --- restore mechanics and MachinePool reuse ------------------------------
+// --- restore mechanics ----------------------------------------------------
 
 TEST(SnapshotTest, RestoreBumpsVersionsAndRewritesBytes) {
   sim::Machine machine;
@@ -90,39 +90,6 @@ TEST(SnapshotTest, RestoreBumpsVersionsAndRewritesBytes) {
   machine.restore(snap);
   EXPECT_EQ(snap.last_restored_pages(), 0u);
   EXPECT_EQ(snap.restore_count(), 2u);
-}
-
-TEST(MachinePoolTest, RestoresToPristineAndEvictsLru) {
-  sim::MachinePool pool(2);
-
-  sim::MachineConfig a;
-  sim::MachineConfig b;
-  b.cpu.decode_cache = false;
-  sim::MachineConfig c;
-  c.memory_size = 8 * 1024 * 1024;
-
-  sim::Machine& ma = pool.acquire(a);
-  EXPECT_TRUE(ma.memory().is_cow());  // a fork of the shared baseline
-  // Dirty it the way a run would: map a page, write, advance counters.
-  ma.memory().set_permissions(0, sim::Memory::kPageSize, sim::kPermRW);
-  ma.memory().write_u64(64, 0xDEADBEEF);
-  EXPECT_EQ(pool.misses(), 1u);
-
-  sim::Machine& ma2 = pool.acquire(a);
-  EXPECT_EQ(&ma2, &ma);  // same pooled machine...
-  EXPECT_EQ(pool.hits(), 1u);
-  // ...restored: bytes zeroed, permissions dropped, but version advanced.
-  EXPECT_EQ(ma2.memory().read_u64(64), 0u);
-  EXPECT_EQ(ma2.memory().permissions_at(0), sim::kPermNone);
-  EXPECT_GT(ma2.memory().page_version(0), 1u);
-  EXPECT_EQ(ma2.cpu().retired(), 0u);
-
-  (void)pool.acquire(b);
-  EXPECT_EQ(pool.size(), 2u);
-  (void)pool.acquire(c);  // evicts the LRU entry (a)
-  EXPECT_EQ(pool.size(), 2u);
-  (void)pool.acquire(a);  // forked again, not restored
-  EXPECT_EQ(pool.misses(), 4u);
 }
 
 // --- scenario sessions ----------------------------------------------------
@@ -272,10 +239,10 @@ TEST(CampaignDeterminism, ThreadCountInvariant) {
   EXPECT_EQ(one, fingerprint(8));
 }
 
-/// The fuzz differ's pooled-machine path: a machine acquired from the pool
-/// (and previously dirtied by another program) must behave exactly like a
-/// freshly constructed Machine(config), for every corpus program.
-TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
+/// The fuzz differ's own machine, a fork of the shared baseline, must behave
+/// exactly like a freshly constructed Machine(config), for every corpus
+/// program.
+TEST(FuzzDifferential, ForkedMachineMatchesFreshBuild) {
   fuzz::GeneratorOptions options;
   options.allow_rdcycle = false;
   const fuzz::RunLimits limits;
@@ -291,15 +258,10 @@ TEST(FuzzDifferential, PooledMachineMatchesFreshBuild) {
     sim::Machine fresh_machine(base_config.machine);
     const fuzz::ExecResult fresh = fuzz::run_under_config(
         binary, base_config, limits, prog.uses_smc, &fresh_machine);
-    // Twice: the first acquire forks, the second restores a machine the
-    // first run dirtied — both must match the fresh build byte-for-byte.
-    for (int round = 0; round < 2; ++round) {
-      const fuzz::ExecResult pooled = fuzz::run_under_config(
-          binary, base_config, limits, prog.uses_smc);
-      const std::string diff =
-          fuzz::compare_results(fresh, pooled, /*arch_only=*/false);
-      EXPECT_EQ(diff, "") << "program " << i << " round " << round;
-    }
+    const fuzz::ExecResult forked =
+        fuzz::run_under_config(binary, base_config, limits, prog.uses_smc);
+    EXPECT_EQ(fuzz::compare_results(fresh, forked, /*arch_only=*/false), "")
+        << "program " << i;
   }
 }
 
