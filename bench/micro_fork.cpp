@@ -1,19 +1,15 @@
-// Micro-benchmarks of the copy-on-write fork engine (google-benchmark).
+// Micro-benchmarks of machine replication (google-benchmark).
 //
-// BM_MachineFork is the headline number: machines replicated per second,
-// with Arg(1) forking the shared frozen baseline (O(metadata) + promoted
-// pages) and Arg(0) paying the full Machine(config) construction — the
-// 16 MB zero-fill plus cache/predictor allocation that population-scale
-// fan-out used to pay per session. BM_SessionResidentBytes reports the
-// per-session private footprint after a real workload run (manual time is
-// pinned to 1 s/iteration, so items_per_s IS mean resident bytes — exact
-// and machine-independent); the perf-smoke gate bounds fork residency to
-// well under half the private-mode machine. BM_SessionFanout measures the
-// end-to-end unit campaign drivers replicate — ScenarioSession build (a
-// fork of the shared baseline) plus one attempt.
+// BM_MachineFork is the headline number: machines built per second, with
+// Arg(0) constructing a clean Machine(config) (the library's way to a
+// clean machine: O(metadata), every page aliases the zero page) and Arg(1)
+// forking a frozen baseline (the same tables plus the micro-architectural
+// copy). BM_SessionResidentBytes reports the private footprint of a clean
+// machine after a real workload run (manual time is pinned to 1
+// s/iteration, so items_per_s IS mean resident bytes — exact and
+// machine-independent). BM_SessionFanout measures the end-to-end unit
+// campaign drivers replicate — ScenarioSession build plus one attempt.
 #include <benchmark/benchmark.h>
-
-#include <memory>
 
 #include "bench_json_reporter.hpp"
 #include "core/scenario.hpp"
@@ -25,47 +21,40 @@ namespace {
 using namespace crs;
 
 void BM_MachineFork(benchmark::State& state) {
-  const bool cow = state.range(0) != 0;
+  const bool fork = state.range(0) != 0;
   const sim::MachineConfig config;
-  const auto base = sim::shared_baseline(config);
+  const auto base = sim::Machine(config).freeze();
   for (auto _ : state) {
-    if (cow) {
+    if (fork) {
       sim::Machine machine(*base);
-      benchmark::DoNotOptimize(machine.memory().is_cow());
+      benchmark::DoNotOptimize(machine.memory().resident_bytes());
     } else {
       sim::Machine machine(config);
-      benchmark::DoNotOptimize(machine.memory().is_cow());
+      benchmark::DoNotOptimize(machine.memory().resident_bytes());
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MachineFork)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-/// Runs one short real workload on a fresh machine and reports the bytes of
-/// page data the machine privately owns afterwards: the whole flat store in
-/// private mode, promoted frames only for a fork.
+/// Runs one short real workload on a clean machine and reports the bytes of
+/// page data the machine privately owns afterwards: its promoted frames.
 void BM_SessionResidentBytes(benchmark::State& state) {
-  const bool cow = state.range(0) != 0;
-  const sim::MachineConfig config;
-  const auto base = sim::shared_baseline(config);
   std::int64_t bytes = 0;
   for (auto _ : state) {
-    auto machine = cow ? std::make_unique<sim::Machine>(*base)
-                       : std::make_unique<sim::Machine>(config);
-    sim::Kernel kernel(*machine);
+    sim::Machine machine;
+    sim::Kernel kernel(machine);
     workloads::WorkloadOptions opt;
     opt.scale = 4;
     kernel.register_binary("/bin/w", workloads::build_workload("basicmath", opt));
     kernel.start_with_strings("/bin/w", {"benign"});
     kernel.run(200'000'000);
-    bytes += static_cast<std::int64_t>(machine->memory().resident_bytes());
+    bytes += static_cast<std::int64_t>(machine.memory().resident_bytes());
     state.SetIterationTime(1.0);  // 1 s/iter: items_per_s == resident bytes
   }
   state.SetItemsProcessed(bytes);
 }
 BENCHMARK(BM_SessionResidentBytes)
-    ->Arg(1)
-    ->Arg(0)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -3,7 +3,7 @@
 #include "core/scenario.hpp"
 #include "hid/features.hpp"
 #include "obs/metrics.hpp"
-#include "sim/snapshot.hpp"
+#include "sim/kernel.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -23,11 +23,11 @@ struct BenignSpec {
   std::string arg;
 };
 
-/// Executes one benign run on its own fork of the default machine and
+/// Executes one benign run on its own clean default machine and
 /// returns the feature rows of its windows. Share-nothing: safe to run
 /// concurrently.
 std::vector<std::vector<double>> run_benign_spec(const BenignSpec& spec) {
-  sim::Machine machine(*sim::shared_baseline({}));
+  sim::Machine machine;
   sim::KernelConfig kcfg;
   kcfg.seed = spec.kernel_seed;
   sim::Kernel kernel(machine, kcfg);

@@ -313,6 +313,27 @@ constexpr Row kRows[] = {
 
 #undef CRS_FIELD
 
+/// Refuses a spec whose fields each read fine but combine into a job no
+/// run can execute (ScenarioSession rejects it), naming the key.
+void check_runnable(const JobSpec& spec) {
+  const auto refuse = [](std::string_view key, std::string_view why) {
+    throw Error("job spec: " + std::string(key) + ": " + std::string(why));
+  };
+  if (spec.kind == JobKind::kMatrix) {
+    if (spec.matrix.config.secret.empty()) refuse("mx.secret", "empty");
+    return;
+  }
+  if (!in_section(kScenario, spec.kind)) return;
+  const ScenarioConfig& s = section_of<kScenario>(spec);
+  if (s.secret.empty()) refuse("secret", "empty");
+  if (s.leak_stage && !s.rop_injected) {
+    refuse("leak_stage", "needs rop_injected=1");
+  }
+  if (s.spectre11 && s.rop_injected) {
+    refuse("spectre11", "runs standalone, needs rop_injected=0");
+  }
+}
+
 std::string hex_encode(const std::string& bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -341,6 +362,7 @@ std::string job_kind_name(JobKind kind) {
 }
 
 std::string serialize_job(const JobSpec& spec) {
+  check_runnable(spec);
   std::string out = "crs-job v1\n";
   for (const Row& row : kRows) {
     if (!in_section(row.section, spec.kind)) continue;
@@ -427,6 +449,7 @@ JobSpec parse_job(const std::string& text) {
                   std::string(row.key));
     }
   }
+  check_runnable(spec);
   return spec;
 }
 
@@ -556,7 +579,7 @@ JobOutcome run_program_job(const ProgramJob& job,
       casm::assemble(job.source + casm::runtime_library(),
                      {.name = kPath, .link_base = 0x10000});
 
-  sim::Machine machine(*sim::shared_baseline({}));
+  sim::Machine machine;
   sim::Kernel kernel(machine, {});
   kernel.register_binary(kPath, program);
   kernel.start_with_strings(kPath, {kPath});

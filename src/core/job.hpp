@@ -21,7 +21,7 @@
 //   * job_affinity_key: the cache-affinity routing hash — jobs whose
 //     simulated machines share a configuration (hash_machine_config) and
 //     build artifacts land on the same worker shard, where the per-thread
-//     session cache / machine pool already holds a warm snapshot.
+//     session cache already holds a warm session.
 #pragma once
 
 #include <cstdint>
@@ -104,12 +104,14 @@ struct JobSpec {
 /// Canonical text form (key=value lines; doubles printed with %.17g so the
 /// parse is value-exact). serialize(parse(serialize(s))) == serialize(s).
 /// Throws crs::Error naming the key when a spec has no text that reads
-/// back as itself: a line value holding '\n', or a list item that is empty
-/// or holds ','.
+/// back as itself (a line value holding '\n', or a list item that is empty
+/// or holds ','), or when no run can execute it (an empty secret,
+/// leak_stage without rop_injected, spectre11 with rop_injected).
 std::string serialize_job(const JobSpec& spec);
 
 /// Strict inverse of serialize_job; throws crs::Error on anything
-/// malformed (unknown key, missing kind, bad enum name, truncated source).
+/// malformed (unknown key, missing kind, bad enum name, truncated source)
+/// or unrunnable (as serialize_job refuses it).
 JobSpec parse_job(const std::string& text);
 
 struct JobProgress {

@@ -1,7 +1,7 @@
 #include "core/overhead.hpp"
 
 #include "hid/profiler.hpp"
-#include "sim/snapshot.hpp"
+#include "sim/kernel.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -29,7 +29,7 @@ double benign_ipc(const std::string& host, std::uint64_t scale,
   kcfg.seed = rng.next_u64();
   mitigations.apply(mcfg, kcfg);
   harden.apply(kcfg);
-  sim::Machine machine(*sim::shared_baseline(mcfg));
+  sim::Machine machine(mcfg);
   sim::Kernel kernel(machine, kcfg);
   const mitigate::Armed armed = mitigate::arm(kernel, mitigations);
   kernel.register_binary("/bin/app", workloads::build_workload(host, wopt));

@@ -182,15 +182,11 @@ ScenarioSession::ScenarioSession(const ScenarioConfig& config)
   // starts. The kernel reports every other dependence during the run.
   seed_dependent_ = kcfg_.randomizes_layout() || config_.leak_stage;
 
-  // Every session replicates from the process-wide frozen baseline for its
-  // machine config in O(metadata) instead of paying a 16 MB private build —
-  // the fan-out path campaign/matrix/serve workers share one warm baseline
-  // through — and rolls back to that same baseline before every attempt.
-  // Kernel construction, arming and binary registration leave the machine
-  // untouched, so the fork is the pre-start state.
-  auto base = sim::shared_baseline(mcfg_);
-  machine_ = std::make_unique<sim::Machine>(*base);
-  baseline_.emplace(std::move(base));
+  // The session rolls its machine back to the clean build before every
+  // attempt. Kernel construction, arming and binary registration leave the
+  // machine untouched, so the clean build is the pre-start state.
+  machine_ = std::make_unique<sim::Machine>(mcfg_);
+  baseline_.emplace(machine_->snapshot());
   kernel_ = std::make_unique<sim::Kernel>(*machine_, kcfg_);
   armed_ = mitigate::arm(*kernel_, config_.mitigations);
   if (host_) kernel_->register_binary(kHostPath, *host_);
@@ -421,7 +417,7 @@ std::uint64_t hash_scenario_config(const ScenarioConfig& c) {
 
 namespace {
 /// Sessions a thread keeps live unless set_session_cache_capacity says
-/// otherwise. Each live session holds its setup artifacts and a fork that
+/// otherwise. Each live session holds its setup artifacts and a machine that
 /// privately owns only the pages its attempts dirty, so the default stays
 /// small for campaign drivers, which rarely interleave more than a few
 /// cells on one thread; serve shards raise it to their routed-config count.

@@ -14,12 +14,12 @@
 //
 // ScenarioSession is how every attempt runs (DESIGN.md §10): it pays the
 // pipeline's setup — memoized workload build, ROP recon + gadget planning
-// and attack-binary assembly, plus an O(metadata) fork of the shared
-// pre-start machine baseline — once, and then serves each run_attempt() by
-// rolling the machine back to that baseline instead of rebuilding the
-// world. The attempt-level RNG stream is reproduced exactly, so
-// `run_scenario(config)` and `ScenarioSession(config).run_attempt(config.seed)`
-// are bit-identical — for the session's first attempt or any later one.
+// and attack-binary assembly, plus an O(metadata) clean machine and its
+// pre-start snapshot — once, and then serves each run_attempt() by rolling
+// the machine back to that snapshot instead of rebuilding the world. The
+// attempt-level RNG stream is reproduced exactly, so `run_scenario(config)`
+// and `ScenarioSession(config).run_attempt(config.seed)` are bit-identical —
+// for the session's first attempt or any later one.
 #pragma once
 
 #include <compare>
@@ -127,9 +127,9 @@ struct ScenarioRun {
 /// Reusable execution context for repeated attempts of one scenario.
 /// Construction runs the full setup pipeline (host workload, ROP
 /// recon/plan, attack binary — all through the process-wide build
-/// caches — plus a fork of sim::shared_baseline for the machine config,
-/// kernel construction and mitigation arming); each run rolls the machine
-/// back to that baseline via Machine::restore and re-seeds the kernel,
+/// caches — plus a clean machine for the machine config, kernel
+/// construction and mitigation arming); each run rolls the machine back
+/// to its clean snapshot via Machine::restore and re-seeds the kernel,
 /// making attempt N bit-identical to a fresh run_scenario with the same
 /// attempt seed and session scale.
 ///

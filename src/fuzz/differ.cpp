@@ -9,7 +9,6 @@
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
 #include "harden/config.hpp"
-#include "sim/snapshot.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 
@@ -206,13 +205,10 @@ bool arch_comparable_event(sim::Event e) {
 
 ExecResult run_under_config(const sim::Program& program,
                             const ExecConfig& config, const RunLimits& limits,
-                            bool writable_text, sim::Machine* fresh_machine) {
-  std::optional<sim::Machine> fork;
-  sim::Machine& machine =
-      fresh_machine != nullptr
-          ? *fresh_machine
-          : fork.emplace(*sim::shared_baseline(config.machine));
-  sim::Kernel kernel(machine, config.kernel);
+                            bool writable_text, sim::Machine* machine) {
+  std::optional<sim::Machine> own;
+  if (machine == nullptr) machine = &own.emplace(config.machine);
+  sim::Kernel kernel(*machine, config.kernel);
   if (config.prepare) config.prepare(kernel);
   kernel.register_binary("/bin/fuzz", program);
   kernel.start_with_strings("/bin/fuzz", {"fuzz"});
@@ -225,7 +221,7 @@ ExecResult run_under_config(const sim::Program& program,
     const auto page = sim::Memory::kPageSize;
     const auto lo = img.lo / page * page;
     const auto hi = (img.hi + page - 1) / page * page;
-    machine.memory().set_permissions(
+    machine->memory().set_permissions(
         lo, hi - lo,
         static_cast<sim::Perm>(sim::kPermRead | sim::kPermWrite |
                                sim::kPermExec));
@@ -233,7 +229,7 @@ ExecResult run_under_config(const sim::Program& program,
 
   ExecResult res;
   res.config = config.name;
-  auto& cpu = machine.cpu();
+  auto& cpu = machine->cpu();
   auto stop = sim::StopReason::kInstructionLimit;
   while (true) {
     const std::uint64_t done = cpu.retired();
@@ -242,7 +238,7 @@ ExecResult run_under_config(const sim::Program& program,
         std::min(limits.stream_chunk, limits.max_instructions - done);
     stop = kernel.run(budget);
     res.stream.push_back(
-        {cpu.retired(), cpu.cycle(), fnv1a(machine.pmu().snapshot())});
+        {cpu.retired(), cpu.cycle(), fnv1a(machine->pmu().snapshot())});
     if (stop != sim::StopReason::kInstructionLimit) break;
   }
 
@@ -258,8 +254,8 @@ ExecResult run_under_config(const sim::Program& program,
   res.cycle = cpu.cycle();
   res.exit_code = kernel.exit_code();
   res.output = kernel.output_string();
-  res.pmu = machine.pmu().snapshot();
-  res.invariant_failure = check_invariants(machine);
+  res.pmu = machine->pmu().snapshot();
+  res.invariant_failure = check_invariants(*machine);
   return res;
 }
 

@@ -84,13 +84,13 @@ struct ExecResult {
 /// sampling the stream every `limits.stream_chunk` retired instructions.
 /// `writable_text` maps the whole image RWX after load (required for
 /// self-modifying programs; applied identically across configs). The run
-/// uses a fork of `sim::shared_baseline(config.machine)`, or `fresh_machine`
-/// when given — a `Machine(config.machine)` the caller built, the reference
-/// a forked run must match.
+/// uses `machine` when given — a clean machine for `config.machine` the
+/// caller prepared (the replication tests pass a fork) — else a fresh
+/// `Machine(config.machine)`.
 ExecResult run_under_config(const sim::Program& program,
                             const ExecConfig& config, const RunLimits& limits,
                             bool writable_text,
-                            sim::Machine* fresh_machine = nullptr);
+                            sim::Machine* machine = nullptr);
 
 /// "" when `a` and `b` are equivalent under the comparison discipline;
 /// otherwise a human-readable first-difference description.

@@ -7,7 +7,6 @@
 #include "core/scenario.hpp"
 #include "hid/profiler.hpp"
 #include "sim/kernel.hpp"
-#include "sim/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 #include "workloads/workloads.hpp"
@@ -22,7 +21,7 @@ namespace {
 constexpr std::uint64_t kGoldenSeed = 7;
 
 std::string benign_csv() {
-  sim::Machine machine(*sim::shared_baseline({}));
+  sim::Machine machine;
   sim::Kernel kernel(machine);
   workloads::WorkloadOptions opt;
   opt.scale = 4000;

@@ -1,8 +1,8 @@
 // Golden-trace regression layer: canonical small-scale scenario runs whose
 // windowed HPC CSVs are checked into tests/golden/ and diffed against live
 // runs. An intentional behaviour change regenerates the files
-// (`crs_fuzz --update-golden` or `trace_export --update-golden`) and shows
-// up in review as a file diff instead of silent drift.
+// (`crs_fuzz --update-golden`) and shows up in review as a file diff
+// instead of silent drift.
 #pragma once
 
 #include <string>

@@ -17,7 +17,6 @@
 #include "obs/trace.hpp"
 #include "rop/gadget.hpp"
 #include "sim/kernel.hpp"
-#include "sim/snapshot.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -38,7 +37,7 @@ bool self_check(const std::string& attack_source, const MineOptions& opt) {
   } catch (const std::exception&) {
     return false;
   }
-  sim::Machine machine(*sim::shared_baseline({}));
+  sim::Machine machine;
   sim::Kernel kernel(machine, sim::KernelConfig{});
   kernel.register_binary("/bin/mined_replay", program);
   kernel.start("/bin/mined_replay");

@@ -23,7 +23,6 @@
 #include "mine/emul.hpp"
 #include "mine/mine.hpp"
 #include "sim/kernel.hpp"
-#include "sim/snapshot.hpp"
 
 namespace crs::mine::detail {
 namespace {
@@ -305,7 +304,7 @@ ValidateOutcome validate_window(const std::string& source,
   }
 
   // Fire it on the simulator.
-  sim::Machine machine(*sim::shared_baseline({}));
+  sim::Machine machine;
   sim::Kernel kernel(machine, sim::KernelConfig{});
   kernel.register_binary("/bin/mined", cp.program);
   kernel.start("/bin/mined");

@@ -1,13 +1,12 @@
 #include "rop/recon.hpp"
 
-#include "sim/snapshot.hpp"
 #include "support/error.hpp"
 
 namespace crs::rop {
 
 FrameRecon recon_vulnerable_frame(const sim::Program& program,
                                   const ReconSpec& spec) {
-  sim::Machine machine(*sim::shared_baseline({}));
+  sim::Machine machine;
   sim::Kernel kernel(machine);
   kernel.register_binary(spec.path, program);
   kernel.start_with_strings(spec.path, spec.benign_args);

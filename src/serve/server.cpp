@@ -255,9 +255,7 @@ void Server::worker_loop(Shard& shard) {
           while (!shard.queue.empty()) {
             auto dropped = shard.queue.front();
             shard.queue.pop_front();
-            core::JobOutcome outcome;
-            outcome.cancelled = true;
-            finish_job(*dropped, outcome);
+            finish_job(*dropped, "cancelled", "");
           }
           return;
         }
@@ -268,10 +266,8 @@ void Server::worker_loop(Shard& shard) {
       shard.busy = true;
     }
 
-    core::JobOutcome outcome;
     if (job->cancelled.load(std::memory_order_relaxed)) {
-      outcome.cancelled = true;  // cancelled while queued: never ran
-      finish_job(*job, outcome);
+      finish_job(*job, "cancelled", "");  // cancelled while queued: never ran
     } else {
       const auto on_progress = [&](const core::JobProgress& p) {
         if (job->cancelled.load(std::memory_order_relaxed)) return false;
@@ -282,22 +278,14 @@ void Server::worker_loop(Shard& shard) {
                                                 .progress = p}));
       };
       try {
-        outcome = core::run_job(job->spec, on_progress);
-        finish_job(*job, outcome);
+        core::JobOutcome outcome = core::run_job(job->spec, on_progress);
+        finish_job(*job, outcome.cancelled ? "cancelled" : "ok",
+                   std::move(outcome.payload));
       } catch (const std::exception& e) {
         // Any failure, crs::Error or not (std::bad_alloc), fails this job
         // only: an escaped exception would end the shard thread, and with
         // it the server.
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.completed");
-        {
-          std::lock_guard<std::mutex> jlock(jobs_mutex_);
-          live_jobs_.erase({job->conn.get(), job->spec.id});
-        }
-        job->conn->send(FrameType::kResult,
-                        encode_result({.id = job->spec.id,
-                                       .status = "failed",
-                                       .payload = e.what()}));
+        finish_job(*job, "failed", e.what());
       }
     }
 
@@ -309,23 +297,23 @@ void Server::worker_loop(Shard& shard) {
   }
 }
 
-void Server::finish_job(PendingJob& job, const core::JobOutcome& outcome) {
+void Server::finish_job(PendingJob& job, const std::string& status,
+                        std::string payload) {
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     live_jobs_.erase({job.conn.get(), job.spec.id});
   }
-  if (outcome.cancelled) {
+  if (status == "cancelled") {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
     bump("serve.cancelled");
   } else {
     completed_.fetch_add(1, std::memory_order_relaxed);
     bump("serve.completed");
   }
-  ResultPayload result;
-  result.id = job.spec.id;
-  result.status = outcome.cancelled ? "cancelled" : "ok";
-  result.payload = outcome.payload;
-  job.conn->send(FrameType::kResult, encode_result(result));
+  job.conn->send(FrameType::kResult,
+                 encode_result({.id = job.spec.id,
+                                .status = status,
+                                .payload = std::move(payload)}));
 }
 
 void Server::shutdown(bool drain) {
@@ -355,9 +343,7 @@ void Server::shutdown(bool drain) {
     while (!shard->queue.empty()) {
       auto dropped = shard->queue.front();
       shard->queue.pop_front();
-      core::JobOutcome outcome;
-      outcome.cancelled = true;
-      finish_job(*dropped, outcome);
+      finish_job(*dropped, "cancelled", "");
     }
   }
 

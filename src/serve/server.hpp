@@ -6,9 +6,9 @@
 //   reader threads  ── decode frames, admit jobs into shard queues
 //   N worker shards ── each a thread owning its warm state: the per-thread
 //                      ScenarioSession cache (capacity raised via
-//                      set_session_cache_capacity) and machine pool, so a
-//                      shard that has seen a config before serves the next
-//                      job of that config from a restored snapshot.
+//                      set_session_cache_capacity), so a shard that has
+//                      seen a config before serves the next job of that
+//                      config from a restored snapshot.
 //
 // Admission is explicit backpressure: every shard queue is bounded, and a
 // submit that finds its queue full is REJECTED (reason=queue_full) instead
@@ -44,7 +44,7 @@
 namespace crs::serve {
 
 struct ServeConfig {
-  /// Worker shards (each owns a session cache + machine pool).
+  /// Worker shards (each owns a session cache).
   int shards = 2;
   /// Bounded per-shard queue; a full queue rejects (backpressure).
   std::size_t queue_capacity = 64;
@@ -122,7 +122,11 @@ class Server {
   void worker_loop(Shard& shard);
   void handle_submit(const std::shared_ptr<Connection>& conn,
                      const std::string& payload);
-  void finish_job(PendingJob& job, const core::JobOutcome& outcome);
+  /// Ends `job` with its RESULT frame: drops it from the live set, counts
+  /// it (cancelled, or completed for ok and failed) and sends `status`
+  /// (ok | cancelled | failed) with `payload`.
+  void finish_job(PendingJob& job, const std::string& status,
+                  std::string payload);
 
   ServeConfig config_;
   Socket listener_;

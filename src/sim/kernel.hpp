@@ -60,10 +60,9 @@ class MachineBaseline;
 /// Bundles the hardware: memory, caches, predictor, PMU and core.
 class Machine {
  public:
-  /// A machine with its own zero-filled flat store: the build inside
-  /// sim::shared_baseline, the reference the replication tests compare
-  /// forks against, and the direct runs of tools, benches and examples.
-  /// Library code forks sim::shared_baseline(config) instead.
+  /// A clean machine: zeroed memory (every page aliases the zero page until
+  /// its first write, so construction costs O(metadata)), cold caches and
+  /// predictor, a reset core. The one way to a clean machine.
   explicit Machine(const MachineConfig& config = {});
 
   /// Copy-on-write fork: replicates `base` (a frozen machine from

@@ -9,9 +9,9 @@ namespace crs::sim {
 
 namespace {
 
-/// The one frame every pristine page of every image aliases. Never written
-/// (forks promote before their first write), so sharing it across images,
-/// forks and threads is safe.
+/// The one frame every pristine page of every Memory and image aliases.
+/// Never written (pages promote before their first write), so sharing it
+/// across memories, images and threads is safe.
 const std::uint8_t* zero_page() {
   static const std::array<std::uint8_t, Memory::kPageSize> zeros{};
   return zeros.data();
@@ -22,15 +22,9 @@ const std::uint8_t* zero_page() {
 Memory::Memory(std::uint64_t size_bytes) {
   CRS_ENSURE(size_bytes > 0, "memory size must be positive");
   const std::uint64_t pages = (size_bytes + kPageSize - 1) / kPageSize;
-  bytes_.resize(pages * kPageSize, 0);
-  size_ = bytes_.size();
-  read_frames_.resize(pages);
-  write_frames_.resize(pages);
-  for (std::uint64_t p = 0; p < pages; ++p) {
-    std::uint8_t* frame = bytes_.data() + p * kPageSize;
-    read_frames_[p] = frame;
-    write_frames_[p] = frame;
-  }
+  size_ = pages * kPageSize;
+  read_frames_.assign(pages, zero_page());
+  write_frames_.assign(pages, nullptr);
   perms_.resize(pages, kPermNone);
   versions_.resize(pages, 1);
 }
@@ -83,7 +77,7 @@ std::size_t Memory::restore_dirty(const MemoryImage& image,
   std::size_t restored = 0;
   for (std::uint64_t p = 0; p < page_count(); ++p) {
     if (versions_[p] == versions[p]) continue;  // clean page
-    // A restore is a write: frame_for_write promotes shared COW pages.
+    // A restore is a write: frame_for_write promotes shared pages.
     std::memcpy(frame_for_write(p), image.frames_[p], kPageSize);
     perms_[p] = image.perms_[p];
     // Bump — never roll back (see sim/snapshot.hpp): no decode-cache slot
@@ -239,9 +233,9 @@ std::span<const std::uint8_t> Memory::read_span(std::uint64_t addr,
     }
   }
   if (contiguous) return {base, len};
-  // The span crosses frames that are not physically adjacent (possible only
-  // in COW mode, e.g. a promoted page next to a shared one): assemble a
-  // copy. Callers on the fetch fast path consume the span immediately.
+  // The span crosses frames that are not physically adjacent (e.g. a
+  // promoted page next to a shared one): assemble a copy. Callers on the
+  // fetch fast path consume the span immediately.
   span_scratch_.resize(len);
   std::uint64_t cursor = addr;
   std::size_t copied = 0;

@@ -6,17 +6,13 @@
 // pages; the CPU faults on any fetch from a non-executable page, so a naive
 // "write shellcode to the stack" attack fails while the ROP chain succeeds.
 //
-// Backing modes (DESIGN.md §10). A Memory owns either
-//  - a private flat store (the classic mode: one contiguous allocation,
-//    zero-filled at construction), or
-//  - a copy-on-write view of a refcounted frozen MemoryImage: every page
-//    starts as a read-only alias of the shared baseline frame and is
-//    promoted to a private 4 KiB frame on its first write. A fork therefore
-//    costs O(metadata) to create and O(pages actually dirtied) to run —
-//    the replication engine behind population-scale campaign fan-out.
-// Both modes sit behind one per-page frame table, so the hot accessors are
-// mode-oblivious; the per-page content versions (the decode-cache / SMC
-// coherence machinery) work unchanged because promotions happen exactly on
+// Backing (DESIGN.md §10). Every page sits behind a per-page frame table
+// and starts as a read-only alias of a shared frame: the static zero page
+// for a new Memory, the image's frame for a fork of a frozen MemoryImage.
+// Its first write promotes it to a private 4 KiB frame. Creating a Memory
+// therefore costs O(metadata) and running it O(pages actually dirtied);
+// the per-page content versions (the decode-cache / SMC coherence
+// machinery) need no special case because promotions happen exactly on
 // the writes that bump them.
 #pragma once
 
@@ -47,8 +43,9 @@ class Memory {
  public:
   static constexpr std::uint64_t kPageSize = 4096;
 
-  /// Private mode. Size is rounded up to a whole number of pages. Pages
-  /// start with no permissions; mapping regions is the loader's job.
+  /// Size is rounded up to a whole number of pages. Pages start zeroed
+  /// (aliasing the zero page) with no permissions; mapping regions is the
+  /// loader's job.
   explicit Memory(std::uint64_t size_bytes);
 
   /// Copy-on-write fork: every page aliases the image's frame until first
@@ -116,20 +113,13 @@ class Memory {
     return page_index < versions_.size() ? versions_[page_index] : 0;
   }
 
-  /// True when this Memory is a copy-on-write fork of a shared image.
-  bool is_cow() const { return base_ != nullptr; }
-
-  /// Pages promoted to private frames so far (0 in private mode, where
-  /// every page is private by construction but none is *promoted*).
+  /// Pages promoted to private frames so far.
   std::uint64_t promoted_pages() const { return promoted_pages_; }
 
-  /// Bytes of page data this Memory owns privately (excludes the shared
-  /// image and the per-page metadata tables): the whole store in private
-  /// mode, promoted frames only in COW mode. The bench's per-session
-  /// footprint metric.
-  std::uint64_t resident_bytes() const {
-    return bytes_.size() + promoted_pages_ * kPageSize;
-  }
+  /// Bytes of page data this Memory owns privately: its promoted frames
+  /// (excludes the shared image, the zero page and the per-page metadata
+  /// tables). The bench's per-session footprint metric.
+  std::uint64_t resident_bytes() const { return promoted_pages_ * kPageSize; }
 
   /// Rollback (Machine::restore): every page whose version differs from
   /// `versions` gets `image`'s bytes and permissions back, then its version
@@ -174,27 +164,25 @@ class Memory {
     for (std::uint64_t p = first; p <= last; ++p) ++versions_[p];
   }
 
-  /// COW promotion: copies the shared frame into a fresh private frame and
-  /// repoints both table entries. Only reachable in COW mode (private-mode
-  /// write_frames_ entries are never null).
+  /// Promotion: copies the shared frame into a fresh private frame and
+  /// repoints both table entries.
   std::uint8_t* promote(std::uint64_t page);
 
-  /// Writable frame for `page`, promoting on first COW write. Does NOT bump
-  /// the version; callers bump exactly as the pre-COW store did.
+  /// Writable frame for `page`, promoting on its first write. Does NOT bump
+  /// the version; callers bump it.
   std::uint8_t* frame_for_write(std::uint64_t page) {
     std::uint8_t* f = write_frames_[page];
     return f != nullptr ? f : promote(page);
   }
 
   std::uint64_t size_ = 0;
-  std::vector<std::uint8_t> bytes_;  // private-mode flat store (else empty)
-  std::shared_ptr<const MemoryImage> base_;  // COW baseline (else null)
+  std::shared_ptr<const MemoryImage> base_;  // forked image (else null)
   // Promoted private frames; a deque never relocates existing elements, so
   // the frame-table pointers stay valid as promotions accumulate.
   std::deque<std::array<std::uint8_t, kPageSize>> private_frames_;
   std::uint64_t promoted_pages_ = 0;
-  // Per-page frame tables — the one representation both modes share. A null
-  // write_frames_ entry means "shared, promote on first write".
+  // Per-page frame tables. A null write_frames_ entry means "shared,
+  // promote on first write".
   std::vector<const std::uint8_t*> read_frames_;
   std::vector<std::uint8_t*> write_frames_;
   std::vector<std::uint8_t> perms_;      // one Perm byte per page

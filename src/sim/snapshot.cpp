@@ -1,7 +1,6 @@
 #include "sim/snapshot.hpp"
 
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "support/memo.hpp"
@@ -108,15 +107,7 @@ std::shared_ptr<const MachineBaseline> Machine::freeze() const {
 
 std::shared_ptr<const MachineBaseline> shared_baseline(
     const MachineConfig& config) {
-  // One full build per distinct config for the process lifetime; every
-  // replica after this is an O(metadata) fork. Calls are serialised so that
-  // threads racing on a cold config (the corpus builders' first sessions)
-  // wait for one 16 MB machine instead of each building their own.
-  static std::mutex mutex;
-  static LruCache<MachineConfig, const MachineBaseline> baselines;
-  std::lock_guard<std::mutex> lock(mutex);
-  return baselines.get_or_build(config,
-                                [&] { return Machine(config).freeze(); });
+  return Machine(config).freeze();
 }
 
 void Kernel::reset_for_attempt(std::uint64_t seed) {

@@ -101,13 +101,10 @@ class MachineSnapshot {
   std::uint64_t restore_count_ = 0;
 };
 
-/// Process-wide fork baseline for `config`: freezes one fresh machine per
-/// distinct config (thread-safe, built at most once) and hands out the
-/// shared baseline. Because machine construction is deterministic, a fork
-/// of this baseline is bit-identical to Machine(config) — the property the
-/// replication tests pin. It is the library's one way to a clean machine:
-/// `Machine machine(*shared_baseline(config));` costs the O(metadata) fork
-/// where Machine(config) would zero-fill the whole address space.
+/// A frozen clean machine for `config`: `Machine(config).freeze()`. The
+/// library builds its clean machines directly; this is kept for the
+/// benchmark harness (crbench's census and replay), which times and forks
+/// it.
 std::shared_ptr<const MachineBaseline> shared_baseline(
     const MachineConfig& config);
 

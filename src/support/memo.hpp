@@ -8,7 +8,7 @@
 // each artifact once and hands out shared copies — the build-side half of a
 // session's setup, paired with machine replication on the execution side
 // (see sim/snapshot.hpp and DESIGN.md §10). The same cache holds the
-// per-thread sessions and pooled machines.
+// per-thread sessions.
 #pragma once
 
 #include <cstdint>

@@ -45,12 +45,14 @@ TEST(MachineFork, ForkedRunMatchesFreshRunBitForBit) {
   std::string fresh;
   {
     sim::Machine machine(config);
+    EXPECT_EQ(machine.memory().resident_bytes(), 0u);  // nothing written yet
     fresh = machine_fingerprint(machine);
+    // The run owns only the pages it wrote, not the address space.
+    EXPECT_LT(machine.memory().resident_bytes(), config.memory_size / 2);
   }
-  const auto base = sim::shared_baseline(config);
+  const auto base = sim::Machine(config).freeze();
   for (int i = 0; i < 2; ++i) {
     sim::Machine fork(*base);
-    EXPECT_TRUE(fork.memory().is_cow());
     EXPECT_EQ(fork.memory().resident_bytes(), 0u);  // nothing dirtied yet
     EXPECT_EQ(machine_fingerprint(fork), fresh) << "fork " << i;
     // The run dirtied only the pages it touched, not the address space.
@@ -61,7 +63,7 @@ TEST(MachineFork, ForkedRunMatchesFreshRunBitForBit) {
 
 TEST(MachineFork, SnapshotRestoreWorksOnAFork) {
   const sim::MachineConfig config;
-  sim::Machine fork(*sim::shared_baseline(config));
+  sim::Machine fork(*sim::Machine(config).freeze());
   sim::MachineSnapshot snap = fork.snapshot();
   // Fork of a pristine baseline: the frozen image stores no pages.
   EXPECT_EQ(snap.baseline()->image()->stored_page_count(), 0u);
@@ -73,8 +75,7 @@ TEST(MachineFork, SnapshotRestoreWorksOnAFork) {
 }
 
 TEST(MachineFork, SiblingForksDivergeIndependently) {
-  const sim::MachineConfig config;
-  const auto base = sim::shared_baseline(config);
+  const auto base = sim::Machine().freeze();
   sim::Machine a(*base);
   sim::Machine b(*base);
   // Self-modifying divergence: write different bytes into the same page of
@@ -91,7 +92,7 @@ TEST(MachineFork, SiblingForksDivergeIndependently) {
 /// pages, which the first cycle already promoted and each restore rewrites
 /// in place.
 TEST(MachineFork, ResidentBytesStableAcrossRunRestoreCycles) {
-  const auto base = sim::shared_baseline(sim::MachineConfig{});
+  const auto base = sim::Machine().freeze();
   sim::Machine fork(*base);
   sim::MachineSnapshot snap(base);
   sim::Kernel kernel(fork);
@@ -120,14 +121,14 @@ TEST(MachineFork, ImageRefcountsReturnToIdleUnderChurn) {
   std::shared_ptr<const sim::MachineBaseline> bases[3];
   long idle[3];
   for (int c = 0; c < 3; ++c) {
-    bases[c] = sim::shared_baseline(configs[c]);
-    // Steady-state references: the registry + our handle here. A live fork
-    // adds one; a dropped fork must give it back.
+    bases[c] = sim::Machine(configs[c]).freeze();
+    // Steady-state references: the baseline's own. A live fork adds one; a
+    // dropped fork must give it back.
     idle[c] = bases[c]->image_use_count();
   }
   for (int cycle = 0; cycle < 3000; ++cycle) {
     const int c = cycle % 3;
-    sim::Machine fork(*sim::shared_baseline(configs[c]));
+    sim::Machine fork(*bases[c]);
     // Dirty a page so the fork allocates (and must release) a private frame.
     fork.memory().write_u64(64, static_cast<std::uint64_t>(cycle));
     ASSERT_EQ(bases[c]->image_use_count(), idle[c] + 1);

@@ -117,7 +117,6 @@ TEST(MemoryCow, ForkMatchesSourceBitForBit) {
 
   Memory fork(img);
   EXPECT_EQ(fork.size(), m.size());
-  EXPECT_TRUE(fork.is_cow());
   EXPECT_EQ(fork.read_u64(64), 0xABCDEFull);
   EXPECT_EQ(fork.read_u8(Memory::kPageSize + 5), 0x77);
   EXPECT_EQ(fork.permissions_at(0), kPermRX);
@@ -203,15 +202,18 @@ TEST(MemoryCow, CrossPageWordAccessesWork) {
 }
 
 TEST(MemoryCow, ResidentBytesTracksPromotionsOnly) {
-  Memory priv(16 * Memory::kPageSize);
-  EXPECT_EQ(priv.resident_bytes(), 16 * Memory::kPageSize);
+  Memory m(16 * Memory::kPageSize);
+  EXPECT_EQ(m.resident_bytes(), 0u);  // every page aliases the zero page
+  EXPECT_EQ(m.read_u64(3 * Memory::kPageSize), 0u);
+  EXPECT_EQ(m.resident_bytes(), 0u);  // reads never promote
+  m.write_u8(0, 1);
+  m.write_u8(5 * Memory::kPageSize, 1);
+  EXPECT_EQ(m.resident_bytes(), 2 * Memory::kPageSize);
 
-  const auto img = priv.freeze();
-  Memory fork(img);
+  Memory fork(m.freeze());
   EXPECT_EQ(fork.resident_bytes(), 0u);
-  fork.write_u8(0, 1);
-  fork.write_u8(5 * Memory::kPageSize, 1);
-  EXPECT_EQ(fork.resident_bytes(), 2 * Memory::kPageSize);
+  fork.write_u8(0, 2);
+  EXPECT_EQ(fork.resident_bytes(), Memory::kPageSize);
 }
 
 TEST(MemoryWatch, OnlyReadsOverlappingAnArmedWordFire) {

@@ -139,12 +139,6 @@ TEST(MineProperties, MinedSetByteIdenticalForAnyThreadCount) {
   EXPECT_NE(csvs[0].find("leak"), std::string::npos);
 }
 
-TEST(MineProperties, MinedSetByteIdenticalWhenMinedTwice) {
-  const auto opt = small_corpus();
-  const std::string first = mine::corpus_csv(mine::mine_corpus(opt));
-  EXPECT_EQ(first, mine::corpus_csv(mine::mine_corpus(opt)));
-}
-
 // --- the trigger's line comes from casm --------------------------------------
 
 TEST(MineLayout, SameProgramInOtherSpellingsMinesTheSameGadgets) {

@@ -113,7 +113,7 @@ core::ScenarioConfig golden_scenario_config() {
   c.canary = true;
   c.aslr = true;
   c.harden = harden::HardenConfig::parse("aslr,heap-guard");
-  c.leak_stage = true;
+  c.leak_stage = false;  // the campaign golden sets it, with rop_injected
   c.spectre11 = true;
   c.mitigations = mitigate::MitigationConfig::parse("slh,retpoline");
   c.seed = 18446744073709551615ull;
@@ -142,6 +142,11 @@ core::JobSpec golden_job(core::JobKind kind) {
       core::CampaignConfig& c = spec.campaign.config;
       c.scenario = golden_scenario_config();
       c.scenario.seed = 77;
+      // The runnable split of the scenario golden's flags: a leak stage
+      // needs ROP injection, which spectre11 does not run under.
+      c.scenario.rop_injected = true;
+      c.scenario.leak_stage = true;
+      c.scenario.spectre11 = false;
       c.attempts = 7;
       c.online_hid = true;
       c.dynamic_perturbation = true;
@@ -328,6 +333,19 @@ TEST(ServeJobSpec, ParseRejectsGarbage) {
   EXPECT_THROW(
       core::parse_job("crs-job v1\nkind=program\nprog.source=100\nshort\n"),
       Error);
+  // Specs whose every value reads fine but that no run can execute: each
+  // was once accepted and then failed the scenario's own check.
+  const std::vector<std::vector<std::string>> unrunnable = {
+      {"scenario", "secret=\n", "secret"},
+      {"campaign", "secret=\n", "secret"},
+      {"matrix", "mx.secret=\n", "mx.secret"},
+      {"scenario", "rop_injected=0\nleak_stage=1\n", "leak_stage"},
+      {"campaign", "leak_stage=1\nrop_injected=0\n", "leak_stage"},
+      {"scenario", "spectre11=1\n", "spectre11"},
+      {"campaign", "rop_injected=1\nspectre11=1\n", "spectre11"}};
+  for (const auto& c : unrunnable) {
+    expect_job_rejected("crs-job v1\nkind=" + c[0] + "\n" + c[1], c[2] + ":");
+  }
   // Non-finite doubles, which strtod accepts.
   for (const std::string head : {"crs-job v1\nkind=scenario\nprof.noise_sigma=",
                                  "crs-job v1\nkind=scenario\n"
@@ -517,6 +535,22 @@ TEST(ServeJobSpec, SerializeRefusesNewlineInLineValue) {
   core::JobSpec campaign = campaign_spec(3);
   campaign.campaign.config.detector.classifier = "\nLR";
   expect_serialize_refused(campaign, "det.classifier");
+}
+
+TEST(ServeJobSpec, SerializeRefusesSpecsNoRunCanExecute) {
+  core::JobSpec empty = scenario_spec(1);
+  empty.scenario.config.secret.clear();
+  expect_serialize_refused(empty, "secret");
+  core::JobSpec matrix = matrix_spec(2);
+  matrix.matrix.config.secret.clear();
+  expect_serialize_refused(matrix, "mx.secret");
+  core::JobSpec leak = campaign_spec(3);  // rop_injected=0
+  leak.campaign.config.scenario.leak_stage = true;
+  expect_serialize_refused(leak, "leak_stage");
+  core::JobSpec spectre11 = scenario_spec(4);
+  spectre11.scenario.config.rop_injected = true;
+  spectre11.scenario.config.spectre11 = true;
+  expect_serialize_refused(spectre11, "spectre11");
 }
 
 TEST(ServeJobSpec, SerializeRefusesEmptyOrCommaListItem) {

@@ -49,8 +49,8 @@ std::uint64_t soak_budget_ms() {
 }
 
 /// Cheap-but-varied job mix. Scenario jobs dominate (they exercise the
-/// session caches); every few jobs a program job keeps the machine pools
-/// warm on the same shards.
+/// session caches); every few jobs a program job, on a clean machine of
+/// its own, runs on the same shards between them.
 core::JobSpec make_job(std::uint64_t id, std::uint64_t salt) {
   core::JobSpec spec;
   spec.id = id;

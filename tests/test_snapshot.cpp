@@ -1,9 +1,9 @@
 // Snapshot/restore: the rollback contract behind every repeated attempt.
 //
-// A ScenarioSession rolls its forked machine back to the frozen baseline
-// before every attempt, so the subsystem hangs on one promise — a restored
-// machine is indistinguishable from a fresh fork, and a session's later
-// attempts are bit-identical to run_scenario at the same seed. These tests
+// A ScenarioSession rolls its machine back to a snapshot of its clean
+// build before every attempt, so the subsystem hangs on one promise — a
+// restored machine is indistinguishable from a fresh one, and a session's
+// later attempts are bit-identical to run_scenario at the same seed. These tests
 // pin that promise from every angle: restore page mechanics, scenario
 // sessions over every default grid row, campaign results across thread
 // counts, fuzz-corpus differential runs of forked machines against a fresh
@@ -239,9 +239,8 @@ TEST(CampaignDeterminism, ThreadCountInvariant) {
   EXPECT_EQ(one, fingerprint(8));
 }
 
-/// The fuzz differ's own machine, a fork of the shared baseline, must behave
-/// exactly like a freshly constructed Machine(config), for every corpus
-/// program.
+/// A fork of a frozen clean machine must behave exactly like the differ's
+/// own freshly constructed Machine(config), for every corpus program.
 TEST(FuzzDifferential, ForkedMachineMatchesFreshBuild) {
   fuzz::GeneratorOptions options;
   options.allow_rdcycle = false;
@@ -255,10 +254,10 @@ TEST(FuzzDifferential, ForkedMachineMatchesFreshBuild) {
         casm::assemble(prog.source() + casm::runtime_library(),
                        {.name = "fuzz", .link_base = 0x10000});
 
-    sim::Machine fresh_machine(base_config.machine);
-    const fuzz::ExecResult fresh = fuzz::run_under_config(
-        binary, base_config, limits, prog.uses_smc, &fresh_machine);
-    const fuzz::ExecResult forked =
+    sim::Machine fork(*sim::Machine(base_config.machine).freeze());
+    const fuzz::ExecResult forked = fuzz::run_under_config(
+        binary, base_config, limits, prog.uses_smc, &fork);
+    const fuzz::ExecResult fresh =
         fuzz::run_under_config(binary, base_config, limits, prog.uses_smc);
     EXPECT_EQ(fuzz::compare_results(fresh, forked, /*arch_only=*/false), "")
         << "program " << i;
