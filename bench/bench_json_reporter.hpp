@@ -1,7 +1,10 @@
 // google-benchmark reporter emitting the repo-wide perf-record format: one
 // `{"name":...,"wall_ms":...,"items_per_s":...}` line per benchmark run,
-// appended to the --bench-json file. Shared by micro_sim and micro_ml; the
+// appended to the --bench-json file. Shared by the micro benches; the
 // figure benches emit the same lines through bench::BenchIo directly.
+// Under --benchmark_repetitions, a benchmark is recorded once, by its
+// median aggregate under its plain name, so one fast or slow repetition
+// cannot move a perf-smoke ratio gate.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -30,13 +33,19 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
     console_->ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
+      const bool repeated = run.repetitions > 1;
+      if (repeated && (run.run_type != Run::RT_Aggregate ||
+                       run.aggregate_name != "median")) {
+        continue;
+      }
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       const double wall_ms = run.real_accumulated_time / iters * 1e3;
       double items_per_s = 0.0;
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) items_per_s = it->second;
-      io_.emit(run.benchmark_name(), wall_ms, items_per_s);
+      io_.emit(repeated ? run.run_name.str() : run.benchmark_name(), wall_ms,
+               items_per_s);
     }
   }
 

@@ -6,6 +6,7 @@
 #include "casm/assembler.hpp"
 #include "casm/runtime.hpp"
 #include "core/corpus.hpp"
+#include "core/scenario.hpp"
 #include "mitigate/fence_pass.hpp"
 #include "rop/gadget.hpp"
 #include "sim/block_cache.hpp"
@@ -51,6 +52,33 @@ BENCHMARK(BM_CpuThroughput)
     ->Arg(1)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
+
+// Retired instructions/s of warm attempts in the shape of crbench's offline
+// campaign (Fig. 5(b)): the default basicmath host with the ROP-injected
+// attack, perturbed by the static branchy variant (loop_count 16, delay
+// 500), under the HID profiler. Unlike BM_CpuThroughput's predictable host,
+// this is the mix campaigns spend their time in: mispredicted bounds checks
+// with their wrong-path episodes, short branchy blocks, calls and returns,
+// and the per-attempt rollback that makes every code page retranslate.
+void BM_AttemptThroughput(benchmark::State& state) {
+  core::ScenarioConfig config;
+  config.rop_injected = true;
+  config.perturb = true;
+  config.perturb_params.loop_count = 16;
+  config.perturb_params.delay = 500;
+  config.perturb_params.style = perturb::MimicStyle::kBranchy;
+  config.seed = 42;
+  core::ScenarioSession session(config);
+  std::uint64_t seed = config.seed;
+  session.run_attempt(seed++);  // warm the build memos
+  std::int64_t retired = 0;
+  for (auto _ : state) {
+    const core::ScenarioRun run = session.run_attempt(seed++);
+    retired += static_cast<std::int64_t>(run.profile.instructions);
+  }
+  state.SetItemsProcessed(retired);
+}
+BENCHMARK(BM_AttemptThroughput)->Unit(benchmark::kMillisecond);
 
 // Block-translation cost (blocks/s) and steady-state hit rate. Each
 // iteration dirties the hot page's version (a same-value byte write) so the

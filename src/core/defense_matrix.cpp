@@ -18,6 +18,8 @@ struct DefenseColumn {
   std::string name;
   mitigate::MitigationConfig mitigation;
   harden::HardenConfig harden;
+
+  bool defended() const { return mitigation.any() || harden.any(); }
 };
 
 /// The grid's up-front preset check, shared by both grids: resolves the
@@ -119,7 +121,9 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
   const std::size_t n_cell_items = items.size();
 
   // Cost column: what each column's defenses do to a clean, non-attacked
-  // host, one item per probe run of defense_overhead_pct.
+  // host, one item per probe run of defense_overhead_pct. An undefended
+  // column's baseline and defended probes are the same run, so its
+  // overhead is +0.0 by construction and it queues none.
   std::vector<OverheadConfig> costs(columns.size());
   std::vector<std::vector<OverheadProbe>> probes(columns.size());
   for (std::size_t i = 0; i < columns.size(); ++i) {
@@ -127,6 +131,7 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
     costs[i].secret = config.secret;
     costs[i].seed = derive_seed(config.seed ^ 0x0E4, i);
     probes[i] = overhead_probes(costs[i]);
+    if (!columns[i].defended()) continue;
     for (const OverheadProbe& probe : probes[i]) {
       items.push_back({.index = i, .probe = probe});
     }
@@ -207,7 +212,8 @@ DefenseMatrixResult run_grid(const DefenseMatrixConfig& config,
     ipc[items[i].index].push_back(results[i].ipc);
   }
   for (std::size_t i = 0; i < columns.size(); ++i) {
-    result.ipc_overhead_pct.push_back(overhead_pct(probes[i], ipc[i]));
+    result.ipc_overhead_pct.push_back(
+        columns[i].defended() ? overhead_pct(probes[i], ipc[i]) : 0.0);
   }
   return result;
 }

@@ -34,7 +34,7 @@ BlockCache::BlockCache(const Memory& memory, std::uint32_t mul_latency,
       div_latency_(div_latency),
       pages_(memory.page_count()) {}
 
-TranslatedBlock* BlockCache::acquire(std::uint64_t pc) {
+TranslatedBlock* BlockCache::acquire_miss(std::uint64_t pc) {
   const std::uint64_t page = pc / Memory::kPageSize;
   if (page >= pages_.size()) return nullptr;
   auto& entry = pages_[page];
@@ -42,19 +42,9 @@ TranslatedBlock* BlockCache::acquire(std::uint64_t pc) {
     entry = std::make_unique<PageBlocks>();
     entry->slots.resize(kSlotsPerPage);
   }
-  const auto slot = static_cast<std::uint16_t>(
-      (pc & (Memory::kPageSize - 1)) / isa::kInstructionSize);
+  const std::uint16_t slot = slot_of(pc);
   TranslatedBlock* block = entry->slots[slot].get();
-  if (block != nullptr) {
-    bool fresh = true;
-    for (std::uint32_t g = 0; g < block->guard_count; ++g) {
-      fresh &= memory_.page_version(block->guards[g].page) ==
-               block->guards[g].version;
-    }
-    if (fresh) {
-      ++stats_.hits;
-      return block;
-    }
+  if (block != nullptr) {  // stale: acquire's hit path checked its guards
     ++stats_.retranslations;
     if (!translate_into(*block, pc, slot)) {
       entry->slots[slot].reset();

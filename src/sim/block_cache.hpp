@@ -66,9 +66,10 @@ struct TranslatedBlock {
   /// cleared on (re)translation since the body was rebuilt.
   bool dispatch_ready = false;
   bool has_tail = false;
-  /// Control-flow terminator, executed through the interpreter's own
-  /// exec_cond_branch/exec_call/... so speculation and mitigation semantics
-  /// are shared verbatim. Valid iff has_tail.
+  /// Control-flow terminator. Valid iff has_tail. The executor resolves a
+  /// conditional branch (by Cpu::plan_cond_branch) or a direct jump itself
+  /// and calls the interpreter's exec_* helpers for the rest, and for a
+  /// branch that runs a wrong-path episode or honours a fence hint.
   DecodedSlot tail{};
   std::vector<MicroOp> body;
 
@@ -100,7 +101,19 @@ class BlockCache {
   /// of range — the caller falls back to `Cpu::step()`, which raises the
   /// DEP fault. The returned block may be `empty()` (entry instruction is
   /// serialising or illegal); cached so repeat visits stay cheap.
-  TranslatedBlock* acquire(std::uint64_t pc);
+  /// The hit path is inline: the executor's chain looks up the successor
+  /// of every block it leaves.
+  TranslatedBlock* acquire(std::uint64_t pc) {
+    const std::uint64_t page = pc / Memory::kPageSize;
+    if (page < pages_.size() && pages_[page] != nullptr) {
+      TranslatedBlock* block = pages_[page]->slots[slot_of(pc)].get();
+      if (block != nullptr && fresh(*block)) {
+        ++stats_.hits;
+        return block;
+      }
+    }
+    return acquire_miss(pc);
+  }
 
   /// Drops every block resident in the page containing `addr`, plus blocks
   /// that straddle into it from the previous page (clflush of a code line).
@@ -122,6 +135,25 @@ class BlockCache {
   };
   static constexpr std::size_t kSlotsPerPage =
       Memory::kPageSize / isa::kInstructionSize;
+
+  static std::uint16_t slot_of(std::uint64_t pc) {
+    return static_cast<std::uint16_t>((pc & (Memory::kPageSize - 1)) /
+                                      isa::kInstructionSize);
+  }
+
+  /// acquire's slow path: no page entry or block yet, or a stale block.
+  TranslatedBlock* acquire_miss(std::uint64_t pc);
+
+  /// True when every guarded page still has the version `block` was
+  /// translated from.
+  bool fresh(const TranslatedBlock& block) const {
+    bool ok = true;
+    for (std::uint32_t g = 0; g < block.guard_count; ++g) {
+      ok &= memory_.page_version(block.guards[g].page) ==
+            block.guards[g].version;
+    }
+    return ok;
+  }
 
   /// (Re)builds `block` from the current memory image. False iff the entry
   /// page denies execute.

@@ -6,10 +6,8 @@
 // Dispatch is computed goto (the GNU labels-as-values extension, which GCC
 // and Clang — the only compilers the tree builds with — both provide).
 
-// The per-op exits (budget, cycle target, fetch-line turnover) fire at most
-// once per ~dozens of ops; telling the compiler keeps the fall-through hot
-// path straight-line.
-#define CRS_LIKELY(x) __builtin_expect(!!(x), 1)
+// The per-op exits (budget, cycle target) fire at most once per ~dozens of
+// ops; telling the compiler keeps the fall-through hot path straight-line.
 #define CRS_UNLIKELY(x) __builtin_expect(!!(x), 0)
 
 namespace crs::sim {
@@ -73,14 +71,16 @@ StopReason BlockExecutor::run(Cpu& cpu, std::uint64_t cycle_target,
   } while (0)
 
 // Per-instruction counters (retired, kInstructions, kAluOps, kL1iAccesses,
-// kL1iMisses) accumulate in locals and land in one batched add per counter
-// at every exit: nothing observes the PMU or retired_ mid-block (the same
-// argument that lets kCycles sync at exits), and each flush is ordered
-// before anything that could — fault delivery, tail helpers, returning.
-// Every instruction performs exactly one fetch, so n_instr doubles as the
-// kL1iAccesses delta; ALU ops (the bulk) are counted by complement — the
-// rarer non-ALU handlers tick n_nonalu before any fault can exit them, so
-// kAluOps = n_instr - n_nonalu even when an op faults mid-handler.
+// kL1iMisses — counted by the fetch batch — and the branch events of
+// in-chain branch tails) accumulate in locals and land in one batched add
+// per counter at every exit: nothing observes the PMU or retired_ mid-chain
+// (the same argument that lets kCycles sync at exits), and each flush is
+// ordered before anything that could — fault delivery, out-of-line tail
+// helpers, returning. Every instruction performs exactly one fetch, so
+// n_instr doubles as the kL1iAccesses delta; ALU ops (the bulk) are counted
+// by complement — the rarer non-ALU handlers tick n_nonalu before any fault
+// can exit them, so kAluOps = n_instr - n_nonalu even when an op faults
+// mid-handler.
 #define CRS_FLUSH_COUNTS()                                     \
   do {                                                         \
     cpu.retired_ += n_instr;                                   \
@@ -90,35 +90,25 @@ StopReason BlockExecutor::run(Cpu& cpu, std::uint64_t cycle_target,
       const std::uint64_t flushed_alu = n_instr - n_nonalu;    \
       if (flushed_alu != 0) pmu.add(Event::kAluOps, flushed_alu); \
     }                                                          \
-    if (n_imiss != 0) pmu.add(Event::kL1iMisses, n_imiss);     \
-    n_instr = n_nonalu = n_imiss = 0;                          \
-    if (pending_fetch_hits != 0) {                             \
-      hierarchy.fetch_repeat_hits(pending_fetch_hits);         \
-      pending_fetch_hits = 0;                                  \
+    if (const std::uint64_t n_imiss = fetches.take_misses();   \
+        n_imiss != 0) {                                        \
+      pmu.add(Event::kL1iMisses, n_imiss);                     \
     }                                                          \
+    if (n_branches != 0) {                                     \
+      pmu.add(Event::kBranches, n_branches);                   \
+      pmu.add(Event::kTakenBranches, n_taken);                 \
+      pmu.add(Event::kBranchMispredicts, n_mispredicts);       \
+    }                                                          \
+    n_instr = n_nonalu = 0;                                    \
+    n_branches = n_taken = n_mispredicts = 0;                  \
+    fetches.flush();                                           \
   } while (0)
 
 // Front-end fetch, exactly as Cpu::step (the DEP check happened at
-// translation and is guarded by the page version). Consecutive fetches of
-// one L1I line are guaranteed memo hits — nothing but fetches touches the
-// L1I inside a block — so they accumulate in pending_fetch_hits and land in
-// one access_repeat_hits call when the line changes or the block exits.
-#define CRS_FETCH()                                        \
-  do {                                                     \
-    if (CRS_LIKELY((pc & fetch_line_mask) == fetch_line)) { \
-      ++pending_fetch_hits;                                \
-      cycle += fetch_hit_latency;                          \
-    } else {                                               \
-      if (pending_fetch_hits != 0) {                       \
-        hierarchy.fetch_repeat_hits(pending_fetch_hits);   \
-        pending_fetch_hits = 0;                            \
-      }                                                    \
-      fetch_line = pc & fetch_line_mask;                   \
-      const auto fetch = hierarchy.access_fetch(pc);       \
-      if (!fetch.l1i_hit) ++n_imiss;                       \
-      cycle += fetch.latency;                              \
-    }                                                      \
-  } while (0)
+// translation and is guarded by the page version). Nothing but fetches
+// touches the L1I inside the chain, so consecutive fetches of one line are
+// batched (FetchBatch); every exit and out-of-line tail flushes the batch.
+#define CRS_FETCH() cycle += fetches.fetch(pc)
 
 // raise_fault records pc_, so sync before raising; pc still addresses the
 // faulting instruction (handlers advance it only after all checks).
@@ -187,6 +177,7 @@ void BlockExecutor::exec_chain(Cpu& cpu, BlockCache& cache,
                                std::uint64_t budget) {
   Memory& memory = cpu.memory_;
   MemoryHierarchy& hierarchy = cpu.hierarchy_;
+  PatternHistoryTable& pht = cpu.predictor_.pht();
   Pmu& pmu = cpu.pmu_;
   std::uint64_t* const regs = cpu.regs_;
   std::uint64_t* const ready = cpu.reg_ready_;
@@ -196,26 +187,22 @@ void BlockExecutor::exec_chain(Cpu& cpu, BlockCache& cache,
   std::uint64_t pc = cpu.pc_;
   std::uint64_t cycle = cpu.cycle_;
   std::uint64_t remaining = budget;
-  std::uint64_t n_instr = 0, n_nonalu = 0, n_imiss = 0;
-  const std::uint64_t fetch_line_mask =
-      ~static_cast<std::uint64_t>(hierarchy.l1i().line_size() - 1);
-  const std::uint32_t fetch_hit_latency = hierarchy.timings().fetch_l1_hit;
-  std::uint64_t fetch_line = ~0ull;  // never matches a masked pc
-  std::uint64_t pending_fetch_hits = 0;
+  std::uint64_t n_instr = 0, n_nonalu = 0;
+  std::uint64_t n_branches = 0, n_taken = 0, n_mispredicts = 0;
+  FetchBatch fetches(hierarchy);
 
-  const MicroOp* op = block->body.data();
-  const MicroOp* end = op + block->body.size();
-  // The instruction budget folds into the body-end compare: `stop` is where
-  // the body must cease, whether that is the natural end (proceed to the
-  // tail) or budget exhaustion (sync out). One pointer compare per op
-  // replaces a decrement plus a second check; `remaining` is settled from
-  // the op cursor at body_stop / tail time.
-  const MicroOp* stop =
-      remaining < static_cast<std::uint64_t>(end - op)
-          ? op + remaining
-          : end;
-  std::uint64_t span_first = block->first_page;
-  std::uint64_t span_last = block->last_page;
+  // The running block's body cursor and end. The instruction budget folds
+  // into the body-end compare: `stop` is where the body must cease, whether
+  // that is the natural end (proceed to the tail) or budget exhaustion (sync
+  // out). One pointer compare per op replaces a decrement plus a second
+  // check; `remaining` is settled from the op cursor at body_stop / tail
+  // time.
+  const MicroOp* op = nullptr;
+  const MicroOp* end = nullptr;
+  const MicroOp* stop = nullptr;
+  std::uint64_t span_first = 0;  // the running block's code pages
+  std::uint64_t span_last = 0;
+  TranslatedBlock* next = block;  // the block being entered
 
   // Indexed by Opcode value; entries MUST follow the isa::Opcode order.
   // Non-body opcodes can never appear in a translated body.
@@ -238,18 +225,26 @@ void BlockExecutor::exec_chain(Cpu& cpu, BlockCache& cache,
   static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
                 static_cast<std::size_t>(Opcode::kOpcodeCount));
 
+enter_next:  // `next` becomes the running block; pc/cycle already moved
   // Direct threading: resolve every body op's handler label once per
   // translation (the label addresses are local to this function, so the
   // translator cannot); dispatch then loads the pointer straight off the op
   // instead of indexing the table through the opcode.
-  if (!block->dispatch_ready) {
-    for (MicroOp& o : block->body) {
+  if (!next->dispatch_ready) {
+    for (MicroOp& o : next->body) {
       o.handler = kDispatch[static_cast<std::size_t>(o.op)];
     }
-    block->dispatch_ready = true;
+    next->dispatch_ready = true;
   }
+  block = next;
+  op = next->body.data();
+  end = op + next->body.size();
+  stop = remaining < static_cast<std::uint64_t>(end - op) ? op + remaining
+                                                          : end;
+  span_first = next->first_page;
+  span_last = next->last_page;
 
-loop_top:  // handlers re-dispatch themselves past this head
+  // The block's first op; handlers re-dispatch themselves past this head.
   if (op == stop) goto body_stop;
   if (cycle >= cycle_target) goto sync_exit;
   CRS_FETCH();
@@ -439,67 +434,79 @@ body_stop:
   ++n_instr;
   ++n_nonalu;  // control flow retires as a branch event, never an ALU op
   --remaining;
-  // Control flow runs on the interpreter's own helpers so prediction,
-  // wrong-path episodes and mitigation semantics are literally shared code;
-  // they operate on the members, so sync the locals (and the batched
-  // counters) first.
+  // Direct jumps, and conditional branches that run no wrong-path episode
+  // and honour no fence hint, resolve here by the interpreter's own rule
+  // (Cpu::plan_cond_branch), with their branch events batched like the
+  // rest; the chain then hops to the successor. Nothing here touches the
+  // L1I, so the fetch batch carries across the hop.
+  switch (block->tail.cls) {
+    case OpClass::kJump:
+      cycle += 1;
+      pc = static_cast<std::uint32_t>(block->tail.instr.imm);
+      break;
+    case OpClass::kCondBranch: {
+      const CondBranchPlan plan = cpu.plan_cond_branch(block->tail, pc, cycle);
+      if (plan.fenced || plan.spec_budget != 0) goto out_of_line;
+      ++n_branches;
+      n_taken += plan.taken ? 1 : 0;
+      n_mispredicts += plan.mispredicted ? 1 : 0;
+      cycle = plan.next_cycle;
+      pht.update(pc, plan.taken);
+      pc = plan.next_pc;
+      break;
+    }
+    default:
+      goto out_of_line;
+  }
+  // While the successor pc resolves to a valid fresh block, keep going
+  // without returning; acquire revalidates guards, so coherence is exactly
+  // the caller-loop behaviour.
+  if (remaining == 0 || cycle >= cycle_target) goto sync_exit;
+  if ((pc % isa::kInstructionSize) != 0) goto sync_exit;
+  next = cache.acquire(pc);
+  if (next == nullptr || next->empty()) goto sync_exit;
+  goto enter_next;
+
+out_of_line:
+  // Calls, returns, indirect jumps, and branches that speculate or fence
+  // run on the interpreter's own helpers, so wrong-path episodes and
+  // mitigation semantics are literally shared code; they operate on the
+  // members, so sync the locals (and the batched counters) first.
   CRS_FLUSH_COUNTS();
   cpu.pc_ = pc;
   cpu.cycle_ = cycle;
-  switch (block->tail.cls) {
-    case OpClass::kCondBranch:
-      cpu.exec_cond_branch(block->tail);
-      break;
-    case OpClass::kJump:
-      cpu.cycle_ += 1;
-      cpu.pc_ = static_cast<std::uint32_t>(block->tail.instr.imm);
-      break;
-    case OpClass::kIndirectJump:
-      cpu.exec_indirect_jump(block->tail.instr);
-      break;
-    case OpClass::kCall:
-    case OpClass::kIndirectCall:
-      cpu.exec_call(block->tail.instr);
-      break;
-    case OpClass::kRet:
-      cpu.exec_ret(block->tail.instr);
-      break;
-    default:
-      break;  // translate_into only stores control-flow tails
-  }
-  // Chain: while the successor pc resolves to a valid fresh block, keep
-  // going without returning — pc/cycle and the batched counters stay in
-  // registers, and the per-call prologue is paid once per chain rather than
-  // once per block. The acquire revalidates guards, so coherence is exactly
-  // the caller-loop behaviour.
-  if (cpu.halted_ || remaining == 0 || cpu.cycle_ >= cycle_target) {
-    goto pmu_sync;
-  }
   {
-    const std::uint64_t next_pc = cpu.pc_;
-    if ((next_pc % isa::kInstructionSize) != 0) goto pmu_sync;
-    TranslatedBlock* next = cache.acquire(next_pc);
-    if (next == nullptr || next->empty()) goto pmu_sync;
-    if (!next->dispatch_ready) {
-      for (MicroOp& o : next->body) {
-        o.handler = kDispatch[static_cast<std::size_t>(o.op)];
-      }
-      next->dispatch_ready = true;
+    const std::uint64_t episodes = cpu.spec_episodes_;
+    switch (block->tail.cls) {
+      case OpClass::kCondBranch:
+        cpu.exec_cond_branch(block->tail);
+        break;
+      case OpClass::kIndirectJump:
+        cpu.exec_indirect_jump(block->tail.instr);
+        break;
+      case OpClass::kCall:
+      case OpClass::kIndirectCall:
+        cpu.exec_call(block->tail.instr);
+        break;
+      case OpClass::kRet:
+        cpu.exec_ret(block->tail.instr);
+        break;
+      default:
+        break;  // translate_into only stores control-flow tails
     }
-    block = next;
-    op = next->body.data();
-    end = op + next->body.size();
-    stop = remaining < static_cast<std::uint64_t>(end - op) ? op + remaining
-                                                            : end;
-    span_first = next->first_page;
-    span_last = next->last_page;
-    pc = next_pc;
+    if (cpu.halted_ || remaining == 0 || cpu.cycle_ >= cycle_target) {
+      goto pmu_sync;
+    }
+    pc = cpu.pc_;
     cycle = cpu.cycle_;
-    // A taken tail may have run wrong-path fetches through the L1I; the
-    // same-line batching memo must restart from a full access.
-    fetch_line = ~0ull;
-    goto loop_top;
+    if ((pc % isa::kInstructionSize) != 0) goto pmu_sync;
+    next = cache.acquire(pc);
+    if (next == nullptr || next->empty()) goto pmu_sync;
+    // A wrong-path episode fetched through the L1I; the fetch batch must
+    // restart from a full access.
+    if (cpu.spec_episodes_ != episodes) fetches.restart();
   }
+  goto enter_next;
 
 sync_exit:
   CRS_FLUSH_COUNTS();
@@ -528,7 +535,6 @@ pmu_sync:
 #undef CRS_FLUSH_COUNTS
 #undef CRS_SET_READY
 #undef CRS_NEXT
-#undef CRS_LIKELY
 #undef CRS_UNLIKELY
 
 }  // namespace crs::sim

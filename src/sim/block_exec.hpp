@@ -11,12 +11,15 @@
 // The contract is bit-identity with the interpreter: every handler mirrors
 // the corresponding `Cpu::exec_*` path operation for operation (scoreboard
 // issue times, ROB-window stalls, PMU attribution, fault ordering, SLH
-// latency, cycle accounting), control-flow tails call the interpreter's own
-// exec_* helpers so speculation episodes and mitigation semantics are the
-// same code, and in-block stores into the block's own code pages bail out
-// immediately so self-modifying code sees its new bytes exactly as the
-// per-step engine would. The differential fuzz oracle (src/fuzz) crosses
-// the two engines on every corpus program to enforce this.
+// latency, cycle accounting). A direct-jump tail, and a conditional-branch
+// tail that runs no wrong-path episode and honours no fence hint, resolve
+// inside the chain by the interpreter's own rule (Cpu::plan_cond_branch);
+// every other tail calls the interpreter's exec_* helpers, so speculation
+// episodes and mitigation semantics are the same code. In-block stores into
+// the block's own code pages bail out immediately so self-modifying code
+// sees its new bytes exactly as the per-step engine would. The differential
+// fuzz oracle (src/fuzz) crosses the two engines on every corpus program to
+// enforce this.
 #pragma once
 
 #include <cstdint>

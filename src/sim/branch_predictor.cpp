@@ -14,28 +14,6 @@ PatternHistoryTable::PatternHistoryTable(std::uint32_t entries) {
   counters_.assign(entries, 1);  // weakly not-taken
 }
 
-std::uint64_t PatternHistoryTable::index(std::uint64_t pc) const {
-  return (pc >> 3) & (counters_.size() - 1);
-}
-
-bool PatternHistoryTable::predict_taken(std::uint64_t pc) const {
-  return counters_[index(pc)] >= 2;
-}
-
-void PatternHistoryTable::update(std::uint64_t pc, bool taken) {
-  ++updates_;
-  std::uint8_t& c = counters_[index(pc)];
-  if (taken) {
-    if (c < 3) ++c;
-  } else {
-    if (c > 0) --c;
-  }
-}
-
-std::uint8_t PatternHistoryTable::counter(std::uint64_t pc) const {
-  return counters_[index(pc)];
-}
-
 std::uint64_t PatternHistoryTable::flush() {
   std::uint64_t trained = 0;
   for (std::uint8_t& c : counters_) {

@@ -19,8 +19,19 @@ CacheLevel::CacheLevel(const CacheConfig& config) : config_(config) {
   num_sets_ = config.size_bytes / (config.line_size * config.ways);
   CRS_ENSURE(is_pow2(num_sets_), "number of sets must be a power of two");
   ways_.resize(static_cast<std::size_t>(num_sets_) * config.ways);
+  CRS_ENSURE(ways_.size() <= 0x10000,
+             "cache holds more lines than its line->way memo can index");
   while ((1u << line_shift_) < config_.line_size) ++line_shift_;
   while ((1u << sets_shift_) < num_sets_) ++sets_shift_;
+  // One entry per line the level holds, rounded up to a power of two.
+  std::uint64_t entries = num_sets_;
+  while (entries < ways_.size()) entries <<= 1;
+  line_memo_mask_ = entries - 1;
+  line_way_.resize(entries);
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    line_way_[e] =
+        static_cast<std::uint16_t>((e & (num_sets_ - 1)) * config_.ways);
+  }
 }
 
 std::uint64_t CacheLevel::set_index(std::uint64_t addr) const {
@@ -59,8 +70,8 @@ bool CacheLevel::access_search(std::uint64_t addr) {
     Way& way = base[w];
     if (way.valid && way.tag == tag) {
       way.lru = use_counter_;
-      mru_line_ = line;
-      mru_way_ = &way;
+      mru_way_ = static_cast<std::uint32_t>(&way - ways_.data());
+      line_way_[line & line_memo_mask_] = static_cast<std::uint16_t>(mru_way_);
       ++stats_.hits;
       return true;
     }
@@ -91,8 +102,8 @@ bool CacheLevel::access_search(std::uint64_t addr) {
   victim->valid = true;
   victim->tag = tag;
   victim->lru = use_counter_;
-  mru_line_ = line;
-  mru_way_ = victim;
+  mru_way_ = static_cast<std::uint32_t>(victim - ways_.data());
+  line_way_[line & line_memo_mask_] = static_cast<std::uint16_t>(mru_way_);
   return false;
 }
 
@@ -121,11 +132,11 @@ void CacheLevel::flush_line(std::uint64_t addr) {
 void CacheLevel::clear() {
   for (auto& way : ways_) way = Way{};
   use_counter_ = 0;
-  // Disarm the MRU memo: a stale memo after clear() would let
-  // access_repeat_hits stamp an invalidated way (access() itself rechecks
-  // valid+tag, but the batched-credit path trusts the memo by contract).
-  mru_line_ = ~0ull;
-  mru_way_ = nullptr;
+  // Forget the last way: access_repeat_hits would otherwise stamp an
+  // invalidated way (access() rechecks valid+tag through the line->way memo,
+  // but the batched-credit path trusts mru_way_ by contract). The line->way
+  // entries stay in their sets, where a stale entry only misses.
+  mru_way_ = kNoWay;
 }
 
 std::string CacheLevel::check_invariants() const {
@@ -148,20 +159,13 @@ std::string CacheLevel::check_invariants() const {
       }
     }
   }
-  // The MRU memo arms and disarms as a pair: a way pointer without a
-  // remembered line (or vice versa) means a half-scrubbed memo — the state
-  // access_repeat_hits' unarmed fallback keys off.
-  if ((mru_way_ == nullptr) != (mru_line_ == ~0ull)) {
-    return "MRU memo half-armed: way pointer and remembered line disagree";
-  }
-  // Stale memos (way reused for another line, or flushed) are legal — the
-  // tag+valid recheck in access() catches them — but the memoized way must
-  // at least live inside the set of the remembered line.
-  if (mru_way_ != nullptr && mru_line_ != ~0ull) {
-    const std::uint64_t memo_set = mru_line_ & (num_sets_ - 1);
-    const Way* base = &ways_[memo_set * config_.ways];
-    if (mru_way_ < base || mru_way_ >= base + config_.ways) {
-      return "MRU memo way points outside the set of its remembered line";
+  // A line->way entry outside its own set could false-hit a line of the
+  // same tag in another set.
+  for (std::uint64_t e = 0; e < line_way_.size(); ++e) {
+    if (line_way_[e] / config_.ways != (e & (num_sets_ - 1))) {
+      return "line->way memo entry " + std::to_string(e) + " points at way " +
+             std::to_string(line_way_[e]) + ", outside set " +
+             std::to_string(e & (num_sets_ - 1));
     }
   }
   return {};

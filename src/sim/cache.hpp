@@ -57,17 +57,22 @@ class CacheLevel {
   /// Touches the line containing `addr`: returns true on hit. On miss the
   /// line is filled (LRU victim evicted).
   ///
-  /// The MRU-line memo is inlined: consecutive accesses to one line
-  /// (instruction fetch walks 8 slots per 64-byte line) skip the
-  /// associative search. Replacement state is updated exactly as the search
-  /// path would, and the valid+tag recheck makes eviction/flush of the
-  /// memoized way fall through to the search.
+  /// The line->way memo is inlined ahead of the associative search: it
+  /// serves a line that was last found or filled at the way it remembers
+  /// (instruction fetch walks 8 slots per 64-byte line, and loops revisit
+  /// their lines). A memo hit updates the replacement state exactly as a
+  /// search hit would, and the valid+tag recheck makes eviction/flush of the
+  /// memoized way fall through to the search. A set never holds one tag
+  /// twice, so a way of the line's own set that holds its tag is the way
+  /// the search would find.
   bool access(std::uint64_t addr) {
     const std::uint64_t line = addr >> line_shift_;
-    if (line == mru_line_ && mru_way_ != nullptr && mru_way_->valid &&
-        mru_way_->tag == (line >> sets_shift_)) {
-      mru_way_->lru = ++use_counter_;
+    const std::uint16_t memo_way = line_way_[line & line_memo_mask_];
+    Way& way = ways_[memo_way];
+    if (way.valid && way.tag == (line >> sets_shift_)) {
+      way.lru = ++use_counter_;
       ++stats_.hits;
+      mru_way_ = memo_way;
       return true;
     }
     return access_search(addr);
@@ -77,14 +82,14 @@ class CacheLevel {
   /// threaded-code block engine batches consecutive instruction fetches of
   /// one line: only fetches ever touch the L1I mid-block, and the full
   /// access() that opened the line memoized it, so each deferred access
-  /// would have taken the memo path above. Leaves the level in exactly the
-  /// state n eager access() calls would have produced. On an unarmed memo
-  /// (fresh or clear()-ed level — the opening access() was dropped, so the
-  /// caller's guarantee is void) the batch still advances the use counter
-  /// and stats but has no way to stamp; the next real access re-arms.
+  /// would have hit the way that access left in `mru_way_`. Leaves the
+  /// level in exactly the state n eager access() calls would have produced.
+  /// On a fresh or clear()-ed level (no way to stamp — the opening access()
+  /// was dropped, so the caller's guarantee is void) the batch still
+  /// advances the use counter and stats; the next real access re-arms.
   void access_repeat_hits(std::uint64_t n) {
     use_counter_ += n;
-    if (mru_way_ != nullptr) mru_way_->lru = use_counter_;
+    if (mru_way_ != kNoWay) ways_[mru_way_].lru = use_counter_;
     stats_.hits += n;
   }
 
@@ -102,9 +107,9 @@ class CacheLevel {
 
   /// Structural self-check for the fuzzer's algebraic oracle: every set
   /// holds distinct valid tags, no LRU stamp runs ahead of the global use
-  /// counter, and the MRU memo (when armed) points at a way consistent with
-  /// its remembered line. Returns "" when consistent, else a description of
-  /// the first violation.
+  /// counter, and every line->way memo entry points at a way of the set its
+  /// lines map to. Returns "" when consistent, else a description of the
+  /// first violation.
   std::string check_invariants() const;
 
   /// Valid lines currently resident (for occupancy bounds).
@@ -125,10 +130,6 @@ class CacheLevel {
   void reset_stats() { stats_ = {}; }
 
  private:
-  // Checkpoint/restore copies levels whole and must scrub the MRU memo
-  // (a raw pointer into ways_) afterwards.
-  friend class SnapshotAccess;
-
   struct Way {
     bool valid = false;
     std::uint64_t tag = 0;
@@ -149,10 +150,20 @@ class CacheLevel {
   std::uint32_t sets_shift_ = 0;  ///< log2(num_sets)
   std::uint64_t use_counter_ = 0;
   std::vector<Way> ways_;  // num_sets_ * config_.ways, row-major by set
-  // Last-hit-line memo (pure speed; ways_ never reallocates after the
-  // constructor, so the pointer stays valid for the object's lifetime).
-  std::uint64_t mru_line_ = ~0ull;
-  Way* mru_way_ = nullptr;
+  // mru_way_ and the line->way memo hold ways_ indices, never pointers, so
+  // a copied level (a checkpoint, a restore) is self-consistent with no
+  // scrub.
+  static constexpr std::uint32_t kNoWay = ~0u;
+  // The way the last access() hit or filled, which access_repeat_hits
+  // stamps; kNoWay on a fresh or clear()-ed level.
+  std::uint32_t mru_way_ = kNoWay;
+  // Line->way memo (pure speed): entry `line & line_memo_mask_` holds the
+  // ways_ index where a line of that entry was last found or filled. The
+  // mask covers the set bits, so an entry's lines all map to one set, and
+  // every entry points into that set from construction on: a way of
+  // another set could hold a line of the same tag.
+  std::vector<std::uint16_t> line_way_;
+  std::uint64_t line_memo_mask_ = 0;
   // Way partitioning (off until set_partition_boundary arms it).
   bool partition_armed_ = false;
   std::uint64_t partition_boundary_ = 0;
@@ -216,7 +227,8 @@ class MemoryHierarchy {
     return out;
   }
 
-  /// Batched same-line fetch hits (see CacheLevel::access_repeat_hits).
+  /// Batched same-line fetch hits (see CacheLevel::access_repeat_hits and
+  /// FetchBatch).
   void fetch_repeat_hits(std::uint64_t n) { l1i_.access_repeat_hits(n); }
 
   /// clflush semantics: evict the data line everywhere.
@@ -259,12 +271,70 @@ class MemoryHierarchy {
   std::string check_invariants() const;
 
  private:
-  friend class SnapshotAccess;  // checkpoint/restore (sim/snapshot.cpp)
-
   HierarchyConfig config_;
   CacheLevel l1d_;
   CacheLevel l1i_;
   CacheLevel l2_;
+};
+
+/// Instruction fetch with same-line batching, for a run of fetches during
+/// which nothing else touches the L1I (a block chain between its exits, a
+/// wrong-path episode). A fetch of the line the previous fetch opened would
+/// hit the way that fetch left as the L1I's MRU way, so it is only counted,
+/// and the count lands in one fetch_repeat_hits call when the line changes
+/// or the caller flushes: the L1I then holds exactly the state eager
+/// fetches would have left. A batch starts unarmed (its first fetch is a
+/// full access). Flush before anything else reads or touches the L1I, and
+/// restart after something else touched it.
+///
+/// Forced inline, and `fetch` returns a plain latency: the block engine's
+/// dispatch function is too large for the compiler to inline these by
+/// itself, and an out-of-line copy or a returned `{hit, latency}` pair
+/// costs a call or stack traffic on every simulated instruction.
+class FetchBatch {
+ public:
+  explicit FetchBatch(MemoryHierarchy& hierarchy)
+      : hierarchy_(hierarchy),
+        line_mask_(~static_cast<std::uint64_t>(hierarchy.l1i().line_size() - 1)),
+        hit_latency_(hierarchy.timings().fetch_l1_hit) {}
+
+  /// Fetches the instruction at `pc`; returns its stall cycles.
+  __attribute__((always_inline)) std::uint32_t fetch(std::uint64_t pc) {
+    if ((pc & line_mask_) == line_) [[likely]] {
+      ++pending_;
+      return hit_latency_;
+    }
+    flush();
+    line_ = pc & line_mask_;
+    const MemoryHierarchy::FetchOutcome out = hierarchy_.access_fetch(pc);
+    if (!out.l1i_hit) ++misses_;
+    return out.latency;
+  }
+
+  __attribute__((always_inline)) void flush() {
+    if (pending_ != 0) {
+      hierarchy_.fetch_repeat_hits(pending_);
+      pending_ = 0;
+    }
+  }
+
+  /// Disarms the batch: the next fetch is a full access.
+  void restart() { line_ = ~0ull; }
+
+  /// L1I misses since the last call (for the caller's PMU), then zero.
+  std::uint64_t take_misses() {
+    const std::uint64_t n = misses_;
+    misses_ = 0;
+    return n;
+  }
+
+ private:
+  MemoryHierarchy& hierarchy_;
+  std::uint64_t line_mask_;
+  std::uint32_t hit_latency_;
+  std::uint64_t line_ = ~0ull;  // never matches a masked pc
+  std::uint64_t pending_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace crs::sim

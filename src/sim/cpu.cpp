@@ -243,44 +243,21 @@ void Cpu::exec_store(const Instruction& instr) {
 }
 
 void Cpu::exec_cond_branch(const DecodedSlot& slot) {
-  const Instruction& instr = slot.instr;
-  const bool actual_taken = instr.op == Opcode::kBeqz
-                                ? regs_[instr.rs1] == 0
-                                : regs_[instr.rs1] != 0;
-  const std::uint64_t taken_target =
-      static_cast<std::uint32_t>(instr.imm);
-  const std::uint64_t fallthrough = pc_ + isa::kInstructionSize;
-  const bool predicted_taken = predictor_.pht().predict_taken(pc_);
-
+  const CondBranchPlan plan = plan_cond_branch(slot, pc_, cycle_);
   pmu_.add(Event::kBranches);
-  if (actual_taken) pmu_.add(Event::kTakenBranches);
-
-  const std::uint64_t resolve_at = std::max(cycle_, ready_at(instr.rs1));
-  // A fence hint (planted by the mitigation pass) makes this branch behave
-  // as if an lfence followed the bounds check: the front end waits for the
-  // condition instead of running a wrong-path episode.
-  const bool fenced = config_.honor_fence_hints && slot.fence_after;
-  if (fenced) ++mstats_.fence_stalls;
-  if (predicted_taken != actual_taken) {
+  if (plan.taken) pmu_.add(Event::kTakenBranches);
+  if (plan.fenced) ++mstats_.fence_stalls;
+  if (plan.mispredicted) {
     pmu_.add(Event::kBranchMispredicts);
-    if (fenced) {
-      // The misprediction is detected at resolution with nothing to squash
-      // — the speculation window the fence closed.
-      ++mstats_.fence_squashes;
-    } else {
-      const std::uint64_t delay = resolve_at - cycle_;
-      const std::uint64_t budget =
-          std::min<std::uint64_t>(delay, config_.max_spec_window);
-      if (budget > 0) {
-        run_wrong_path(predicted_taken ? taken_target : fallthrough, budget);
-      }
-    }
-    cycle_ = resolve_at + config_.mispredict_penalty;
-  } else {
-    cycle_ = fenced ? resolve_at + config_.fence_cost : cycle_ + 1;
+    // A fenced misprediction is detected at resolution with nothing to
+    // squash — the speculation window the fence closed.
+    if (plan.fenced) ++mstats_.fence_squashes;
+    // The episode runs at the branch's own cycle_, before it retires.
+    if (plan.spec_budget > 0) run_wrong_path(plan.spec_pc, plan.spec_budget);
   }
-  predictor_.pht().update(pc_, actual_taken);
-  pc_ = actual_taken ? taken_target : fallthrough;
+  cycle_ = plan.next_cycle;
+  predictor_.pht().update(pc_, plan.taken);
+  pc_ = plan.next_pc;
 }
 
 void Cpu::exec_indirect_jump(const Instruction& instr) {
@@ -638,11 +615,15 @@ void Cpu::run_wrong_path(std::uint64_t spec_pc, std::uint64_t budget) {
   // The episode runs entirely at the checkpointed cycle_, so enter and
   // squash are instants (a zero-width span would render invisibly).
   obs::trace_instant("cpu.spec_enter", cycle_, static_cast<double>(budget));
-  const std::uint64_t spec_before = pmu_.count(Event::kSpecInstructions);
   std::uint64_t spec_regs[isa::kNumRegisters];
   std::copy(std::begin(regs_), std::end(regs_), std::begin(spec_regs));
   SpecMemoryView view(memory_);
   std::uint64_t pc = spec_pc;
+  // The episode's fetch and instruction counts land in one add each when
+  // it squashes: nothing reads them in between. Only fetches touch the L1I
+  // here, so same-line fetches are batched as in the block engine.
+  std::uint64_t n_fetches = 0, n_spec = 0;
+  FetchBatch fetches(hierarchy_);
 
   for (std::uint64_t executed = 0; executed < budget; ++executed) {
     // Wrong-path fetches go through the same decode cache as architectural
@@ -660,14 +641,15 @@ void Cpu::run_wrong_path(std::uint64_t spec_pc, std::uint64_t budget) {
       fetched = &wlocal;
     }
     // Wrong-path fetches still warm the instruction cache.
-    const auto fetch = hierarchy_.access_fetch(pc);
-    pmu_.add(Event::kL1iAccesses);
-    if (!fetch.l1i_hit) pmu_.add(Event::kL1iMisses);
+    ++n_fetches;
+    fetches.fetch(pc);
 
     if (fetched->state == DecodedSlot::kIllegal) break;
-    const DecodedSlot slot = *fetched;  // copy: the loop re-enters the cache
+    // Nothing below re-enters the decode cache before the next iteration's
+    // lookup, so the slot is read in place.
+    const DecodedSlot& slot = *fetched;
     const Instruction& instr = slot.instr;
-    pmu_.add(Event::kSpecInstructions);
+    ++n_spec;
 
     switch (slot.cls) {
       case OpClass::kNop:
@@ -810,10 +792,11 @@ void Cpu::run_wrong_path(std::uint64_t spec_pc, std::uint64_t budget) {
   }
   // Episode ends: spec_regs and the store buffer are discarded. Cache and
   // predictor-adjacent PMU effects remain — that is the covert channel.
-  obs::trace_instant(
-      "cpu.spec_squash", cycle_,
-      static_cast<double>(pmu_.count(Event::kSpecInstructions) -
-                          spec_before));
+  fetches.flush();
+  pmu_.add(Event::kL1iAccesses, n_fetches);
+  pmu_.add(Event::kL1iMisses, fetches.take_misses());
+  pmu_.add(Event::kSpecInstructions, n_spec);
+  obs::trace_instant("cpu.spec_squash", cycle_, static_cast<double>(n_spec));
 }
 
 }  // namespace crs::sim

@@ -143,6 +143,22 @@ struct Fault {
 
 enum class StopReason { kHalted, kFault, kInstructionLimit, kCycleLimit };
 
+/// What a conditional branch will do, decided before any state moves (see
+/// Cpu::plan_cond_branch).
+struct CondBranchPlan {
+  bool taken = false;         ///< architectural outcome
+  bool mispredicted = false;  ///< the PHT predicted the other way
+  bool fenced = false;        ///< a fence hint is honoured
+  std::uint64_t next_pc = 0;
+  /// Cycle once the branch retires: resolution plus the redirect penalty
+  /// on a misprediction, the fence cost on an honoured hint, else +1.
+  std::uint64_t next_cycle = 0;
+  /// Start of the predicted (wrong) path and its episode length; the
+  /// episode runs iff spec_budget != 0.
+  std::uint64_t spec_pc = 0;
+  std::uint64_t spec_budget = 0;
+};
+
 /// What the kernel's syscall handler tells the CPU to do next.
 enum class SyscallOutcome { kContinue, kHalt };
 
@@ -226,6 +242,41 @@ class Cpu {
   void exec_load(const isa::Instruction& instr);
   void exec_store(const isa::Instruction& instr);
   void exec_cond_branch(const DecodedSlot& slot);
+  /// The conditional-branch rule of both engines: prediction, resolution
+  /// and timing of the branch `slot` at `pc`, fetched by `cycle`. Reads the
+  /// registers, the scoreboard and the PHT; changes nothing.
+  CondBranchPlan plan_cond_branch(const DecodedSlot& slot, std::uint64_t pc,
+                                  std::uint64_t cycle) const {
+    const isa::Instruction& instr = slot.instr;
+    CondBranchPlan plan;
+    plan.taken = instr.op == isa::Opcode::kBeqz ? regs_[instr.rs1] == 0
+                                                : regs_[instr.rs1] != 0;
+    const std::uint64_t taken_target = static_cast<std::uint32_t>(instr.imm);
+    const std::uint64_t fallthrough = pc + isa::kInstructionSize;
+    plan.next_pc = plan.taken ? taken_target : fallthrough;
+    const bool predicted_taken = predictor_.pht().predict_taken(pc);
+    plan.mispredicted = predicted_taken != plan.taken;
+    const std::uint64_t resolve_at =
+        reg_ready_[instr.rs1] > cycle ? reg_ready_[instr.rs1] : cycle;
+    // A fence hint (planted by the mitigation pass) makes this branch
+    // behave as if an lfence followed the bounds check: the front end waits
+    // for the condition instead of running a wrong-path episode.
+    plan.fenced = config_.honor_fence_hints && slot.fence_after;
+    if (plan.mispredicted) {
+      if (!plan.fenced) {
+        const std::uint64_t delay = resolve_at - cycle;
+        plan.spec_budget = delay < config_.max_spec_window
+                               ? delay
+                               : config_.max_spec_window;
+        plan.spec_pc = predicted_taken ? taken_target : fallthrough;
+      }
+      plan.next_cycle = resolve_at + config_.mispredict_penalty;
+    } else {
+      plan.next_cycle = plan.fenced ? resolve_at + config_.fence_cost
+                                    : cycle + 1;
+    }
+    return plan;
+  }
   void exec_indirect_jump(const isa::Instruction& instr);
   void exec_call(const isa::Instruction& instr);
   void exec_ret(const isa::Instruction& instr);

@@ -8,20 +8,12 @@
 namespace crs::sim {
 
 /// Sole holder of friend access into the sim privates replication needs:
-/// CacheLevel's MRU memo and the Cpu counters that survive Cpu::reset.
-/// Everything else copies through the (value-semantic) sub-objects.
+/// the Cpu counters that survive Cpu::reset. Everything else copies
+/// through the (value-semantic) sub-objects.
 class SnapshotAccess {
  public:
   static std::shared_ptr<const MachineBaseline> freeze(const Machine& m) {
     return std::shared_ptr<const MachineBaseline>(new MachineBaseline(m));
-  }
-
-  static void scrub_mru(MemoryHierarchy& hierarchy) {
-    for (CacheLevel* level :
-         {&hierarchy.l1d_, &hierarchy.l1i_, &hierarchy.l2_}) {
-      level->mru_line_ = ~0ull;
-      level->mru_way_ = nullptr;
-    }
   }
 
   static void capture_cpu(const Cpu& cpu, MachineBaseline::CpuImage& img) {
@@ -39,12 +31,11 @@ class SnapshotAccess {
   /// Everything but memory: the fork constructor's second half (its memory
   /// already aliases the image) and the tail of every restore. Whole-object
   /// copy-back of caches (contents, LRU stamps, partition state, per-level
-  /// stats), predictor tables, PMU counters and CPU state. The baseline's
-  /// MRU memo was scrubbed at freeze, so the copies start scrubbed too (the
-  /// next access repopulates it through the search path). The decode and
-  /// block caches are deliberately NOT touched: page-version bumps already
-  /// invalidate entries for every restored page, and entries for clean
-  /// pages stay warm across attempts (pure speed, never visible).
+  /// stats, and their memos, which hold way indices), predictor tables, PMU
+  /// counters and CPU state. The decode and block caches are deliberately
+  /// NOT touched: page-version bumps already invalidate entries for every
+  /// restored page, and entries for clean pages stay warm across attempts
+  /// (pure speed, never visible).
   static void load_state(Machine& machine, const MachineBaseline& base) {
     machine.hierarchy() = base.hierarchy_;
     machine.predictor() = base.predictor_;
@@ -77,8 +68,6 @@ MachineBaseline::MachineBaseline(const Machine& machine)
       hierarchy_(machine.hierarchy()),
       predictor_(machine.predictor()),
       pmu_(machine.pmu()) {
-  // The copied MRU memo points into the source machine's cache storage.
-  SnapshotAccess::scrub_mru(hierarchy_);
   SnapshotAccess::capture_cpu(machine.cpu(), cpu_);
 }
 

@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "attack/spectre.hpp"
+#include "core/scenario.hpp"
 #include "harness.hpp"
 #include "mitigate/fence_pass.hpp"
 #include "sim/block_cache.hpp"
@@ -71,6 +72,56 @@ TEST(BlockEngine, BitIdenticalToInterpreter) {
   const auto attack_prog = attack::build_attack_binary(acfg);
   EXPECT_EQ(run_one(attack_prog, ExecEngine::kBlocks),
             run_one(attack_prog, ExecEngine::kInterp));
+
+  // Profiled attempts in the offline campaign's shape (ROP-injected,
+  // perturbed by the static branchy variant) under every mitigation preset
+  // and full hardening: the block engine resolves most branch tails itself
+  // and runs wrong-path episodes only through the interpreter's helper, so
+  // every window edge — the cycle the profiler stops at — and every
+  // window's noiseless counters must match.
+  core::ScenarioConfig offline;
+  offline.host_scale = 2000;
+  offline.rop_injected = true;
+  offline.perturb = true;
+  offline.perturb_params.loop_count = 16;
+  offline.perturb_params.delay = 500;
+  offline.perturb_params.style = perturb::MimicStyle::kBranchy;
+  std::vector<std::pair<std::string, core::ScenarioConfig>> configs;
+  for (const std::string& preset : mitigate::preset_names()) {
+    core::ScenarioConfig c = offline;
+    c.mitigations = mitigate::preset(preset);
+    configs.emplace_back(preset, c);
+  }
+  core::ScenarioConfig hardened = offline;
+  hardened.harden = harden::preset("full");
+  configs.emplace_back("harden=full", hardened);
+  const auto profiled = [](const core::ScenarioConfig& config,
+                           ExecEngine engine) {
+    std::vector<sim::PmuSnapshot> windows;
+    std::tuple<bool, bool, std::uint64_t, std::uint64_t> run_facts;
+    test::with_engine(engine, [&] {
+      core::ScenarioSession session(config);
+      const core::ScenarioRun run = session.run_attempt(0x0FF1);
+      for (const hid::WindowSample& w : run.profile.windows) {
+        windows.push_back(w.true_delta);
+      }
+      run_facts = {run.attack_launched, run.secret_recovered,
+                   run.profile.cycles, run.profile.instructions};
+    });
+    return std::pair{windows, run_facts};
+  };
+  for (const auto& [name, config] : configs) {
+    const auto blocks = profiled(config, ExecEngine::kBlocks);
+    const auto interp = profiled(config, ExecEngine::kInterp);
+    if (name == "none") {
+      EXPECT_TRUE(std::get<0>(interp.second)) << "the injection never ran";
+    }
+    EXPECT_EQ(blocks.second, interp.second) << name;
+    ASSERT_EQ(blocks.first.size(), interp.first.size()) << name;
+    for (std::size_t w = 0; w < blocks.first.size(); ++w) {
+      EXPECT_EQ(blocks.first[w], interp.first[w]) << name << " window " << w;
+    }
+  }
 }
 
 constexpr const char* kBoundsLoop =
@@ -203,6 +254,86 @@ TEST(BlockEngine, StraddlingBlockRetranslatesOnSiblingPageInvalidation) {
   ASSERT_NE(bc.acquire(entry), nullptr);
   EXPECT_EQ(bc.stats().translations, 2u);
   EXPECT_EQ(bc.stats().hits, 1u);
+}
+
+// In-chain hops against block frees: a loop warm enough that its blocks
+// chain into each other across two pages through jump and branch tails
+// resolved in the chain, then a clflush of the second page's code line
+// mid-run, which frees that page's blocks. The next hop into the page must
+// translate afresh (under the asan preset, entering a freed block reads
+// freed storage), and the run must stay bit-identical to the interpreter.
+TEST(BlockEngine, CodeLineFlushMidLoopMatchesInterpreter) {
+  constexpr std::uint64_t kPageA = 0x1000;
+  constexpr std::uint64_t kPageB = 0x2000;
+  const auto setup = [&](sim::Machine& machine) {
+    auto& mem = machine.memory();
+    mem.set_permissions(kPageA, 2 * Memory::kPageSize, sim::kPermRX);
+    put(mem, kPageA + 0x00, isa::Opcode::kMovImm, 1, 0, 0, 200);   // count
+    put(mem, kPageA + 0x08, isa::Opcode::kMovImm, 5, 0, 0, 100);   // flush at
+    put(mem, kPageA + 0x10, isa::Opcode::kMovImm, 6, 0, 0, kPageB);
+    put(mem, kPageA + 0x18, isa::Opcode::kAddImm, 2, 2, 0, 1);     // loop:
+    put(mem, kPageA + 0x20, isa::Opcode::kJmp, 0, 0, 0, kPageB);
+    put(mem, kPageB + 0x00, isa::Opcode::kAddImm, 1, 1, 0, -1);
+    put(mem, kPageB + 0x08, isa::Opcode::kCmpNe, 3, 1, 5);
+    put(mem, kPageB + 0x10, isa::Opcode::kBnez, 0, 3, 0, kPageB + 0x20);
+    put(mem, kPageB + 0x18, isa::Opcode::kClflush, 0, 6, 0, 0);
+    put(mem, kPageB + 0x20, isa::Opcode::kBnez, 0, 1, 0, kPageA + 0x18);
+    put(mem, kPageB + 0x28, isa::Opcode::kHalt);
+    machine.cpu().reset(kPageA, 0x8000);
+  };
+
+  sim::Machine blocks(engine_config(ExecEngine::kBlocks));
+  sim::Machine interp(engine_config(ExecEngine::kInterp));
+  setup(blocks);
+  setup(interp);
+
+  // Warm: about 20 iterations, far from the flush at iteration 100.
+  ASSERT_EQ(blocks.cpu().run(100), StopReason::kInstructionLimit);
+  const BlockCache& cache = *blocks.cpu().block_cache();
+  EXPECT_GT(cache.stats().hits, 20u) << "the loop never chained";
+  EXPECT_EQ(cache.stats().invalidations, 0u);
+
+  EXPECT_EQ(blocks.cpu().run(1'000'000), StopReason::kHalted);
+  EXPECT_EQ(interp.cpu().run(1'000'000), StopReason::kHalted);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(blocks.cpu().reg(2), 200u);
+  EXPECT_EQ(blocks.cpu().retired(), interp.cpu().retired());
+  EXPECT_EQ(blocks.cpu().cycle(), interp.cpu().cycle());
+  EXPECT_EQ(blocks.pmu().snapshot(), interp.pmu().snapshot());
+}
+
+// The block engine credits same-line fetches in one batch, to whichever
+// L1I way the last real fetch left most recently used; a wrong-path
+// episode fetches other lines in between. Here a ROP-style return (its
+// saved address overwritten to the next slot of its own line) runs an
+// episode at the RSB's prediction, on another line of a one-set, two-way
+// L1I. The fetches after it must stamp the return's line, not the
+// episode's: the next fill evicts the older of the two, and the final
+// fetch of the return's line hits or misses by that choice.
+TEST(BlockEngine, FetchBatchRestartsAfterWrongPathEpisode) {
+  const auto run = [](ExecEngine engine) {
+    sim::MachineConfig mc = engine_config(engine);
+    mc.hierarchy.l1i = sim::CacheConfig{128, 64, 2};
+    sim::Machine machine(mc);
+    auto& mem = machine.memory();
+    mem.set_permissions(0x1000, 2 * Memory::kPageSize, sim::kPermRX);
+    mem.set_permissions(0x7000, Memory::kPageSize, sim::kPermRW);
+    put(mem, 0x2000, isa::Opcode::kCall, 0, 0, 0, 0x1010);  // RSB: 0x2008
+    put(mem, 0x2008, isa::Opcode::kHalt);                   // never retired
+    put(mem, 0x1000, isa::Opcode::kHalt);
+    put(mem, 0x1010, isa::Opcode::kMovImm, 4, 0, 0, 0x1028);
+    put(mem, 0x1018, isa::Opcode::kStore, 0, isa::kStackPointer, 4, 0);
+    put(mem, 0x1020, isa::Opcode::kRet);  // returns to 0x1028, same line
+    put(mem, 0x1028, isa::Opcode::kNop);
+    put(mem, 0x1030, isa::Opcode::kJmp, 0, 0, 0, 0x1040);
+    put(mem, 0x1040, isa::Opcode::kJmp, 0, 0, 0, 0x1000);  // fill, then back
+    machine.cpu().reset(0x2000, 0x8000);
+    EXPECT_EQ(machine.cpu().run(100), StopReason::kHalted);
+    EXPECT_EQ(machine.cpu().spec_episodes(), 1u);
+    return std::tuple{machine.cpu().retired(), machine.cpu().cycle(),
+                      machine.pmu().snapshot()};
+  };
+  EXPECT_EQ(run(ExecEngine::kBlocks), run(ExecEngine::kInterp));
 }
 
 // Instruction budgets land mid-block: running the same program in small
